@@ -473,19 +473,21 @@ def certify(target, h: int = None, *, criterion: str = "auto", split=None,
         if h is not None and h != dec.h:
             raise ValueError(f"h = {h} disagrees with the {dec.h}-term decomposition")
         h = dec.h
-        T = dec.expand()
-    else:
-        T = target
-        if h is None:
-            raise ValueError("h is required when certifying a tensor")
+    elif h is None:
+        raise ValueError("h is required when certifying a tensor")
     if h < 1:
         raise ValueError("h must be >= 1")
-    space = T.space
+    space = target.space
+
+    def tensor():
+        # a decomposition is expanded only on the way to a tensor criterion;
+        # Proposition 3.3 expands it itself, once
+        return target if dec is None else dec.expand()
 
     if criterion == "thm37":
-        return certify_thm37(T, h, budget=budget, t_cap=t_cap)
+        return certify_thm37(tensor(), h, budget=budget, t_cap=t_cap)
     if criterion == "prop31":
-        return certify_prop31(T, h, split, budget=budget, t_cap=t_cap)
+        return certify_prop31(tensor(), h, split, budget=budget, t_cap=t_cap)
     if criterion == "prop33":
         if dec is None:
             raise ValueError("this criterion needs an explicit decomposition")
@@ -494,19 +496,19 @@ def certify(target, h: int = None, *, criterion: str = "auto", split=None,
         raise ValueError(f"unknown criterion {criterion!r}")
 
     if space.p == 1 and thm37_family(space, h) is not None:
-        return certify_thm37(T, h, budget=budget, t_cap=t_cap)
+        return certify_thm37(tensor(), h, budget=budget, t_cap=t_cap)
     if split is not None:
-        return certify_prop31(T, h, split, budget=budget, t_cap=t_cap)
+        return certify_prop31(tensor(), h, split, budget=budget, t_cap=t_cap)
     try:
         candidate = default_split(space, h)
     except SplitError:
         candidate = None
     if candidate is not None and effective_range(space, candidate, h):
-        return certify_prop31(T, h, candidate, budget=budget, t_cap=t_cap)
+        return certify_prop31(tensor(), h, candidate, budget=budget, t_cap=t_cap)
     if dec is not None:
         return certify_prop33(dec, budget=budget, t_cap=t_cap)
 
-    mode, prime = _field_info(T.field)
+    mode, prime = _field_info(target.field)
     cert = Certificate(None, "Inconclusive", h, space, label="",
                        reason="out of criteria range",
                        field_mode=mode, prime=prime)

@@ -4,15 +4,16 @@ A split assigns to every group a pair ``a_i + b_i = d_i``.  The flattening of
 a tensor T at a split is the matrix whose row for a differentiation monomial
 m of multidegree a holds the coefficients of the iterated partial derivative
 of T by m, written in the multidegree-b monomial basis.  For a single group
-this is the s-th catalecticant matrix of the form.
+this is the s-th catalecticant matrix of the form.  Entries are built by
+coefficient lookup (see ``flatten``); no derivative is ever expanded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, perm
 
-from .linalg import DenseMatrix, rref, row_space_basis
+from .linalg import DenseMatrix, rref
 from .poly import TensorSpace, dimension_of_multidegree, monomial_basis
 
 
@@ -88,35 +89,60 @@ class Flattening:
     split: Split
     matrix: DenseMatrix
     rank: int
+    span: DenseMatrix       # nonzero rows of the reduced row echelon form
 
 
 def flatten(T, split: Split) -> Flattening:
-    """Build the flattening matrix of T at the given split and record its rank."""
+    """Build the flattening matrix of T at the given split, with one echelon pass.
+
+    The entry at row m (multidegree a) and column m' (multidegree b) is read
+    straight off the coefficient T[m + m'] as
+
+        T[m + m'] * prod_v (m + m')_v! / m'_v!,
+
+    one falling factorial per variable: the coefficient of x^m' in the
+    iterated partial derivative of T by m.  The single ``rref`` of that
+    matrix gives both the rank and the row basis kept for ``image_span``.
+    """
     space = T.space
     deg = T.multidegree()
     if deg is not None and deg != space.degrees:
         raise ValueError(f"tensor multidegree {deg} differs from space {space.degrees}")
     if tuple(ai + bi for ai, bi in zip(split.a, split.b)) != space.degrees:
         raise ValueError("split does not match the space multidegree")
-    p = T.field.modulus
+    f = T.field
+    p = f.modulus
     if p is not None and p <= max(space.degrees):
         raise ValueError(
             f"prime modulus {p} <= max degree {max(space.degrees)}: derivative "
             "coefficients may vanish; choose a larger prime")
-    row_monos = monomial_basis(space, split.a)
-    col_index = {m: j for j, m in enumerate(monomial_basis(space, split.b))}
-    zero = T.field.zero
+    col_monos = monomial_basis(space, split.b)
+    terms = T.terms
+    zero = f.zero
     rows = []
-    for m in row_monos:
-        row = [zero] * len(col_index)
-        for mono, c in T.derivative_by(m).terms.items():
-            row[col_index[mono]] = c
+    for m in monomial_basis(space, split.a):
+        row = []
+        for mc in col_monos:
+            c = terms.get(tuple(x + y for x, y in zip(m, mc)))
+            if c is None:
+                row.append(zero)
+                continue
+            factor = 1
+            for x, y in zip(m, mc):
+                if x:
+                    factor *= perm(x + y, x)
+            row.append(f.mul_int(c, factor))
         rows.append(row)
-    matrix = DenseMatrix(T.field, rows, len(col_index))
-    _, rank, _ = rref(matrix)
-    return Flattening(T, split, matrix, rank)
+    matrix = DenseMatrix(f, rows, len(col_monos))
+    reduced, rank, _ = rref(matrix)
+    span = DenseMatrix(f, reduced.rows[:rank], matrix.ncols)
+    return Flattening(T, split, matrix, rank, span)
 
 
 def image_span(fl: Flattening) -> DenseMatrix:
-    """Canonical basis of the row space: the span of the partial derivatives."""
-    return row_space_basis(fl.matrix)
+    """Canonical basis of the row space: the span of the partial derivatives.
+
+    These are the nonzero rows of the reduced row echelon form, kept from the
+    elimination ``flatten`` already ran.
+    """
+    return fl.span

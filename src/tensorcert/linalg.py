@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 
 class DenseMatrix:
     """Immutable dense matrix whose entries all live in one field."""
@@ -84,8 +87,24 @@ def rref(matrix: DenseMatrix):
     Returns ``(reduced, rank, pivots)`` where ``reduced`` is the unique
     reduced row echelon form and ``pivots`` is the strictly increasing tuple
     of pivot column indices.
+
+    Over QQ the elimination is fraction-free.  Each row is scaled to a
+    primitive integer vector (denominators cleared, content divided out).
+    A pivot entry is cleared from another row by the integer update
+    ``row_i <- piv * row_i - q * row_r`` (with ``piv`` and ``q`` first
+    divided by their gcd), and the new row's content is divided out at
+    once; pivots are cleared downwards first, then upwards from the last
+    pivot.  Each pivot row is divided by its pivot only once, at the end.
+    Every step scales a row by a nonzero rational or adds a multiple of
+    another row to it, so the row space never changes, and the final rows
+    are in reduced echelon form.  That form is unique for a row space, so
+    the result equals plain Fraction Gauss-Jordan entry for entry; keeping
+    rows primitive stops the factorial content of catalecticant rows from
+    growing with every update.
     """
     f = matrix.field
+    if f.modulus is None:
+        return _rref_rational(matrix)
     m = [list(r) for r in matrix.rows]
     nrows, ncols = matrix.nrows, matrix.ncols
     pivots = []
@@ -111,6 +130,58 @@ def rref(matrix: DenseMatrix):
         pivots.append(c)
         r += 1
     return DenseMatrix(f, m, ncols), r, tuple(pivots)
+
+
+def _primitive(row):
+    """The row divided by the gcd of its entries (unchanged when zero)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _eliminate(row, prow, c):
+    """Primitive integer row: ``row`` with its column-c entry cleared by ``prow``."""
+    piv, q = prow[c], row[c]
+    g = gcd(piv, q)
+    a, q = piv // g, q // g
+    return _primitive([a * x - q * y for x, y in zip(row, prow)])
+
+
+def _rref_rational(matrix: DenseMatrix):
+    f = matrix.field
+    nrows, ncols = matrix.nrows, matrix.ncols
+    m = []
+    for row in matrix.rows:
+        den = lcm(*(x.denominator for x in row))
+        m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        for i in range(r + 1, nrows):
+            if m[i][c]:
+                m[i] = _eliminate(m[i], m[r], c)
+        pivots.append(c)
+        r += 1
+    for k in range(r - 1, 0, -1):
+        c = pivots[k]
+        for i in range(k):
+            if m[i][c]:
+                m[i] = _eliminate(m[i], m[k], c)
+    zero = f.zero
+    reduced = [[Fraction(x, m[i][c]) if x else zero for x in m[i]]
+               for i, c in enumerate(pivots)]
+    reduced.extend([zero] * ncols for _ in range(nrows - r))
+    return DenseMatrix(f, reduced, ncols), r, tuple(pivots)
 
 
 def kernel_basis(matrix: DenseMatrix) -> DenseMatrix:

@@ -1,4 +1,6 @@
+import importlib
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -6,8 +8,8 @@ import pytest
 from tensorcert import (Decomposition, MPoly, RandomConfig, Split, SplitError,
                         TensorSpace, certify, certify_prop31, certify_prop33,
                         certify_thm37, corollary35_bound, corollary35_bounds,
-                        effective_range, random_tensor, segre_veronese_degree,
-                        thm37_family)
+                        effective_range, flatten, random_tensor,
+                        segre_veronese_degree, thm37_family)
 
 import oracles
 from conftest import random_form
@@ -432,3 +434,53 @@ def test_certificate_json_shape():
     assert names == ["i_flattening_rank", "ii_section_dimension", "iii_section_length"]
     trace = doc["checks"][1]["detail"]["trace"]
     assert trace[0] == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# one echelon pass per flattening, one expansion per decomposition
+
+
+def _count_rref_inputs(monkeypatch):
+    """Count the matrices handed to ``rref`` wherever it is looked up."""
+    linalg = importlib.import_module("tensorcert.linalg")
+    flat = importlib.import_module("tensorcert.flatten")
+    seen = Counter()
+    real = linalg.rref
+
+    def counting(matrix):
+        seen[matrix] += 1
+        return real(matrix)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    monkeypatch.setattr(flat, "rref", counting)
+    return seen
+
+
+@pytest.mark.parametrize("sizes,degrees,h,seed,criterion", [
+    ((3,), (5,), 6, 1, "Prop31"),
+    ((3,), (5,), 7, 1, "Thm37"),
+    ((4,), (4,), 7, 4, "Prop33"),
+], ids=["Prop31", "Thm37", "Prop33"])
+def test_flattening_matrix_is_reduced_once(monkeypatch, sizes, degrees, h, seed,
+                                           criterion):
+    T, dec = random_tensor(TensorSpace(sizes, degrees), h, RandomConfig(seed=seed))
+    seen = _count_rref_inputs(monkeypatch)
+    cert = certify(dec if criterion == "Prop33" else T, h)
+    monkeypatch.undo()
+    assert cert.certified and cert.criterion == criterion
+    assert seen[flatten(T, cert.split).matrix] == 1
+
+
+def test_certify_expands_a_decomposition_once(monkeypatch):
+    _, dec = random_tensor(TensorSpace((4,), (4,)), 7, RandomConfig(seed=4))
+    calls = []
+    real = Decomposition.expand
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Decomposition, "expand", counting)
+    cert = certify(dec)
+    assert cert.certified and cert.criterion == "Prop33"
+    assert calls == [dec]

@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -289,5 +291,17 @@ def test_installed_entry_point():
     proc = subprocess.run(["tensorcert", "bounds", "--family", "segre",
                            "--n", "3", "--factors", "4", "--h", "4"],
                           capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "h < 5" in proc.stdout
+
+
+def test_module_entry_point():
+    import tensorcert
+    src = str(Path(tensorcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "tensorcert", "bounds", "--family",
+                           "segre", "--n", "3", "--factors", "4", "--h", "4"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "h < 5" in proc.stdout

@@ -6,7 +6,7 @@ import pytest
 from tensorcert import (MPoly, PrimeField, QQ, Split, SplitError, TensorSpace,
                         choose_split, coefficient_vector, flatten, image_span,
                         monomial_basis, power_and_product, random_tensor,
-                        RandomConfig, rref)
+                        RandomConfig, row_space_basis, rref)
 from tensorcert.flatten import default_split
 
 from conftest import random_form
@@ -131,3 +131,30 @@ def test_flatten_rejects_small_prime():
 def test_default_split_modes():
     assert default_split(TensorSpace((3,), (4,)), 3).s == 1
     assert default_split(TensorSpace((2, 2), (2, 2)), 2).a == (1, 1)
+
+
+def _rational_form(space, rng, field):
+    terms = {m: Fraction(rng.randint(-40, 40), rng.randint(1, 7))
+             for m in monomial_basis(space, space.degrees)}
+    return MPoly(space, terms, field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1073741789)], ids=["QQ", "Fp"])
+@pytest.mark.parametrize("sizes,degrees,splits", [
+    ((3,), (5,), [(0,), (1,), (2,), (3,), (5,)]),
+    ((2, 5, 4), (3, 2, 3), [(2, 1, 2), (1, 1, 1), (3, 0, 0)]),
+    ((3, 3), (2, 2), [(1, 1), (2, 0), (0, 1), (2, 2)]),
+], ids=["3-5", "254-323", "33-22"])
+def test_lookup_flattening_matches_derivatives(sizes, degrees, splits, field):
+    space = TensorSpace(sizes, degrees)
+    T = _rational_form(space, random.Random(sum(sizes) + len(splits)), field)
+    for a in splits:
+        split = Split.of(space, a)
+        fl = flatten(T, split)
+        basis_b = monomial_basis(space, split.b)
+        rows = monomial_basis(space, split.a)
+        assert fl.matrix.nrows == len(rows)
+        for m, row in zip(rows, fl.matrix.rows):
+            assert list(row) == coefficient_vector(T.derivative_by(m), basis_b)
+        assert image_span(fl) == row_space_basis(fl.matrix)
+        assert image_span(fl).nrows == fl.rank

@@ -5,6 +5,8 @@ import pytest
 
 from tensorcert import DenseMatrix, PrimeField, QQ, kernel_basis, rref, row_space_basis
 
+import oracles
+
 
 def qmat(rows, ncols=None):
     return DenseMatrix.from_rows(QQ, rows, ncols)
@@ -113,3 +115,56 @@ def test_matrix_immutable():
     m = DenseMatrix.identity(QQ, 2)
     with pytest.raises(AttributeError):
         m.nrows = 5
+
+
+# ---------------------------------------------------------------------------
+# differential test against the standalone Fraction oracle
+
+
+def _rref_cases():
+    """(rows, ncols) pairs: seeded random shapes plus the edge cases."""
+    rng = random.Random(17)
+
+    def ints(nr, nc, bound=50):
+        return [[rng.randint(-bound, bound) for _ in range(nc)] for _ in range(nr)]
+
+    def product(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    cases = []
+    for nr, nc in [(4, 4), (3, 7), (7, 3), (1, 5), (5, 1), (6, 6)]:
+        cases.append((ints(nr, nc), nc))
+        cases.append(([[Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                        for _ in range(nc)] for _ in range(nr)], nc))
+    cases.append((ints(5, 6, bound=1 << 200), 6))
+    for nr, nc, k in [(6, 5, 2), (5, 8, 3), (8, 4, 1), (7, 7, 4)]:
+        cases.append((product(ints(nr, k, 9), ints(k, nc, 9)), nc))
+    deficient = product(ints(6, 3, 9), ints(3, 7, 9))
+    cases.append(([[Fraction(x, 1 + i) for x in row]
+                   for i, row in enumerate(deficient)], 7))
+    cases.append((oracles.fraction_rref(deficient)[0], 7))     # already reduced
+    cases.append(([[0] * 5 for _ in range(3)], 5))             # all zero
+    cases.append(([], 4))                                      # no rows
+    cases.append(([[], []], 0))                                # no columns
+    return cases
+
+
+def test_rref_matches_fraction_oracle_over_qq():
+    for rows, ncols in _rref_cases():
+        reduced, rank, pivots = rref(qmat(rows, ncols))
+        want, want_rank, want_pivots = oracles.fraction_rref(rows)
+        assert (rank, pivots) == (want_rank, tuple(want_pivots))
+        assert reduced.rows == tuple(tuple(row) for row in want)
+        assert (reduced.nrows, reduced.ncols) == (len(rows), ncols)
+        assert all(type(x) is Fraction for row in reduced.rows for x in row)
+
+
+def test_rref_matches_fraction_oracle_mod_p():
+    # with the same pivot columns, the reduced form mod p is the rational one
+    # reduced mod p (its entries are ratios of minors that are units mod p)
+    fp = PrimeField(1073741789)
+    for rows, ncols in _rref_cases():
+        reduced, rank, pivots = rref(DenseMatrix.from_rows(fp, rows, ncols))
+        want, want_rank, want_pivots = oracles.fraction_rref(rows)
+        assert (rank, pivots) == (want_rank, tuple(want_pivots))
+        assert reduced.rows == tuple(tuple(fp(x) for x in row) for row in want)
