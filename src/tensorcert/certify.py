@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .fields import QQ
+from .fields import DEFAULT_PRIME, QQ, PrimeField
 from .flatten import Split, SplitError, default_split, flatten, image_span
 from .ideals import SchemeReport, classify_linear_section, pullback_linear_section
 from .linalg import DenseMatrix, row_space_basis
@@ -315,7 +315,11 @@ def certify_prop31(T: MPoly, h: int, split: Split = None, *, budget=None,
 
 
 def certify_thm37(F: MPoly, h: int, *, budget=None, t_cap=None) -> Certificate:
-    """Exceptional-family criterion: full catalecticant rank + empty section."""
+    """Exceptional-family criterion: full catalecticant rank + empty section.
+
+    Over QQ both checks run mod p first (``_thm37_witness``); the exact
+    rational path runs only when that pass does not certify.
+    """
     start = time.perf_counter()
     space = F.space
     if space.p != 1:
@@ -333,23 +337,70 @@ def certify_thm37(F: MPoly, h: int, *, budget=None, t_cap=None) -> Certificate:
                        family=family, effective=True,
                        field_mode=mode, prime=prime)
     split = Split.of(space, (s,))
-    fl = flatten(F, split)
     full = comb(n + s, n)
-    checks = [Check("a_derivative_span_rank", fl.rank, full, fl.rank == full)]
-    if checks[0].passed:
-        ideal = pullback_linear_section(image_span(fl), space, split.b)
-        report = classify_linear_section(ideal, budget=budget, t_cap=t_cap)
-        detail = {"status": report.describe(), "method": report.method,
-                  "trace": [list(pair) for pair in report.trace]}
-        if report.note:
-            detail["note"] = report.note
-        checks.append(Check("b_section_empty", report.describe(), "Empty",
-                            report.status == "Empty", detail))
-        cert.budget_exhausted = report.budget_exhausted
+    checks = _thm37_witness(F, split, full, budget, t_cap) if F.field == QQ else None
+    if checks is None:
+        checks, cert.budget_exhausted = _thm37_checks(F, split, full, budget, t_cap)
     cert.split = split
     cert.checks = tuple(checks)
     _finish(cert, start)
     return cert
+
+
+def _thm37_checks(F: MPoly, split: Split, full: int, budget, t_cap):
+    """Theorem 3.7's two checks over the field of F, and whether the budget ran out."""
+    fl = flatten(F, split)
+    checks = [Check("a_derivative_span_rank", fl.rank, full, fl.rank == full)]
+    if not checks[0].passed:
+        return checks, False
+    ideal = pullback_linear_section(image_span(fl), F.space, split.b)
+    report = classify_linear_section(ideal, budget=budget, t_cap=t_cap)
+    detail = {"status": report.describe(), "method": report.method,
+              "trace": [list(pair) for pair in report.trace]}
+    if report.note:
+        detail["note"] = report.note
+    checks.append(Check("b_section_empty", report.describe(), "Empty",
+                        report.status == "Empty", detail))
+    return checks, report.budget_exhausted
+
+
+_WITNESS_FIELD = PrimeField(DEFAULT_PRIME)
+
+
+def _thm37_witness(F: MPoly, split: Split, full: int, budget, t_cap):
+    """Theorem 3.7's checks for F over QQ, settled by one pass mod p.
+
+    Returns the checks when both pass mod p, which certifies F over QQ
+    exactly; returns None otherwise, and the exact path decides.
+
+    Both checks are one-sided.  Let Z_(p) be the rationals whose denominator
+    is prime to p.  F reduces mod p when its coefficients lie in Z_(p), and
+    then the flattening M_p of F_p is the reduction of the flattening M of F.
+
+    * rank_p <= rank_QQ <= #rows, so rank_p = #rows is the full rank over QQ.
+    * rank_p = #rows makes the Z_(p)-lattice spanned by the rows of M
+      saturated (a maximal minor is a unit of Z_(p)).  So the mod-p kernel,
+      whose rows are the generators of I_p in degree b, is the reduction of
+      the kernel lattice over QQ: both have dimension N - #rows.  The
+      pullback's column scaling divides by multinomials of degree b < p,
+      which are units mod p, so it keeps this true.
+    * So (I_p)_t lies in the reduction of the lattice (I_QQ)_t, whose rank
+      is dim (I_QQ)_t, for every t.  That gives HF_QQ(t) <= HF_p(t), and a
+      section that is Empty mod p (HF_p(t) = 0 for large t; for binary forms,
+      no common root of the generators mod p) is Empty over QQ.
+
+    A rank below full, a non-empty section or an exhausted budget mod p
+    proves nothing over QQ; neither does a denominator divisible by p.
+    """
+    try:
+        Fp = MPoly(F.space, F.terms, _WITNESS_FIELD)
+    except ZeroDivisionError:
+        return None
+    checks, _ = _thm37_checks(Fp, split, full, budget, t_cap)
+    if not checks[-1].passed:
+        return None
+    checks[1].detail["witness_prime"] = DEFAULT_PRIME
+    return checks
 
 
 def thm37_family(space: TensorSpace, h: int):

@@ -120,7 +120,11 @@ class _ExprParser:
             if tok is None or tok[0] != "*":
                 return result
             self._take()
-            result = result * self._factor()
+            factor = self._factor()
+            if len(result) == 1 and len(factor) == 1:
+                result = _monomial_product(result, factor)
+            else:
+                result = result * factor
 
     def _factor(self) -> MPoly:
         base = self._atom()
@@ -162,6 +166,14 @@ class _ExprParser:
                 raise ParseError("expected ')'", close[2])
             return inner
         raise ParseError(f"unexpected token {tok[0]!r}", tok[2])
+
+
+def _monomial_product(u: MPoly, v: MPoly) -> MPoly:
+    """Product of two single-term polynomials, without a term loop."""
+    (m1, c1), = u.terms.items()
+    (m2, c2), = v.terms.items()
+    mono = tuple(a + b for a, b in zip(m1, m2))
+    return MPoly(u.space, {mono: u.field.mul(c1, c2)}, u.field, _clean=True)
 
 
 def _mono_name(space, mono) -> str:

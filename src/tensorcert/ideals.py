@@ -143,6 +143,10 @@ def _m_div(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def _negate(key):
+    return -key if isinstance(key, int) else tuple(map(_negate, key))
+
+
 class _Engine:
     """Buchberger state: basis polynomials as primitive/monic int dicts."""
 
@@ -152,7 +156,6 @@ class _Engine:
         self.modulus = field.modulus
         self.budget = budget if budget is not None else DEFAULT_PAIR_BUDGET
         self.pairs_done = 0
-        self.slices = space.group_slices
         self._keys = {}
         self._negkeys = {}
         self.polys = []   # dict mono -> int
@@ -165,25 +168,14 @@ class _Engine:
     def key(self, m):
         k = self._keys.get(m)
         if k is None:
-            parts = []
-            for sl in self.slices:
-                block = m[sl]
-                parts.append(sum(block))
-                parts.append(tuple(-e for e in reversed(block)))
-            k = tuple(parts)
-            self._keys[m] = k
+            k = self._keys[m] = self.space.monomial_key(m)
         return k
 
     def negkey(self, m):
+        """Key of the reversed order: every component of ``key`` negated."""
         k = self._negkeys.get(m)
         if k is None:
-            parts = []
-            for sl in self.slices:
-                block = m[sl]
-                parts.append(-sum(block))
-                parts.append(tuple(reversed(block)))
-            k = tuple(parts)
-            self._negkeys[m] = k
+            k = self._negkeys[m] = _negate(self.space.monomial_key(m))
         return k
 
     # -- coefficient normalization ------------------------------------------

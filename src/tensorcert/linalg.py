@@ -101,12 +101,20 @@ def rref(matrix: DenseMatrix):
     the result equals plain Fraction Gauss-Jordan entry for entry; keeping
     rows primitive stops the factorial content of catalecticant rows from
     growing with every update.
+
+    Over F_p the entries are plain residues.  Each pivot row is scaled once
+    by the inverse of its pivot, and every other row is updated from the
+    pivot column onward only: the pivot row is zero to the left of it.
     """
-    f = matrix.field
-    if f.modulus is None:
+    if matrix.field.modulus is None:
         return _rref_rational(matrix)
-    m = [list(r) for r in matrix.rows]
+    return _rref_mod_p(matrix)
+
+
+def _rref_mod_p(matrix: DenseMatrix):
+    p = matrix.field.modulus
     nrows, ncols = matrix.nrows, matrix.ncols
+    m = [[x % p for x in row] for row in matrix.rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -114,22 +122,23 @@ def rref(matrix: DenseMatrix):
             break
         pr = None
         for i in range(r, nrows):
-            if not f.is_zero(m[i][c]):
+            if m[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-        inv = f.inv(m[r][c])
-        m[r] = [f.mul(inv, x) for x in m[r]]
+        inv = pow(m[r][c], -1, p)
+        tail = [x * inv % p for x in m[r][c:]]
+        m[r][c:] = tail
         for i in range(nrows):
-            if i != r and not f.is_zero(m[i][c]):
-                q = m[i][c]
-                m[i] = [f.sub(x, f.mul(q, y)) for x, y in zip(m[i], m[r])]
+            q = m[i][c]
+            if q and i != r:
+                m[i][c:] = [(x - q * y) % p for x, y in zip(m[i][c:], tail)]
         pivots.append(c)
         r += 1
-    return DenseMatrix(f, m, ncols), r, tuple(pivots)
+    return DenseMatrix(matrix.field, m, ncols), r, tuple(pivots)
 
 
 def _primitive(row):

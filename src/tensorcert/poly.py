@@ -240,6 +240,12 @@ class MPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
+        if len(self.terms) == 1:
+            # a monomial: scale the exponents, raise the coefficient once
+            (mono, c), = self.terms.items()
+            f = self.field
+            c = c ** n if f.modulus is None else pow(c, n, f.modulus)
+            return MPoly(self.space, {tuple(e * n for e in mono): c}, f, _clean=True)
         result = MPoly(self.space, {(0,) * self.space.nvars: self.field.one},
                        self.field, _clean=True)
         for _ in range(n):

@@ -1,11 +1,13 @@
 import importlib
 import random
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from tensorcert import (Decomposition, MPoly, RandomConfig, Split, SplitError,
+from tensorcert import (DEFAULT_PRIME, Decomposition, MPoly, PrimeField,
+                        RandomConfig, Split, SplitError,
                         TensorSpace, certify, certify_prop31, certify_prop33,
                         certify_thm37, corollary35_bound, corollary35_bounds,
                         effective_range, flatten, random_tensor,
@@ -259,6 +261,84 @@ def test_thm37_matches_sylvester_on_random_binary_forms():
 
 
 # ---------------------------------------------------------------------------
+# Theorem 3.7: the mod-p witness against the exact path
+
+
+def _exact_thm37(monkeypatch, F, h):
+    """The certificate of the exact rational path, with the witness disabled."""
+    with monkeypatch.context() as m:
+        m.setattr(importlib.import_module("tensorcert.certify"), "_thm37_witness",
+                  lambda *args: None)
+        return certify_thm37(F, h)
+
+
+def _checks_view(cert):
+    return [(c.name, c.computed, c.required, c.passed,
+             c.detail["method"] if c.detail else None) for c in cert.checks]
+
+
+def _full_view(cert):
+    return (cert.verdict, cert.reason, cert.field_mode, cert.prime,
+            [(c.name, c.computed, c.required, c.passed, c.detail)
+             for c in cert.checks])
+
+
+@pytest.mark.parametrize("sizes,degrees,h", [
+    ((2,), (9,), 5), ((2,), (31,), 16), ((3,), (5,), 7), ((4,), (3,), 5),
+], ids=["binary-9", "binary-31", "ternary-quintic", "quaternary-cubic"])
+def test_thm37_witness_agrees_with_exact_path(monkeypatch, sizes, degrees, h):
+    for seed in (21, 22):
+        T, _ = random_tensor(TensorSpace(sizes, degrees), h, RandomConfig(seed=seed))
+        fast = certify_thm37(T, h)
+        exact = _exact_thm37(monkeypatch, T, h)
+        assert fast.certified and exact.certified
+        assert _checks_view(fast) == _checks_view(exact)
+        assert fast.checks[1].detail["witness_prime"] == DEFAULT_PRIME
+        assert "witness_prime" not in exact.checks[1].detail
+        assert (fast.field_mode, fast.prime) == ("exact", None)
+
+
+@pytest.mark.parametrize("sizes,degrees,h,rank,failed", [
+    ((2,), (9,), 5, 3, "a_derivative_span_rank"),
+    ((2,), (9,), 5, 4, "b_section_empty"),
+    ((3,), (5,), 7, 6, "b_section_empty"),
+    ((4,), (3,), 5, 4, "b_section_empty"),
+], ids=["binary-rank-h-2", "binary-rank-h-1", "ternary-quintic-rank-6",
+        "quaternary-cubic-rank-4"])
+def test_thm37_witness_never_certifies_a_failure(monkeypatch, sizes, degrees, h,
+                                                 rank, failed):
+    T, _ = random_tensor(TensorSpace(sizes, degrees), rank, RandomConfig(seed=23))
+    cert = certify_thm37(T, h)
+    assert cert.verdict == "Inconclusive"
+    assert cert.reason == f"failed checks: {failed}"
+    assert _full_view(cert) == _full_view(_exact_thm37(monkeypatch, T, h))
+
+
+@pytest.mark.parametrize("sizes,degrees,h,lost", [
+    ((2,), (9,), 5, 1), ((2,), (9,), 5, 2), ((3,), (5,), 7, 1), ((4,), (3,), 5, 1),
+], ids=["binary-section", "binary-rank", "ternary-quintic", "quaternary-cubic"])
+def test_thm37_unlucky_prime_falls_back(monkeypatch, sizes, degrees, h, lost):
+    # the last `lost` terms carry the factor p: mod p the form has rank h - lost,
+    # so the witness fails (non-empty section, or rank below full) while the
+    # form over QQ is a generic rank-h form and certifies
+    _, dec = random_tensor(TensorSpace(sizes, degrees), h, RandomConfig(seed=24))
+    lambdas = [1] * (h - lost) + [DEFAULT_PRIME] * lost
+    F = Decomposition(dec.space, dec.terms, lambdas).expand()
+    cert = certify_thm37(F, h)
+    assert cert.certified
+    assert _full_view(cert) == _full_view(_exact_thm37(monkeypatch, F, h))
+
+
+def test_thm37_denominator_divisible_by_prime_skips_witness(monkeypatch):
+    T, _ = random_tensor(TensorSpace((3,), (5,)), 7, RandomConfig(seed=25))
+    F = T.scale(Fraction(1, DEFAULT_PRIME))
+    cert = certify_thm37(F, 7)
+    assert cert.certified
+    assert "witness_prime" not in cert.checks[1].detail
+    assert _full_view(cert) == _full_view(_exact_thm37(monkeypatch, F, 7))
+
+
+# ---------------------------------------------------------------------------
 # dispatcher
 
 
@@ -456,19 +536,24 @@ def _count_rref_inputs(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("sizes,degrees,h,seed,criterion", [
-    ((3,), (5,), 6, 1, "Prop31"),
-    ((3,), (5,), 7, 1, "Thm37"),
-    ((4,), (4,), 7, 4, "Prop33"),
-], ids=["Prop31", "Thm37", "Prop33"])
-def test_flattening_matrix_is_reduced_once(monkeypatch, sizes, degrees, h, seed,
-                                           criterion):
-    T, dec = random_tensor(TensorSpace(sizes, degrees), h, RandomConfig(seed=seed))
+@pytest.mark.parametrize("sizes,degrees,h,rank,seed,criterion,qq_passes,p_passes", [
+    ((3,), (5,), 6, 6, 1, "Prop31", 1, 0),
+    ((3,), (5,), 7, 7, 1, "Thm37", 0, 1),
+    ((4,), (4,), 7, 7, 4, "Prop33", 1, 0),
+    ((3,), (5,), 7, 5, 1, "Thm37", 1, 1),
+], ids=["Prop31", "Thm37", "Prop33", "Thm37-fallback"])
+def test_flattening_matrix_is_reduced_once(monkeypatch, sizes, degrees, h, rank,
+                                           seed, criterion, qq_passes, p_passes):
+    # a Theorem 3.7 witness reduces the mod-p flattening once; the QQ one is
+    # reduced only when the witness fails, as it must for a rank-deficient form
+    T, dec = random_tensor(TensorSpace(sizes, degrees), rank, RandomConfig(seed=seed))
     seen = _count_rref_inputs(monkeypatch)
     cert = certify(dec if criterion == "Prop33" else T, h)
     monkeypatch.undo()
-    assert cert.certified and cert.criterion == criterion
-    assert seen[flatten(T, cert.split).matrix] == 1
+    assert cert.criterion == criterion and cert.certified == (rank == h)
+    Tp = MPoly(T.space, T.terms, PrimeField(DEFAULT_PRIME))
+    assert seen[flatten(T, cert.split).matrix] == qq_passes
+    assert seen[flatten(Tp, cert.split).matrix] == p_passes
 
 
 def test_certify_expands_a_decomposition_once(monkeypatch):

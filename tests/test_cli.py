@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import tensorcert.cli as cli_module
 from tensorcert import MPoly, QQ, TensorSpace
 from tensorcert.cli import (ParseError, parse_document, parse_polynomial,
                             render_decomposition_document, render_tensor_document,
@@ -68,6 +69,38 @@ def test_parse_mixed_variables():
     space = TensorSpace((2, 3), (1, 1))
     F = parse_polynomial("x1_0*x2_2 - x1_1*x2_0", space)
     assert F.terms == {(1, 0, 0, 0, 1): QQ(1), (0, 1, 1, 0, 0): QQ(-1)}
+
+
+_MONOMIAL_DOCUMENTS = [
+    "sizes: 2\ndegrees: 4\n"
+    "tensor: x1_0^4*x1_1^0 - 3/4*x1_0^2*x1_1^2 + 2^3*x1_1^4 - x1_1*x1_0^3\n",
+    "sizes: 2\ndegrees: 4\n"
+    "tensor: (x1_0 + 2*x1_1)^3*x1_0 - (1/2*x1_1)^4 + (x1_0)^2*(x1_1^2)^1\n",
+    "sizes: 3\ndegrees: 3\nfield: fp:101\n"
+    "tensor: 5/7*x1_0^3 - 2^7*x1_1^2*x1_2 + (3*x1_2)^3 + 101*x1_0*x1_1*x1_2"
+    " + x1_0^0*x1_1^3 + (2/3)^2*(x1_0 - x1_1)^2*x1_2\n",
+    "sizes: 2,3\ndegrees: 2,1\n"
+    "tensor: 3*x1_0^2*x2_1 - x1_1*x1_0*x2_2^1 + (x1_0*x2_0)^1*7/5*x1_1\n",
+]
+
+
+def test_parse_monomials_match_generic_arithmetic(monkeypatch):
+    # single-term powers and products take a shortcut; repeated generic
+    # multiplication must give the same polynomials
+    fast = [parse_document(text).payload for text in _MONOMIAL_DOCUMENTS]
+
+    def generic_pow(self, n):
+        out = MPoly(self.space, {(0,) * self.space.nvars: self.field.one},
+                    self.field)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    monkeypatch.setattr(MPoly, "__pow__", generic_pow)
+    monkeypatch.setattr(cli_module, "_monomial_product", lambda u, v: u * v)
+    generic = [parse_document(text).payload for text in _MONOMIAL_DOCUMENTS]
+    assert fast == generic
+    assert all(fast)
 
 
 # ---------------------------------------------------------------------------
