@@ -97,21 +97,28 @@ class _ExprParser:
         return poly
 
     def _expr(self) -> MPoly:
-        sign = 1
+        # one dict for the whole sum: an MPoly per partial sum would copy it
+        # once per term
+        f = self.field
+        acc = {}
+        sign = "+"
         tok = self._peek()
         if tok is not None and tok[0] in "+-":
             self._take()
-            sign = -1 if tok[0] == "-" else 1
-        result = self._term()
-        if sign < 0:
-            result = -result
+            sign = tok[0]
         while True:
+            add = f.add if sign == "+" else f.sub
+            for m, c in self._term().terms.items():
+                v = add(acc.get(m, f.zero), c)
+                if f.is_zero(v):
+                    acc.pop(m, None)
+                else:
+                    acc[m] = v
             tok = self._peek()
             if tok is None or tok[0] not in "+-":
-                return result
+                return MPoly(self.space, acc, f, _clean=True)
             self._take()
-            term = self._term()
-            result = result + (-term if tok[0] == "-" else term)
+            sign = tok[0]
 
     def _term(self) -> MPoly:
         result = self._factor()

@@ -15,7 +15,11 @@ reduced Groebner basis:
 
 Buchberger runs with Gebauer-Moeller pair elimination and sugar selection;
 over the rationals the reduction arithmetic is fraction free on primitive
-integer polynomials.
+integer polynomials.  Each run memoises, per monomial, its first reducer
+(the first basis element whose leading term divides it) together with that
+element's multiple shifted onto the monomial.  The basis only grows until the
+final interreduction renumbers it, so a recorded reducer stays the first
+divisor and a recorded miss needs only the elements added since.
 """
 
 from __future__ import annotations
@@ -148,7 +152,15 @@ def _negate(key):
 
 
 class _Engine:
-    """Buchberger state: basis polynomials as primitive/monic int dicts."""
+    """Buchberger state: basis polynomials as primitive/monic int dicts.
+
+    ``_reducers`` maps a monomial to its first reducer i and the multiple
+    x^(m - lt_i) * g_i as a term list, or, when no leading term divided it,
+    to the basis length scanned.  ``run`` only appends to the basis, so a
+    reducer stays the first divisor and a miss is resumed from where its
+    scan stopped; every intermediate polynomial is the one a fresh linear
+    scan gives.  ``_interreduce`` renumbers the basis and clears the memo.
+    """
 
     def __init__(self, space: TensorSpace, field, budget):
         self.space = space
@@ -162,6 +174,7 @@ class _Engine:
         self.lts = []
         self.lcs = []
         self.sugars = []
+        self._reducers = {}  # see the class docstring
 
     # -- order -------------------------------------------------------------
 
@@ -220,19 +233,34 @@ class _Engine:
 
     # -- reduction -----------------------------------------------------------
 
-    def _find_reducer(self, m, skip=None):
-        for i, lt in enumerate(self.lts):
-            if i != skip and _m_divides(lt, m):
-                return i
+    def _reducer(self, m):
+        """(i, [(monomial, coefficient), ...]): the first basis element
+        whose leading term divides m, and its multiple shifted onto m; None
+        when no leading term divides m.  Memoised in ``_reducers``."""
+        hit = self._reducers.get(m)
+        if hit is not None and hit[1] is not None:
+            return hit
+        lts = self.lts
+        for i in range(hit[0] if hit is not None else 0, len(lts)):
+            lt = lts[i]
+            if _m_divides(lt, m):
+                shift = _m_div(m, lt)
+                multiple = [(_m_mul(gm, shift), gc) for gm, gc in self.polys[i].items()]
+                hit = self._reducers[m] = (i, multiple)
+                return hit
+        self._reducers[m] = (len(lts), None)
         return None
 
-    def normal_form(self, terms, skip=None):
-        """Fully reduce a term dict against the current basis."""
+    def normal_form(self, terms, keep=None):
+        """Fully reduce a term dict against the current basis.
+
+        The monomial ``keep``, if given, is left as it is.
+        """
         p = dict(terms)
         if not p:
             return p
         modulus = self.modulus
-        done = set()
+        done = set() if keep is None else {keep}
         heap = [(self.negkey(m), m) for m in p]
         heapify(heap)
         steps = 0
@@ -240,13 +268,11 @@ class _Engine:
             _, m = heappop(heap)
             if m in done or m not in p:
                 continue
-            i = self._find_reducer(m, skip)
-            if i is None:
+            hit = self._reducer(m)
+            if hit is None:
                 done.add(m)
                 continue
-            g = self.polys[i]
-            glt = self.lts[i]
-            shift = _m_div(m, glt)
+            i, multiple = hit
             c = p[m]
             if modulus is None:
                 glc = self.lcs[i]
@@ -258,8 +284,7 @@ class _Engine:
                         p[k] *= mult_p
             else:
                 mult_g = c
-            for gm, gc in g.items():
-                k = _m_mul(gm, shift) if any(shift) else gm
+            for k, gc in multiple:
                 old = p.get(k)
                 v = (old or 0) - mult_g * gc
                 if modulus is not None:
@@ -379,11 +404,15 @@ class _Engine:
         self.lts = [self.lts[i] for i in kept]
         self.lcs = [self.lcs[i] for i in kept]
         self.sugars = [self.sugars[i] for i in kept]
-        reduced = []
-        for i in range(len(self.polys)):
-            reduced.append(self.normal_form(self.polys[i], skip=i))
+        self._reducers = {}  # the indices changed
+        # The basis is minimal now: no other leading term divides lt_i, and
+        # every other monomial of g_i, before or during its reduction, is
+        # smaller than lt_i, so lt_i divides none of them.  Keeping lt_i as
+        # it is therefore reduces g_i by the other elements alone.
+        reduced = [self.normal_form(g, keep=lt) for g, lt in zip(self.polys, self.lts)]
         self.polys = reduced
         self.lcs = [p[lt] for p, lt in zip(self.polys, self.lts)]
+        self._reducers = {}  # the cached multiples were of the unreduced basis
         return reduced
 
 

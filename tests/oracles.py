@@ -190,3 +190,105 @@ def cor35_bound_independent(family, n=None, degrees=None, factors=None, dims=Non
             prod *= x
         return prod - sum(x - 1 for x in dims[1:])
     raise ValueError(family)
+
+
+# ---------------------------------------------------------------------------
+# textbook Buchberger
+
+
+def block_grevlex_key(sizes):
+    """Blockwise graded reverse lex: groups in index order; within a group,
+    higher degree first, then the smaller exponent of the last variable."""
+    def key(mono):
+        parts, start = [], 0
+        for s in sizes:
+            block = mono[start:start + s]
+            parts.append((sum(block), [-e for e in reversed(block)]))
+            start += s
+        return parts
+    return key
+
+
+def reference_groebner(sizes, generators, modulus=None):
+    """Reduced Groebner basis as {lead term: {monomial: coefficient}}, monic.
+
+    ``generators`` are dicts monomial -> coefficient.  Coefficients are
+    Fractions, or residues mod ``modulus``.  Plain Buchberger: every pair is
+    reduced (no criteria), smallest lcm first, reducers are found by a
+    linear scan, and the final basis is minimalized and fully interreduced.
+    """
+    key = block_grevlex_key(sizes)
+
+    def norm(c):
+        return Fraction(c) if modulus is None else c % modulus
+
+    def div(a, b):
+        return a / b if modulus is None else a * pow(b, -1, modulus) % modulus
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def lead(f):
+        return max(f, key=key)
+
+    def monic(f):
+        lc = f[lead(f)]
+        return {m: div(c, lc) for m, c in f.items()}
+
+    def sub_multiple(f, c, shift, g):
+        # f - c * x^shift * g, dropping zero coefficients
+        f = dict(f)
+        for m, gc in g.items():
+            k = tuple(x + y for x, y in zip(m, shift))
+            v = norm(f.get(k, 0) - c * gc)
+            if v:
+                f[k] = v
+            else:
+                f.pop(k, None)
+        return f
+
+    def reduce(f, basis):
+        # repeatedly cancel the largest term divisible by some lead term
+        while True:
+            for m in sorted(f, key=key, reverse=True):
+                g = next((g for g in basis if divides(lead(g), m)), None)
+                if g is not None:
+                    shift = tuple(x - y for x, y in zip(m, lead(g)))
+                    f = sub_multiple(f, f[m], shift, g)
+                    break
+            else:
+                return f
+
+    basis = []
+    for g in generators:
+        g = {m: norm(c) for m, c in g.items() if norm(c)}
+        if g:
+            basis.append(monic(g))
+
+    def lcm(pair):
+        return tuple(map(max, lead(basis[pair[0]]), lead(basis[pair[1]])))
+
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        # the pair of smallest lcm first (the normal strategy)
+        i, j = min(pairs, key=lambda q: key(lcm(q)))
+        pairs.remove((i, j))
+        lcm_ij = lcm((i, j))
+        si = tuple(x - y for x, y in zip(lcm_ij, lead(basis[i])))
+        sj = tuple(x - y for x, y in zip(lcm_ij, lead(basis[j])))
+        s = sub_multiple({tuple(x + y for x, y in zip(m, si)): c
+                          for m, c in basis[i].items()}, 1, sj, basis[j])
+        r = reduce(s, basis)
+        if r:
+            basis.append(monic(r))
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    minimal = []
+    for g in sorted(basis, key=lambda g: key(lead(g))):
+        if not any(divides(lead(h), lead(g)) for h in minimal):
+            minimal.append(g)
+    out = {}
+    for g in minimal:
+        others = [h for h in minimal if h is not g]
+        tail = reduce({m: c for m, c in g.items() if m != lead(g)}, others)
+        out[lead(g)] = {lead(g): norm(1), **tail}
+    return out

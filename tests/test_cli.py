@@ -81,12 +81,21 @@ _MONOMIAL_DOCUMENTS = [
     " + x1_0^0*x1_1^3 + (2/3)^2*(x1_0 - x1_1)^2*x1_2\n",
     "sizes: 2,3\ndegrees: 2,1\n"
     "tensor: 3*x1_0^2*x2_1 - x1_1*x1_0*x2_2^1 + (x1_0*x2_0)^1*7/5*x1_1\n",
+    # a leading minus, repeated terms, and terms that cancel
+    "sizes: 2\ndegrees: 3\n"
+    "tensor: -x1_0^3 + 2*x1_0^2*x1_1 - x1_0^3 + x1_1^3 - 2*x1_1*x1_0^2"
+    " + 1/2*x1_1^3 - (x1_0 - x1_1)^3 + (-x1_1 + x1_0)^3\n",
+    "sizes: 3\ndegrees: 2\nfield: fp:7\n"
+    "tensor: - x1_0^2 - 3*x1_1*x1_2 + 4*x1_2*x1_1 - 8*x1_0^2 + x1_1^2"
+    " - (x1_1 + x1_2)^2 + 2*x1_1*x1_2 + 6*x1_2^2\n",
 ]
+_CANCELLING = ["x1_0*x1_1 - x1_1*x1_0", "-(x1_0 + x1_1)^2 + x1_0^2 + x1_1^2 + 2*x1_0*x1_1",
+               "x1_0^2 + x1_0^2 - 2*x1_0^2"]
 
 
 def test_parse_monomials_match_generic_arithmetic(monkeypatch):
-    # single-term powers and products take a shortcut; repeated generic
-    # multiplication must give the same polynomials
+    # single-term powers and products take a shortcut, and sums accumulate
+    # into one dict; repeated generic arithmetic must give the same polynomials
     fast = [parse_document(text).payload for text in _MONOMIAL_DOCUMENTS]
 
     def generic_pow(self, n):
@@ -96,11 +105,33 @@ def test_parse_monomials_match_generic_arithmetic(monkeypatch):
             out = out * self
         return out
 
+    def generic_expr(self):
+        # one MPoly per partial sum
+        sign = "+"
+        tok = self._peek()
+        if tok is not None and tok[0] in "+-":
+            sign = self._take()[0]
+        result = self._term()
+        if sign == "-":
+            result = -result
+        while True:
+            tok = self._peek()
+            if tok is None or tok[0] not in "+-":
+                return result
+            self._take()
+            term = self._term()
+            result = result + (-term if tok[0] == "-" else term)
+
+    space = TensorSpace((2,), (2,))
+    zeros = [parse_polynomial(text, space) for text in _CANCELLING]
     monkeypatch.setattr(MPoly, "__pow__", generic_pow)
     monkeypatch.setattr(cli_module, "_monomial_product", lambda u, v: u * v)
+    monkeypatch.setattr(cli_module._ExprParser, "_expr", generic_expr)
     generic = [parse_document(text).payload for text in _MONOMIAL_DOCUMENTS]
     assert fast == generic
     assert all(fast)
+    assert zeros == [parse_polynomial(text, space) for text in _CANCELLING]
+    assert zeros == [MPoly.zero(space)] * len(_CANCELLING)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import pytest
 from tensorcert import (BudgetExceededError, DenseMatrix, Ideal, MPoly, QQ,
                         Split, TensorSpace, binary_fast_path, buchberger,
                         classify_linear_section, coefficient_vector, flatten,
-                        hilbert_value, image_span, monomial_basis,
+                        hilbert_value, image_span, monomial_basis, PrimeField,
                         pullback_linear_section, random_tensor, RandomConfig)
 
 import oracles
 from conftest import random_form
+
+FP = PrimeField(1073741789)
 
 
 def ternary(deg=2):
@@ -226,6 +228,114 @@ def test_buchberger_budget():
     gens = [random_form(space, 3, rng) for _ in range(3)]
     with pytest.raises(BudgetExceededError):
         buchberger(Ideal(space, gens), budget=2)
+
+
+def _differential_ideals():
+    """Seeded small ideals: ternary, quaternary, mixed and Prop 3.1 pullbacks."""
+    rng = random.Random(41)
+    cases = []
+    for _ in range(4):
+        space = ternary(3)
+        degs = [rng.randint(2, 3) for _ in range(rng.randint(2, 3))]
+        cases.append((space, [random_form(space, d, rng, bound=6) for d in degs]))
+    space = TensorSpace((4,), (2,))
+    for _ in range(2):
+        cases.append((space, [random_form(space, 2, rng, bound=4) for _ in range(3)]))
+    space = TensorSpace((2, 3), (1, 2))
+    for degs in [((1, 2), (1, 2)), ((1, 1), (1, 2), (0, 2))]:
+        cases.append((space, [random_form(space, d, rng, bound=6) for d in degs]))
+    for sizes, degrees, h, a, seed in [((3,), (4,), 4, (2,), 51),
+                                       ((2, 2), (2, 2), 2, (1, 1), 52),
+                                       ((3, 2), (2, 2), 3, (1, 1), 53)]:
+        space = TensorSpace(sizes, degrees)
+        T, _ = random_tensor(space, h, RandomConfig(seed=seed, bound=20))
+        b = tuple(d - x for d, x in zip(degrees, a))
+        ideal = pullback_linear_section(
+            image_span(flatten(T, Split.of(space, a))), space, b)
+        cases.append((space, list(ideal.generators)))
+    return cases
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+def test_buchberger_matches_textbook_reference(field, monkeypatch):
+    # Besides the final bases, every normal form the engine computes must be
+    # fully reduced against the basis of its time, checked by a linear scan.
+    # The engine memoises each monomial's first reducer and rescans a
+    # monomial that no leading term divided against the elements added
+    # since; each such rescan that finds a reducer is recorded, to show the
+    # path is covered.
+    from tensorcert import ideals
+    real_nf, real_reducer = ideals._Engine.normal_form, ideals._Engine._reducer
+    real_interreduce = ideals._Engine._interreduce
+    misses, rescans, unreduced = {}, [], []
+
+    def normal_form(self, terms, keep=None):
+        out = real_nf(self, terms, keep)
+        unreduced.extend(m for m in out if m != keep and any(
+            all(a <= b for a, b in zip(lt, m)) for lt in self.lts))
+        return out
+
+    def reducer(self, m):
+        hit = real_reducer(self, m)
+        if hit is None:
+            misses[m] = len(self.lts)
+        elif m in misses and hit[0] >= misses[m]:
+            rescans.append(m)
+        return hit
+
+    def interreduce(self):
+        misses.clear()  # the basis is renumbered
+        return real_interreduce(self)
+
+    monkeypatch.setattr(ideals._Engine, "normal_form", normal_form)
+    monkeypatch.setattr(ideals._Engine, "_reducer", reducer)
+    monkeypatch.setattr(ideals._Engine, "_interreduce", interreduce)
+    for trial, (space, gens) in enumerate(_differential_ideals()):
+        gens = [MPoly(space, g.terms, field) for g in gens]
+        misses.clear()
+        gb = buchberger(Ideal(space, gens, field))
+        got = {lt: dict(g.terms) for lt, g in zip(gb.lead_terms, gb.polys)}
+        want = oracles.reference_groebner(space.sizes, [g.terms for g in gens],
+                                          field.modulus)
+        assert got == want, trial
+        assert not unreduced, trial
+    assert rescans
+
+
+def test_reducer_search_tests_each_pair_once_per_phase(monkeypatch):
+    # Within run() and within _interreduce() the basis does not shrink, so a
+    # (leading term, monomial) divisibility test need never be repeated.
+    from tensorcert import ideals
+    real_divides = ideals._m_divides
+    real_nf, real_interreduce = ideals._Engine.normal_form, ideals._Engine._interreduce
+    state = {"in_nf": False, "seen": set(), "repeats": 0, "tests": 0}
+
+    def divides(a, b):
+        if state["in_nf"]:
+            state["tests"] += 1
+            state["repeats"] += (a, b) in state["seen"]
+            state["seen"].add((a, b))
+        return real_divides(a, b)
+
+    def normal_form(self, *args, **kwargs):
+        state["in_nf"] = True
+        try:
+            return real_nf(self, *args, **kwargs)
+        finally:
+            state["in_nf"] = False
+
+    def interreduce(self):
+        state["seen"] = set()
+        return real_interreduce(self)
+
+    monkeypatch.setattr(ideals, "_m_divides", divides)
+    monkeypatch.setattr(ideals._Engine, "normal_form", normal_form)
+    monkeypatch.setattr(ideals._Engine, "_interreduce", interreduce)
+    for space, gens in _differential_ideals():
+        state["seen"] = set()
+        buchberger(Ideal(space, gens))
+    assert state["tests"] > 0
+    assert state["repeats"] == 0
 
 
 # ---------------------------------------------------------------------------
