@@ -23,13 +23,14 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .fields import DEFAULT_PRIME, QQ, PrimeField
 from .flatten import Split, SplitError, default_split, flatten, image_span
 from .ideals import SchemeReport, classify_linear_section, pullback_linear_section
 from .linalg import DenseMatrix, row_space_basis
-from .poly import MPoly, TensorSpace, coefficient_vector, monomial_basis, power_and_product
+from .poly import (MPoly, TensorSpace, coefficient_vector, monomial_basis,
+                   poly_from_numerators, rank_one_numerators)
 
 CRITERION_LABELS = {
     "Prop31": "Proposition 3.1",
@@ -175,16 +176,30 @@ class Decomposition:
         return len(self.terms)
 
     def term_polynomial(self, i: int) -> MPoly:
-        out = power_and_product(self.space, self.terms[i], field=self.field)
-        if self.lambdas is not None:
-            out = out.scale(self.lambdas[i])
-        return out
+        return self._sum_terms((i,))
 
     def expand(self) -> MPoly:
-        total = MPoly.zero(self.space, self.field)
-        for i in range(self.h):
-            total = total + self.term_polynomial(i)
-        return total
+        return self._sum_terms(range(self.h))
+
+    def _sum_terms(self, indices) -> MPoly:
+        # integer numerators over one common denominator, summed in one dict;
+        # field elements are made once per monomial at the end
+        f = self.field
+        parts = []
+        for i in indices:
+            nums, den = rank_one_numerators(self.space, self.terms[i], field=f)
+            lam = f.one if self.lambdas is None else self.lambdas[i]
+            if f.modulus is None:
+                parts.append((nums, lam.numerator, den * lam.denominator))
+            else:
+                parts.append((nums, lam, 1))
+        common = lcm(*(den for _, _, den in parts))
+        acc = {}
+        for nums, weight, den in parts:
+            weight *= common // den
+            for m, n in nums.items():
+                acc[m] = acc.get(m, 0) + n * weight
+        return poly_from_numerators(self.space, acc, common, f)
 
 
 def _terms_proportional(field, t1, t2) -> bool:

@@ -51,23 +51,22 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # polynomial expressions
 
-_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<var>x(\d+)_(\d+))|(?P<op>[-+*^()/])")
+_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<var>x(\d+)_(\d+))|(?P<op>[-+*^()/])"
+                       r"|(?P<bad>.)", re.S)
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "num":
+    for m in _TOKEN_RE.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        if kind == "num":
             tokens.append(("num", int(m.group("num")), pos))
-        elif m.lastgroup == "var":
+        elif kind == "var":
             tokens.append(("var", (int(m.group(4)), int(m.group(5))), pos))
-        elif m.lastgroup == "op":
+        elif kind == "op":
             tokens.append((m.group("op"), None, pos))
-        pos = m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", pos)
     return tokens
 
 
@@ -121,66 +120,60 @@ class _ExprParser:
             sign = tok[0]
 
     def _term(self) -> MPoly:
-        result = self._factor()
+        # number and variable factors fold into one coefficient and one
+        # exponent vector; only parenthesised factors multiply polynomials
+        f, space = self.field, self.space
+        coeff = f.one
+        mono = [0] * space.nvars
+        poly = None
         while True:
+            tok = self._take()
+            if tok[0] == "num":
+                value = tok[1]
+                nxt = self._peek()
+                if nxt is not None and nxt[0] == "/":
+                    self._take()
+                    dtok = self._take()
+                    if dtok[0] != "num" or dtok[1] == 0:
+                        raise ParseError("denominator must be a positive integer",
+                                         dtok[2])
+                    value = Fraction(value, dtok[1])
+                c, k = f(value), self._exponent()
+                c = c ** k if f.modulus is None else pow(c, k, f.modulus)
+                coeff = f.mul(coeff, c)
+            elif tok[0] == "var":
+                try:
+                    index = space.var_index(*tok[1])
+                except ValueError as exc:
+                    raise ParseError(str(exc), tok[2]) from None
+                mono[index] += self._exponent()
+            elif tok[0] == "(":
+                inner = self._expr()
+                close = self._take()
+                if close[0] != ")":
+                    raise ParseError("expected ')'", close[2])
+                inner = inner ** self._exponent()
+                poly = inner if poly is None else poly * inner
+            else:
+                raise ParseError(f"unexpected token {tok[0]!r}", tok[2])
             tok = self._peek()
             if tok is None or tok[0] != "*":
-                return result
+                break
             self._take()
-            factor = self._factor()
-            if len(result) == 1 and len(factor) == 1:
-                result = _monomial_product(result, factor)
-            else:
-                result = result * factor
+        if f.is_zero(coeff):
+            return MPoly.zero(space, f)
+        term = MPoly(space, {tuple(mono): coeff}, f, _clean=True)
+        return term if poly is None else term * poly
 
-    def _factor(self) -> MPoly:
-        base = self._atom()
+    def _exponent(self) -> int:
         tok = self._peek()
-        if tok is not None and tok[0] == "^":
-            self._take()
-            etok = self._take()
-            if etok[0] != "num":
-                raise ParseError("exponent must be a nonnegative integer", etok[2])
-            return base ** etok[1]
-        return base
-
-    def _atom(self) -> MPoly:
-        tok = self._take()
-        if tok[0] == "num":
-            value = Fraction(tok[1])
-            nxt = self._peek()
-            if nxt is not None and nxt[0] == "/":
-                self._take()
-                dtok = self._take()
-                if dtok[0] != "num" or dtok[1] == 0:
-                    raise ParseError("denominator must be a positive integer", dtok[2])
-                value = Fraction(tok[1], dtok[1])
-            return MPoly(self.space, {(0,) * self.space.nvars: value}, self.field)
-        if tok[0] == "var":
-            group, j = tok[1]
-            try:
-                index = self.space.var_index(group, j)
-            except ValueError as exc:
-                raise ParseError(str(exc), tok[2]) from None
-            mono = [0] * self.space.nvars
-            mono[index] = 1
-            return MPoly(self.space, {tuple(mono): self.field.one}, self.field,
-                         _clean=True)
-        if tok[0] == "(":
-            inner = self._expr()
-            close = self._take()
-            if close[0] != ")":
-                raise ParseError("expected ')'", close[2])
-            return inner
-        raise ParseError(f"unexpected token {tok[0]!r}", tok[2])
-
-
-def _monomial_product(u: MPoly, v: MPoly) -> MPoly:
-    """Product of two single-term polynomials, without a term loop."""
-    (m1, c1), = u.terms.items()
-    (m2, c2), = v.terms.items()
-    mono = tuple(a + b for a, b in zip(m1, m2))
-    return MPoly(u.space, {mono: u.field.mul(c1, c2)}, u.field, _clean=True)
+        if tok is None or tok[0] != "^":
+            return 1
+        self._take()
+        etok = self._take()
+        if etok[0] != "num":
+            raise ParseError("exponent must be a nonnegative integer", etok[2])
+        return etok[1]
 
 
 def _mono_name(space, mono) -> str:
@@ -315,6 +308,9 @@ def render_tensor_document(T: MPoly, seed=None) -> str:
 
 
 def render_decomposition_document(dec: Decomposition, seed=None) -> str:
+    if dec.lambdas is not None:
+        # the format has no weights: the document would describe another tensor
+        raise ValueError("a weighted decomposition has no document form")
     lines = _document_header(dec.space, dec.field, seed)
     lines.append("decomposition:")
     for term in dec.terms:

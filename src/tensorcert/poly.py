@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from math import comb, factorial
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import comb, factorial, lcm
 
 from .fields import QQ
 
@@ -345,34 +346,91 @@ def coefficient_vector(F: MPoly, basis):
     return out
 
 
-def linear_form(space: TensorSpace, group: int, coeffs, field=QQ):
-    """The form sum_j coeffs[j] * x{group}_j (group is 0-based here)."""
-    size = space.sizes[group]
-    if len(coeffs) != size:
-        raise ValueError(f"group {group + 1} needs {size} coefficients")
-    start = space.group_slices[group].start
-    terms = {}
-    for j, c in enumerate(coeffs):
-        mono = [0] * space.nvars
-        mono[start + j] = 1
-        terms[tuple(mono)] = c
-    return MPoly(space, terms, field)
+@lru_cache(maxsize=64)
+def _multinomial_table(size: int, degree: int):
+    # (k, degree!/prod k_j!) for every exponent vector k of one group
+    top = factorial(degree)
+    out = []
+    for k in _group_monomials(size, degree):
+        c = top
+        for kj in k:
+            c //= factorial(kj)
+        out.append((k, c))
+    return tuple(out)
 
 
-def power_and_product(space: TensorSpace, forms, exponents=None, field=QQ):
-    """Expand prod_i l_i^{d_i} for one linear form l_i per group.
+def rank_one_numerators(space: TensorSpace, forms, exponents=None, field=QQ):
+    """Integer form of prod_i l_i^{e_i}: a dict ``monomial -> N`` and a
+    denominator D with prod_i l_i^{e_i} = sum_m (N[m] / D) x^m.
 
-    ``forms`` holds one coefficient sequence per group; ``exponents`` defaults
-    to the space multidegree.
+    Over F_p, D is 1 and the N[m] are integers not yet reduced mod p.  Zero
+    numerators are left out; see ``power_and_product`` for the method.
     """
     if exponents is None:
         exponents = space.degrees
     if len(forms) != space.p or len(exponents) != space.p:
         raise ValueError("need one linear form and one exponent per group")
-    result = MPoly(space, {(0,) * space.nvars: field.one}, field, _clean=True)
-    for g, (coeffs, e) in enumerate(zip(forms, exponents)):
-        result = result * (linear_form(space, g, coeffs, field) ** e)
-    return result
+    den = 1
+    product = [((), 1)]
+    for g, (size, coeffs, e) in enumerate(zip(space.sizes, forms, exponents)):
+        if len(coeffs) != size:
+            raise ValueError(f"group {g + 1} needs {size} coefficients")
+        if e < 0:
+            raise ValueError("negative power")
+        coeffs = [field(c) for c in coeffs]
+        if field.modulus is None:
+            scale = lcm(*(c.denominator for c in coeffs))
+            coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
+            den *= scale ** e
+        powers = [[a ** j for j in range(e + 1)] for a in coeffs]
+        group = []
+        for k, c in _multinomial_table(size, e):
+            for row, kj in zip(powers, k):
+                if kj:
+                    c *= row[kj]
+            if c:
+                group.append((k, c))
+        product = [(m + k, c * gc) for m, c in product for k, gc in group]
+    return dict(product), den
+
+
+def poly_from_numerators(space: TensorSpace, numerators, den, field=QQ) -> MPoly:
+    """The polynomial sum_m (numerators[m] / den) x^m, zero terms dropped."""
+    if field.modulus is None:
+        terms = {m: Fraction(n, den) for m, n in numerators.items() if n}
+    else:
+        p = field.modulus
+        terms = {}
+        for m, n in numerators.items():
+            n %= p
+            if n:
+                terms[m] = n
+    return MPoly(space, terms, field, _clean=True)
+
+
+def power_and_product(space: TensorSpace, forms, exponents=None, field=QQ):
+    """Expand prod_i l_i^{e_i} for one linear form l_i per group.
+
+    ``forms`` holds one coefficient sequence per group; ``exponents`` defaults
+    to the space multidegree.
+
+    The expansion is exact integer arithmetic.  Over QQ each form is first
+    scaled by the lcm D_i of its denominators to integer coefficients a_j.
+    By the multinomial theorem
+
+        (sum_j a_j x_j)^e = sum_k  e! / (k_0! ... k_n!) * prod_j a_j^{k_j} * x^k,
+
+    summed over the exponent vectors k of the group with |k| = e, each term
+    read from one table of powers a_j^0 .. a_j^e per coefficient.  The groups
+    use disjoint variables, so the product over groups is the Cartesian
+    product of the group expansions: distinct choices give distinct
+    monomials, and no two terms ever meet in one coefficient.  Each output
+    numerator becomes a field element once, over the denominator
+    prod_i D_i^{e_i} (QQ) or by one reduction mod p (F_p); terms that are
+    zero in the field are dropped.
+    """
+    numerators, den = rank_one_numerators(space, forms, exponents, field)
+    return poly_from_numerators(space, numerators, den, field)
 
 
 def _format_coeff(c, field) -> str:

@@ -2,8 +2,10 @@
 
 The generator is Python's Mersenne Twister (`random.Random`), seeded with a
 64-bit integer; coefficients are integers drawn uniformly from
-``[-bound, bound]``.  Identical (seed, space, h, bound) re-create the same
-output bit for bit.
+``[-bound, bound]``.  Identical (seed, space, h, bound, field) re-create
+the same output bit for bit.  A form that is zero in the field, or a term
+proportional to an earlier one, is redrawn; over QQ and large primes this
+almost never happens, but over a small prime field it is common.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .certify import Decomposition
+from .certify import Decomposition, _terms_proportional
 from .fields import QQ
 from .poly import TensorSpace
 
@@ -27,20 +29,25 @@ class RandomConfig:
             raise ValueError("coefficient bound must be >= 2")
 
 
-def _draw_form(rng: random.Random, size: int, bound: int):
+#: draws of one term before giving up: only a small bound or prime exhausts
+#: the terms not proportional to the earlier ones
+_MAX_DRAWS = 1000
+
+
+def _draw_form(rng: random.Random, size: int, bound: int, field):
     while True:
         coeffs = tuple(rng.randint(-bound, bound) for _ in range(size))
-        if any(coeffs):
+        if not all(field.is_zero(c) for c in coeffs):
             return coeffs
 
 
-def _draw_term(rng: random.Random, space: TensorSpace, bound: int):
-    return tuple(_draw_form(rng, size, bound) for size in space.sizes)
+def _draw_term(rng: random.Random, space: TensorSpace, cfg: RandomConfig):
+    return tuple(_draw_form(rng, size, cfg.bound, cfg.field) for size in space.sizes)
 
 
 def random_rank_one(space: TensorSpace, cfg: RandomConfig = RandomConfig()):
     """One random rank-one term: a tuple of integer linear forms, one per group."""
-    return _draw_term(random.Random(cfg.seed), space, cfg.bound)
+    return _draw_term(random.Random(cfg.seed), space, cfg)
 
 
 def random_tensor(space: TensorSpace, h: int, cfg: RandomConfig = RandomConfig()):
@@ -48,6 +55,15 @@ def random_tensor(space: TensorSpace, h: int, cfg: RandomConfig = RandomConfig()
     if h < 1:
         raise ValueError("h must be >= 1")
     rng = random.Random(cfg.seed)
-    terms = [_draw_term(rng, space, cfg.bound) for _ in range(h)]
+    terms = []
+    while len(terms) < h:
+        for _ in range(_MAX_DRAWS):
+            term = _draw_term(rng, space, cfg)
+            if not any(_terms_proportional(cfg.field, term, t) for t in terms):
+                break
+        else:
+            raise ValueError(f"{_MAX_DRAWS} draws in a row were proportional to an "
+                             "earlier term; use a larger bound or prime")
+        terms.append(term)
     dec = Decomposition(space, terms, field=cfg.field)
     return dec.expand(), dec

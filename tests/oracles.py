@@ -292,3 +292,48 @@ def reference_groebner(sizes, generators, modulus=None):
         tail = reduce({m: c for m, c in g.items() if m != lead(g)}, others)
         out[lead(g)] = {lead(g): norm(1), **tail}
     return out
+
+
+# ---------------------------------------------------------------------------
+# rank-one terms by repeated products
+
+
+def repeated_product_expansion(sizes, forms, exponents, modulus=None):
+    """prod_i l_i^{e_i} as {monomial: coefficient}, nonzero coefficients only.
+
+    Coefficients are Fractions, or residues mod ``modulus``.  Each l_i is
+    built as a sparse polynomial and multiplied in e_i times, reducing every
+    coefficient as it goes: the expansion before the multinomial kernel.
+    """
+    def norm(c):
+        c = Fraction(c)
+        if modulus is None:
+            return c
+        return c.numerator * pow(c.denominator, -1, modulus) % modulus
+
+    def mul(f, g):
+        out = {}
+        for m1, c1 in f.items():
+            for m2, c2 in g.items():
+                m = tuple(a + b for a, b in zip(m1, m2))
+                v = norm(out.get(m, 0) + c1 * c2)
+                if v:
+                    out[m] = v
+                else:
+                    out.pop(m, None)
+        return out
+
+    nvars = sum(sizes)
+    result = {(0,) * nvars: norm(1)}
+    start = 0
+    for size, coeffs, e in zip(sizes, forms, exponents):
+        form = {}
+        for j, c in enumerate(coeffs):
+            if norm(c):
+                mono = [0] * nvars
+                mono[start + j] = 1
+                form[tuple(mono)] = norm(c)
+        for _ in range(e):
+            result = mul(result, form)
+        start += size
+    return result

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from tensorcert import (DEFAULT_PRIME, Decomposition, MPoly, PrimeField,
+from tensorcert import (DEFAULT_PRIME, Decomposition, MPoly, PrimeField, QQ,
                         RandomConfig, Split, SplitError,
                         TensorSpace, certify, certify_prop31, certify_prop33,
                         certify_thm37, corollary35_bound, corollary35_bounds,
@@ -486,6 +486,36 @@ def test_decomposition_validation():
     dec = Decomposition(space, [((1, 2),), ((1, 3),)], lambdas=(2, -1))
     T = dec.expand()
     assert T.multidegree() == (3,)
+
+
+def test_expand_drops_cancelled_terms():
+    # (x+y)^3 - (x-y)^3 = 6x^2y + 2y^3: the x^3 and xy^2 terms cancel
+    space = TensorSpace((2,), (3,))
+    dec = Decomposition(space, [((1, 1),), ((1, -1),)], lambdas=(1, -1))
+    assert dec.expand().terms == {(2, 1): Fraction(6), (0, 3): Fraction(2)}
+
+
+@pytest.mark.parametrize("modulus", [None, 7])
+def test_expand_matches_weighted_repeated_products(modulus):
+    # rational forms and weights: the common denominator is exact
+    field = QQ if modulus is None else PrimeField(modulus)
+    space = TensorSpace((2, 3), (3, 2))
+    terms = [((Fraction(1, 2), 3), (1, Fraction(-2, 3), 0)),
+             ((4, Fraction(-5, 6)), (Fraction(3, 4), 1, 2)),
+             ((1, 1), (0, Fraction(1, 5), -1))]
+    lambdas = (Fraction(2, 3), -5, Fraction(9, 4))
+    dec = Decomposition(space, terms, lambdas=lambdas, field=field)
+    want = {}
+    for term, lam in zip(terms, lambdas):
+        part = oracles.repeated_product_expansion(space.sizes, term, space.degrees, modulus)
+        for m, c in part.items():
+            want[m] = want.get(m, 0) + field(lam) * c
+    want = {m: field(c) for m, c in want.items() if not field.is_zero(field(c))}
+    assert dec.expand().terms == want
+    total = dec.term_polynomial(0)
+    for i in (1, 2):
+        total = total + dec.term_polynomial(i)
+    assert total == dec.expand()
 
 
 def test_prop33_with_scaling_coefficients():

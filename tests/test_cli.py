@@ -4,12 +4,13 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tensorcert.cli as cli_module
-from tensorcert import MPoly, QQ, TensorSpace
+from tensorcert import Decomposition, MPoly, QQ, TensorSpace
 from tensorcert.cli import (ParseError, parse_document, parse_polynomial,
                             render_decomposition_document, render_tensor_document,
                             run)
@@ -65,6 +66,17 @@ def test_parse_syntax_error_position():
         parse_polynomial("x1_0 + $", space)
 
 
+def test_parse_error_positions():
+    space = TensorSpace((2,), (1,))
+    for text, pos in (("x1_0 + $", 7), ("x1_0 +\n x1_", 8), ("2*x1_0 - y", 9)):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, space)
+        assert info.value.position == pos
+    with pytest.raises(ParseError, match="exponent") as info:
+        parse_polynomial("x1_0^x1_1", space)
+    assert info.value.position == 5
+
+
 def test_parse_mixed_variables():
     space = TensorSpace((2, 3), (1, 1))
     F = parse_polynomial("x1_0*x2_2 - x1_1*x2_0", space)
@@ -81,6 +93,11 @@ _MONOMIAL_DOCUMENTS = [
     " + x1_0^0*x1_1^3 + (2/3)^2*(x1_0 - x1_1)^2*x1_2\n",
     "sizes: 2,3\ndegrees: 2,1\n"
     "tensor: 3*x1_0^2*x2_1 - x1_1*x1_0*x2_2^1 + (x1_0*x2_0)^1*7/5*x1_1\n",
+    # folded numbers and variables around parenthesised factors, a repeated
+    # variable, and zero coefficients
+    "sizes: 2\ndegrees: 3\n"
+    "tensor: x1_0*3*x1_1^2 + 2*(x1_0 + x1_1)*3/4*x1_1*(x1_0 - x1_1)"
+    " - x1_1*x1_0^0*x1_1^2 + 0*x1_0^3 + x1_0^2*0*x1_1 + 2^2*(x1_1)^3*1/4\n",
     # a leading minus, repeated terms, and terms that cancel
     "sizes: 2\ndegrees: 3\n"
     "tensor: -x1_0^3 + 2*x1_0^2*x1_1 - x1_0^3 + x1_1^3 - 2*x1_1*x1_0^2"
@@ -94,8 +111,9 @@ _CANCELLING = ["x1_0*x1_1 - x1_1*x1_0", "-(x1_0 + x1_1)^2 + x1_0^2 + x1_1^2 + 2*
 
 
 def test_parse_monomials_match_generic_arithmetic(monkeypatch):
-    # single-term powers and products take a shortcut, and sums accumulate
-    # into one dict; repeated generic arithmetic must give the same polynomials
+    # single-term powers take a shortcut, number and variable factors fold
+    # into one term, and sums accumulate into one dict; one polynomial per
+    # atom and repeated generic arithmetic must give the same polynomials
     fast = [parse_document(text).payload for text in _MONOMIAL_DOCUMENTS]
 
     def generic_pow(self, n):
@@ -122,10 +140,46 @@ def test_parse_monomials_match_generic_arithmetic(monkeypatch):
             term = self._term()
             result = result + (-term if tok[0] == "-" else term)
 
+    def generic_atom(self):
+        tok = self._take()
+        if tok[0] == "num":
+            value = Fraction(tok[1])
+            nxt = self._peek()
+            if nxt is not None and nxt[0] == "/":
+                self._take()
+                value = Fraction(tok[1], self._take()[1])
+            return MPoly(self.space, {(0,) * self.space.nvars: value}, self.field)
+        if tok[0] == "var":
+            mono = [0] * self.space.nvars
+            mono[self.space.var_index(*tok[1])] = 1
+            return MPoly(self.space, {tuple(mono): 1}, self.field)
+        assert tok[0] == "("
+        inner = self._expr()
+        assert self._take()[0] == ")"
+        return inner
+
+    def generic_factor(self):
+        base = generic_atom(self)
+        tok = self._peek()
+        if tok is not None and tok[0] == "^":
+            self._take()
+            return base ** self._take()[1]
+        return base
+
+    def generic_term(self):
+        # one MPoly per atom, multiplied with MPoly.__mul__
+        result = generic_factor(self)
+        while True:
+            tok = self._peek()
+            if tok is None or tok[0] != "*":
+                return result
+            self._take()
+            result = result * generic_factor(self)
+
     space = TensorSpace((2,), (2,))
     zeros = [parse_polynomial(text, space) for text in _CANCELLING]
     monkeypatch.setattr(MPoly, "__pow__", generic_pow)
-    monkeypatch.setattr(cli_module, "_monomial_product", lambda u, v: u * v)
+    monkeypatch.setattr(cli_module._ExprParser, "_term", generic_term)
     monkeypatch.setattr(cli_module._ExprParser, "_expr", generic_expr)
     generic = [parse_document(text).payload for text in _MONOMIAL_DOCUMENTS]
     assert fast == generic
@@ -151,6 +205,18 @@ def test_decomposition_document_roundtrip():
     _, dec = random_tensor(space, 4, RandomConfig(seed=2))
     doc = parse_document(render_decomposition_document(dec))
     assert doc.payload.terms == dec.terms
+
+
+def test_weighted_decomposition_has_no_document():
+    # the format has no weights; rendering the terms alone would describe
+    # another tensor
+    space = TensorSpace((2,), (3,))
+    dec = Decomposition(space, [((1, 0),), ((0, 1),)], lambdas=(2, 5))
+    with pytest.raises(ValueError, match="weighted"):
+        render_decomposition_document(dec)
+    plain = Decomposition(space, dec.terms)
+    again = parse_document(render_decomposition_document(plain)).payload
+    assert again.expand() == plain.expand()
 
 
 def test_document_requires_header():

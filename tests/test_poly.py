@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from tensorcert import (MPoly, TensorSpace, coefficient_vector, dimension_of_multidegree,
-                        mixed_partial_derivatives, monomial_basis, partial_derivatives,
-                        poly_to_string, power_and_product)
+from oracles import repeated_product_expansion
+from tensorcert import (MPoly, PrimeField, QQ, TensorSpace, coefficient_vector,
+                        dimension_of_multidegree, mixed_partial_derivatives,
+                        monomial_basis, partial_derivatives, poly_to_string,
+                        power_and_product)
 from tensorcert.poly import monomial_multinomial
 
 
@@ -168,9 +170,61 @@ def test_poly_string_roundtrip_via_cli_parser():
 
 
 def test_field_mismatch_rejected():
-    from tensorcert import PrimeField
     space = TensorSpace((2,), (1,))
     a = MPoly(space, {(1, 0): 1})
     b = MPoly(space, {(0, 1): 1}, PrimeField(101))
     with pytest.raises(ValueError):
         a + b
+
+
+def _kernel_cases():
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    yield (2, 3), (2, 2), [(half, -3), (third, 0, Fraction(5, 7))], None, None
+    yield (3,), (4,), [(0, -7, Fraction(9, 4))], None, None
+    yield (2, 5, 4), (3, 2, 3), [(1, -2), (3, 0, -1, 4, 5), (Fraction(1, 3), 2, -1, 0)], \
+        None, None
+    yield (2, 5, 4), (3, 2, 3), [(1, -2), (3, 0, -1, 4, 5), (7, 2, -1, 0)], (0, 2, 3), None
+    yield (2, 5, 4), (3, 2, 3), [(0, 0), (3, 0, -1, 4, 5), (7, 2, -1, 0)], (0, 1, 0), None
+    yield (3, 2), (2, 2), [(1, 2, 3), (4, 5)], (0, 0), None
+    # over F_5: a coefficient that is 0 mod 5, one that is a fraction, and
+    # exponents >= 5, where some multinomial coefficients vanish mod 5
+    yield (3,), (7,), [(10, 3, -1)], None, 5
+    yield (2, 3), (7, 5), [(2, Fraction(1, 3)), (1, 5, -6)], None, 5
+    yield (2, 5, 4), (3, 2, 3), [(1, -2), (3, 0, -1, 4, 5), (7, 2, -1, 0)], None, 1073741789
+
+
+def test_power_and_product_matches_repeated_products():
+    rng = random.Random(11)
+    cases = list(_kernel_cases())
+    for _ in range(30):
+        p = rng.randint(1, 3)
+        sizes = tuple(rng.randint(2, 4) for _ in range(p))
+        degrees = tuple(rng.randint(1, 6) for _ in range(p))
+        forms = [tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4)))
+                       for _ in range(s))
+                 for s in sizes]
+        cases.append((sizes, degrees, forms, None, rng.choice((None, 3, 7))))
+    for sizes, degrees, forms, exponents, modulus in cases:
+        field = QQ if modulus is None else PrimeField(modulus)
+        space = TensorSpace(sizes, degrees)
+        got = power_and_product(space, forms, exponents, field)
+        want = repeated_product_expansion(sizes, forms, exponents or degrees, modulus)
+        assert got.terms == want, (sizes, degrees, forms, exponents, modulus)
+        assert all(not field.is_zero(c) for c in got.terms.values())
+        if modulus is None:
+            assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_power_and_product_of_a_zero_form_is_zero():
+    space = TensorSpace((2, 3), (2, 1))
+    assert power_and_product(space, [(0, 0), (1, 2, 3)]) == MPoly.zero(space)
+    assert power_and_product(space, [(0, 0), (1, 2, 3)], exponents=(0, 1)) == \
+        MPoly(space, {(0, 0, 1, 0, 0): 1, (0, 0, 0, 1, 0): 2, (0, 0, 0, 0, 1): 3})
+
+
+def test_power_and_product_validates_its_input():
+    space = TensorSpace((2, 3), (2, 1))
+    for forms, exponents in (([(1, 2)], None), ([(1, 2), (1, 2)], None),
+                             ([(1, 2), (1, 2, 3)], (1,)), ([(1, 2), (1, 2, 3)], (-1, 1))):
+        with pytest.raises(ValueError):
+            power_and_product(space, forms, exponents)
