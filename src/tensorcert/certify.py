@@ -26,9 +26,10 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .fields import DEFAULT_PRIME, QQ, PrimeField
-from .flatten import Split, SplitError, default_split, flatten, image_span
+from .flatten import (Split, SplitError, default_split, flatten, flattening_matrix,
+                      image_span)
 from .ideals import SchemeReport, classify_linear_section, pullback_linear_section
-from .linalg import DenseMatrix, row_space_basis
+from .linalg import DenseMatrix, lifted_left_kernel, row_space_basis
 from .poly import (MPoly, TensorSpace, coefficient_vector, monomial_basis,
                    poly_from_numerators, rank_one_numerators)
 
@@ -332,8 +333,9 @@ def certify_prop31(T: MPoly, h: int, split: Split = None, *, budget=None,
 def certify_thm37(F: MPoly, h: int, *, budget=None, t_cap=None) -> Certificate:
     """Exceptional-family criterion: full catalecticant rank + empty section.
 
-    Over QQ both checks run mod p first (``_thm37_witness``); the exact
-    rational path runs only when that pass does not certify.
+    Over QQ both checks run mod p first (``_thm37_witness``); a rank below
+    full there is made exact by a lifted left kernel.  The exact rational
+    path runs only when neither settles the checks.
     """
     start = time.perf_counter()
     space = F.space
@@ -383,14 +385,19 @@ _WITNESS_FIELD = PrimeField(DEFAULT_PRIME)
 
 
 def _thm37_witness(F: MPoly, split: Split, full: int, budget, t_cap):
-    """Theorem 3.7's checks for F over QQ, settled by one pass mod p.
+    """Theorem 3.7's checks for F over QQ, settled from residues mod primes.
 
-    Returns the checks when both pass mod p, which certifies F over QQ
-    exactly; returns None otherwise, and the exact path decides.
+    Returns the checks when they are decided exactly this way; returns None
+    otherwise, and the exact path decides.  Two outcomes are exact:
 
-    Both checks are one-sided.  Let Z_(p) be the rationals whose denominator
-    is prime to p.  F reduces mod p when its coefficients lie in Z_(p), and
-    then the flattening M_p of F_p is the reduction of the flattening M of F.
+    * Both checks pass mod p, which certifies F over QQ.
+    * The rank check fails mod p, and ``lifted_left_kernel`` proves the rank
+      over QQ below full: the single failed rank check is returned, with
+      that rank, and no rational echelon form runs.
+
+    Let Z_(p) be the rationals whose denominator is prime to p.  F reduces
+    mod p when its coefficients lie in Z_(p), and then the flattening M_p of
+    F_p is the reduction of the flattening M of F.
 
     * rank_p <= rank_QQ <= #rows, so rank_p = #rows is the full rank over QQ.
     * rank_p = #rows makes the Z_(p)-lattice spanned by the rows of M
@@ -403,19 +410,28 @@ def _thm37_witness(F: MPoly, split: Split, full: int, budget, t_cap):
       is dim (I_QQ)_t, for every t.  That gives HF_QQ(t) <= HF_p(t), and a
       section that is Empty mod p (HF_p(t) = 0 for large t; for binary forms,
       no common root of the generators mod p) is Empty over QQ.
+    * A rank below full mod p is only a lower bound.  The lift turns it into
+      the exact rank: #rows - r independent vectors y with y . M = 0,
+      checked over ZZ, prove rank_QQ <= r, and a prime's rank r is at most
+      rank_QQ (see ``lifted_left_kernel``).
 
-    A rank below full, a non-empty section or an exhausted budget mod p
-    proves nothing over QQ; neither does a denominator divisible by p.
+    A non-empty section or an exhausted budget mod p proves nothing over
+    QQ; neither does a denominator divisible by p, a lift that gives up, or
+    a lifted rank that is full.
     """
     try:
         Fp = MPoly(F.space, F.terms, _WITNESS_FIELD)
     except ZeroDivisionError:
         return None
     checks, _ = _thm37_checks(Fp, split, full, budget, t_cap)
-    if not checks[-1].passed:
-        return None
-    checks[1].detail["witness_prime"] = DEFAULT_PRIME
-    return checks
+    if checks[-1].passed:
+        checks[1].detail["witness_prime"] = DEFAULT_PRIME
+        return checks
+    if len(checks) == 1:
+        lifted = lifted_left_kernel(flattening_matrix(F, split))
+        if lifted is not None and lifted[0] < full:
+            return [Check("a_derivative_span_rank", lifted[0], full, False)]
+    return None
 
 
 def thm37_family(space: TensorSpace, h: int):

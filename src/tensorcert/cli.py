@@ -405,12 +405,21 @@ def _resolve_field(flag_value):
 
 def _resolve_budget(flag_value):
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else None
+        budget, source = flag_value, "--budget"
+    else:
+        env = os.environ.get(BUDGET_ENV)
+        if not env:
+            return None
+        budget, source = int(env), BUDGET_ENV
+    if budget < 0:
+        raise ValueError(f"{source} must be >= 0, got {budget}")
+    return budget
 
 
 def _cmd_certify(args, out) -> int:
+    budget = _resolve_budget(args.budget)
+    if args.profile_cap is not None and args.profile_cap < 0:
+        raise ValueError(f"--profile-cap must be >= 0, got {args.profile_cap}")
     if args.input == "-":
         text = sys.stdin.read()
     else:
@@ -427,7 +436,7 @@ def _cmd_certify(args, out) -> int:
     if args.split is not None:
         split = Split.of(doc.space, _parse_int_list(args.split))
     cert = certify(target, h, criterion=args.criterion, split=split,
-                   budget=_resolve_budget(args.budget), t_cap=args.profile_cap)
+                   budget=budget, t_cap=args.profile_cap)
     return _emit_certificate(cert, args.report, out, trace=args.trace)
 
 

@@ -5,7 +5,8 @@ a tensor T at a split is the matrix whose row for a differentiation monomial
 m of multidegree a holds the coefficients of the iterated partial derivative
 of T by m, written in the multidegree-b monomial basis.  For a single group
 this is the s-th catalecticant matrix of the form.  Entries are built by
-coefficient lookup (see ``flatten``); no derivative is ever expanded.
+coefficient lookup (see ``flattening_matrix``); no derivative is ever
+expanded.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ class Flattening:
     span: DenseMatrix       # nonzero rows of the reduced row echelon form
 
 
-def flatten(T, split: Split) -> Flattening:
-    """Build the flattening matrix of T at the given split, with one echelon pass.
+def flattening_matrix(T, split: Split) -> DenseMatrix:
+    """The flattening matrix of T at the given split, with no echelon pass.
 
     The entry at row m (multidegree a) and column m' (multidegree b) is read
     straight off the coefficient T[m + m'] as
@@ -101,8 +102,7 @@ def flatten(T, split: Split) -> Flattening:
         T[m + m'] * prod_v (m + m')_v! / m'_v!,
 
     one falling factorial per variable: the coefficient of x^m' in the
-    iterated partial derivative of T by m.  The single ``rref`` of that
-    matrix gives both the rank and the row basis kept for ``image_span``.
+    iterated partial derivative of T by m.
     """
     space = T.space
     deg = T.multidegree()
@@ -133,9 +133,18 @@ def flatten(T, split: Split) -> Flattening:
                     factor *= perm(x + y, x)
             row.append(f.mul_int(c, factor))
         rows.append(row)
-    matrix = DenseMatrix(f, rows, len(col_monos))
+    return DenseMatrix(f, rows, len(col_monos))
+
+
+def flatten(T, split: Split) -> Flattening:
+    """The flattening of T at the given split, with one echelon pass.
+
+    The single ``rref`` of ``flattening_matrix(T, split)`` gives both the
+    rank and the row basis kept for ``image_span``.
+    """
+    matrix = flattening_matrix(T, split)
     reduced, rank, _ = rref(matrix)
-    span = DenseMatrix(f, reduced.rows[:rank], matrix.ncols)
+    span = DenseMatrix(matrix.field, reduced.rows[:rank], matrix.ncols)
     return Flattening(T, split, matrix, rank, span)
 
 

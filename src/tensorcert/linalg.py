@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from itertools import count
+from math import gcd, isqrt, lcm
+
+from .fields import DEFAULT_PRIME, PrimeField, is_prime
 
 
 class DenseMatrix:
@@ -217,3 +221,156 @@ def row_space_basis(matrix: DenseMatrix) -> DenseMatrix:
     f = matrix.field
     reduced, rank, _ = rref(matrix)
     return DenseMatrix(f, reduced.rows[:rank], matrix.ncols)
+
+
+@lru_cache(maxsize=None)
+def _lift_field(i: int) -> PrimeField:
+    """The i-th lift prime field: DEFAULT_PRIME, then the primes below it."""
+    if i == 0:
+        return PrimeField(DEFAULT_PRIME)
+    q = _lift_field(i - 1).modulus - 2
+    while not is_prime(q):
+        q -= 2
+    return PrimeField(q)
+
+
+def _rational(u: int, m: int, bound: int):
+    """Wang's reconstruction: (a, b) with a = b*u mod m, |a|, b <= bound, or None."""
+    r0, r1 = m, u
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _reconstruct(residues, m: int):
+    """Common denominator L and numerators of a vector of residues mod m.
+
+    Each entry is tried first as a small multiple of the denominator found
+    so far; only when that fails does Wang's algorithm run on it.  Returns
+    None when an entry has no numerator and denominator below sqrt(m/2).
+    """
+    bound = isqrt(m // 2)
+    den, nums = 1, []
+    for u in residues:
+        w = u * den % m
+        if w > m - w:
+            w -= m
+        if abs(w) > bound:
+            frac = _rational(w % m, m, bound)
+            if frac is None:
+                return None
+            w, b = frac
+            den *= b
+            if den > bound:
+                return None
+            nums = [x * b for x in nums]
+        nums.append(w)
+    return den, nums
+
+
+def lifted_left_kernel(matrix: DenseMatrix):
+    """Exact rank of a matrix over QQ and a basis of its left kernel, from
+    residues mod primes, or None.
+
+    Returns ``(rank, vectors)``: ``vectors`` holds ``nrows - rank`` primitive
+    integer lists y with y . M = 0, one for each mod-p free row.  None means
+    the primes did not settle the rank; ``rref`` over QQ must decide.
+
+    Soundness, for M over QQ:
+
+    * Clearing denominators row by row gives an integer matrix A with the
+      same rank; y' . A = 0 exactly when (y'_i * den_i) . M = 0.
+    * For each lift prime p, the left kernel mod p comes from ``rref`` of
+      A^T mod p, normalised to the identity on the mod-p free coordinates
+      (the non-pivot columns of A^T).  The first prime fixes the rank r and
+      the pivots.  A prime of lower rank is skipped; a prime of higher rank,
+      or of the same rank with other pivots, shows the first prime was
+      unlucky, and the result is None.
+    * The primes are combined by CRT, and Wang's rational reconstruction is
+      tried only when the modulus has grown geometrically since the last
+      try.  Candidates are cleared of denominators and then checked:
+      y . A = 0 exactly over ZZ, on every column.
+    * Once verified, the nrows - r vectors are independent (the identity on
+      the free coordinates), so rank_QQ <= r.  Also rank_p <= rank_QQ for
+      the first prime.  Together these give rank_QQ = r exactly.
+    * When r = rank_QQ, every accepted prime reduces the same rational
+      kernel vectors, whose entries are ratios of r x r minors of A, so they
+      are at most H in size, H the Hadamard bound of those minors.  Their
+      reconstruction is then unique and succeeds once the modulus passes
+      2 H^2.  Past that point the routine gives up with None.  A skipped
+      prime divides a nonzero r x r minor, so only finitely many are skipped.
+    """
+    if matrix.field.modulus is not None:
+        raise ValueError("lifted_left_kernel needs a matrix over QQ")
+    nrows = matrix.nrows
+    rows, dens = [], []
+    for row in matrix.rows:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+        dens.append(den)
+    columns = list(zip(*rows))
+    first = None
+    modulus, tried_bits = 1, 0
+    for i in count():
+        field = _lift_field(i)
+        p = field.modulus
+        reduced, rank, pivots = rref(
+            DenseMatrix(field, [[x % p for x in col] for col in columns], nrows))
+        if first is None:
+            if rank == nrows:
+                return rank, []
+            first = rank, pivots
+            pivot_set = set(pivots)
+            free = [j for j in range(nrows) if j not in pivot_set]
+            # twice the square of the Hadamard bound of the rank x rank minors
+            norms = sorted(sum(x * x for x in row) for row in rows)
+            give_up = 2
+            for n in norms[nrows - rank:]:
+                give_up *= n
+            residues = [[0] * rank for _ in free]
+        elif rank < first[0]:
+            continue
+        elif (rank, pivots) != first:
+            return None
+        inv = pow(modulus, -1, p)
+        for vec, j in zip(residues, free):
+            for k in range(rank):
+                x = vec[k]
+                vec[k] = x + modulus * ((-reduced.rows[k][j] - x) * inv % p)
+        modulus *= p
+        last = modulus > give_up
+        # reconstruct once the modulus has 10 % more bits than at the last try
+        if last or modulus.bit_length() * 10 >= tried_bits * 11:
+            tried_bits = modulus.bit_length()
+            vectors = _verified_kernel(rows, dens, pivots, free, residues, modulus)
+            if vectors is not None:
+                return rank, vectors
+        if last:
+            return None
+
+
+def _verified_kernel(rows, dens, pivots, free, residues, modulus):
+    """The reconstructed vectors, scaled to the input matrix, or None unless
+    every one is an exact left kernel vector of the integer rows."""
+    out = []
+    for vec, j in zip(residues, free):
+        rec = _reconstruct(vec, modulus)
+        if rec is None:
+            return None
+        den, nums = rec
+        y = {j: den}
+        y.update((i, x) for i, x in zip(pivots, nums) if x)
+        support = [(x, rows[i]) for i, x in y.items()]
+        if any(sum(x * row[c] for x, row in support) for c in range(len(rows[0]))):
+            return None
+        full = [0] * len(rows)
+        for i, x in y.items():
+            full[i] = x * dens[i]
+        g = gcd(*full)
+        out.append([x // g for x in full])
+    return out

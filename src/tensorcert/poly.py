@@ -239,18 +239,37 @@ class MPoly:
         return MPoly(self.space, out, f, _clean=True)
 
     def __pow__(self, n: int):
+        """The n-th power: a linear form in one group by the multinomial
+        theorem (``rank_one_numerators``), anything else by repeated squaring."""
         if n < 0:
             raise ValueError("negative power")
+        space, f = self.space, self.field
         if len(self.terms) == 1:
             # a monomial: scale the exponents, raise the coefficient once
             (mono, c), = self.terms.items()
-            f = self.field
             c = c ** n if f.modulus is None else pow(c, n, f.modulus)
-            return MPoly(self.space, {tuple(e * n for e in mono): c}, f, _clean=True)
-        result = MPoly(self.space, {(0,) * self.space.nvars: self.field.one},
-                       self.field, _clean=True)
-        for _ in range(n):
-            result = result * self
+            return MPoly(space, {tuple(e * n for e in mono): c}, f, _clean=True)
+        degrees = {space.multidegree_of(m) for m in self.terms}
+        degree = degrees.pop() if len(degrees) == 1 else None
+        if degree is not None and sum(degree) == 1:
+            # a linear form in group g
+            g = degree.index(1)
+            start = space.group_slices[g].start
+            forms = [[0] * size for size in space.sizes]
+            for mono, c in self.terms.items():
+                forms[g][mono.index(1) - start] = c
+            exponents = [0] * space.p
+            exponents[g] = n
+            numerators, den = rank_one_numerators(space, forms, exponents, f)
+            return poly_from_numerators(space, numerators, den, f)
+        result = MPoly(space, {(0,) * space.nvars: f.one}, f, _clean=True)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def multidegree(self):

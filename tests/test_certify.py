@@ -15,6 +15,8 @@ from tensorcert import (DEFAULT_PRIME, Decomposition, MPoly, PrimeField, QQ,
 
 import oracles
 from conftest import random_form
+from tensorcert.flatten import flattening_matrix
+from tensorcert.linalg import lifted_left_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +331,38 @@ def test_thm37_unlucky_prime_falls_back(monkeypatch, sizes, degrees, h, lost):
     assert _full_view(cert) == _full_view(_exact_thm37(monkeypatch, F, h))
 
 
+@pytest.mark.parametrize("sizes,degrees,h", [
+    ((2,), (9,), 5), ((3,), (5,), 7),
+], ids=["binary", "ternary-quintic"])
+def test_thm37_unlucky_prime_gives_up_the_lift(monkeypatch, sizes, degrees, h):
+    # two terms carry the factor p, so the catalecticant loses rank mod p,
+    # the first lift prime, and only there: the lift must give up, and the
+    # exact path certifies the generic rank-h form
+    _, dec = random_tensor(TensorSpace(sizes, degrees), h, RandomConfig(seed=26))
+    F = Decomposition(dec.space, dec.terms, [1] * (h - 2) + [DEFAULT_PRIME] * 2).expand()
+    split = Split.of(F.space, (thm37_family(F.space, h)[3],))
+    assert lifted_left_kernel(flattening_matrix(F, split)) is None
+    cert = certify_thm37(F, h)
+    assert cert.certified
+    assert _full_view(cert) == _full_view(_exact_thm37(monkeypatch, F, h))
+
+
+@pytest.mark.parametrize("sizes,degrees,h,ranks", [
+    ((2,), (9,), 5, (2, 3)), ((2,), (15,), 8, (5, 6)), ((2,), (31,), 16, (13, 14)),
+    ((3,), (5,), 7, (5, 6)), ((4,), (3,), 5, (3, 4)),
+], ids=["binary-9", "binary-15", "binary-31", "ternary-quintic", "quaternary-cubic"])
+def test_thm37_rank_deficient_forms_match_exact_path(monkeypatch, sizes, degrees, h,
+                                                     ranks):
+    # below full rank the lifted left kernel decides; at full rank (ternary
+    # rank 6, quaternary rank 4) the section check fails and the exact path runs
+    for rank in ranks:
+        for seed in (31, 32, 33):
+            T, _ = random_tensor(TensorSpace(sizes, degrees), rank, RandomConfig(seed=seed))
+            cert = certify_thm37(T, h)
+            assert cert.verdict == "Inconclusive"
+            assert _full_view(cert) == _full_view(_exact_thm37(monkeypatch, T, h))
+
+
 def test_thm37_denominator_divisible_by_prime_skips_witness(monkeypatch):
     T, _ = random_tensor(TensorSpace((3,), (5,)), 7, RandomConfig(seed=25))
     F = T.scale(Fraction(1, DEFAULT_PRIME))
@@ -566,17 +600,23 @@ def _count_rref_inputs(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("sizes,degrees,h,rank,seed,criterion,qq_passes,p_passes", [
-    ((3,), (5,), 6, 6, 1, "Prop31", 1, 0),
-    ((3,), (5,), 7, 7, 1, "Thm37", 0, 1),
-    ((4,), (4,), 7, 7, 4, "Prop33", 1, 0),
-    ((3,), (5,), 7, 5, 1, "Thm37", 1, 1),
-], ids=["Prop31", "Thm37", "Prop33", "Thm37-fallback"])
-def test_flattening_matrix_is_reduced_once(monkeypatch, sizes, degrees, h, rank,
+@pytest.mark.parametrize("sizes,degrees,h,rank,lost,seed,criterion,qq_passes,p_passes", [
+    ((3,), (5,), 6, 6, 0, 1, "Prop31", 1, 0),
+    ((3,), (5,), 7, 7, 0, 1, "Thm37", 0, 1),
+    ((4,), (4,), 7, 7, 0, 4, "Prop33", 1, 0),
+    ((3,), (5,), 7, 5, 0, 1, "Thm37", 0, 1),
+    ((3,), (5,), 7, 7, 2, 1, "Thm37", 1, 1),
+], ids=["Prop31", "Thm37", "Prop33", "Thm37-fallback", "Thm37-unlucky-prime"])
+def test_flattening_matrix_is_reduced_once(monkeypatch, sizes, degrees, h, rank, lost,
                                            seed, criterion, qq_passes, p_passes):
     # a Theorem 3.7 witness reduces the mod-p flattening once; the QQ one is
-    # reduced only when the witness fails, as it must for a rank-deficient form
+    # never reduced for a rank-deficient form (the lifted left kernel proves
+    # its rank), and once when the last `lost` terms carry the factor p, so
+    # that the rank drops mod p only and the lift gives up
     T, dec = random_tensor(TensorSpace(sizes, degrees), rank, RandomConfig(seed=seed))
+    if lost:
+        lambdas = [1] * (rank - lost) + [DEFAULT_PRIME] * lost
+        T = Decomposition(dec.space, dec.terms, lambdas).expand()
     seen = _count_rref_inputs(monkeypatch)
     cert = certify(dec if criterion == "Prop33" else T, h)
     monkeypatch.undo()

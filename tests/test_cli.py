@@ -390,6 +390,23 @@ def test_budget_env_override(tmp_path, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("flags,env", [
+    (("--budget", "-3"), None), ((), "-3"), (("--profile-cap", "-1"), None),
+], ids=["budget-flag", "budget-env", "profile-cap"])
+def test_negative_budget_and_cap_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                                  flags, env):
+    _, text = run_cli("random", "--sizes", "2,3", "--degrees", "2,2",
+                      "--h", "2", "--seed", "8", "--emit", "tensor")
+    path = tmp_path / "m.txt"
+    path.write_text(text, encoding="utf-8")
+    if env is not None:
+        monkeypatch.setenv("TENSORCERT_BUDGET", env)
+    capsys.readouterr()
+    code, report = run_cli("certify", "--input", str(path), "--h", "2", *flags)
+    assert (code, report) == (1, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_document_declared_field(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("sizes: 2\ndegrees: 3\nfield: fp:101\ntensor: x1_0^3 + x1_1^3\n",

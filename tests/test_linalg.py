@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from tensorcert import DenseMatrix, PrimeField, QQ, kernel_basis, rref, row_space_basis
+from tensorcert import (DEFAULT_PRIME, DenseMatrix, PrimeField, QQ, kernel_basis, rref,
+                        row_space_basis)
+import tensorcert.linalg as linalg
+from tensorcert.linalg import lifted_left_kernel
 
 import oracles
 
@@ -168,3 +171,90 @@ def test_rref_matches_fraction_oracle_mod_p():
         want, want_rank, want_pivots = oracles.fraction_rref(rows)
         assert (rank, pivots) == (want_rank, tuple(want_pivots))
         assert reduced.rows == tuple(tuple(fp(x) for x in row) for row in want)
+
+
+# ---------------------------------------------------------------------------
+# exact rank from a lifted, verified left kernel
+
+
+def _lift_cases():
+    """Integer and rational matrices, most of them rank-deficient."""
+    rng = random.Random(29)
+
+    def ints(nr, nc, bound):
+        return [[rng.randint(-bound, bound) for _ in range(nc)] for _ in range(nr)]
+
+    def product(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    cases = []
+    for nr, nc, k in [(6, 5, 2), (5, 8, 3), (8, 4, 1), (7, 7, 4), (15, 18, 14)]:
+        cases.append(product(ints(nr, k, 9), ints(k, nc, 9)))
+        # Cramer-sized kernels: 100-bit factors make minors of about k * 100 bits
+        cases.append(product(ints(nr, k, 1 << 100), ints(k, nc, 1 << 100)))
+    deficient = product(ints(6, 3, 9), ints(3, 7, 9))
+    cases.append([[Fraction(x, 1 + i) for x in row] for i, row in enumerate(deficient)])
+    with_zero_rows = product(ints(5, 2, 99), ints(2, 6, 99))
+    with_zero_rows[1] = with_zero_rows[3] = [0] * 6
+    cases.append(with_zero_rows)
+    cases.append(ints(1, 5, 50))                               # 1 x n
+    cases.append([[0] * 5])                                    # 1 x n, zero
+    cases.append(product(ints(6, 5, 50), ints(5, 6, 50)))      # n x n, rank n - 1
+    cases.append(ints(6, 6, 50))                               # n x n, full rank
+    cases.append([[0] * 4 for _ in range(3)])                  # all zero
+    cases.append([[], []])                                     # no columns
+    return cases
+
+
+def test_lifted_left_kernel_matches_fraction_oracle():
+    for rows in _lift_cases():
+        lifted = lifted_left_kernel(qmat(rows, len(rows[0])))
+        assert lifted is not None
+        rank, vectors = lifted
+        assert rank == oracles.fraction_rref(rows)[1]
+        assert len(vectors) == len(rows) - rank
+        for y in vectors:
+            assert all(type(x) is int for x in y)
+            assert all(sum(x * row[c] for x, row in zip(y, rows)) == 0
+                       for c in range(len(rows[0])))
+        assert oracles.fraction_rref(vectors)[1] == len(vectors)
+
+
+def _counting_rref(monkeypatch, limit):
+    """Count the lift's echelon passes; fail once there are more than `limit`."""
+    calls = []
+    real = linalg.rref
+
+    def counting(matrix):
+        calls.append(matrix.field.modulus)
+        assert len(calls) <= limit, "the lift kept drawing primes"
+        return real(matrix)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    return calls
+
+
+def test_lifted_left_kernel_gives_up_on_an_unlucky_first_prime(monkeypatch):
+    # det = p: rank 1 mod the first lift prime, rank 2 over QQ.  The small
+    # kernel (-3, 1) mod p reconstructs at once, so only the exact check
+    # keeps it out, and the second prime's higher rank ends the lift
+    p = DEFAULT_PRIME
+    calls = _counting_rref(monkeypatch, 4)
+    assert lifted_left_kernel(qmat([[1, 2], [3, 6 + p]])) is None
+    assert calls == [p, linalg._lift_field(1).modulus]
+
+
+def test_lifted_left_kernel_skips_a_prime_of_lower_rank(monkeypatch):
+    # the second lift prime q divides every 2 x 2 minor, so it is skipped;
+    # the 40-bit kernel (-a, -b, 1) needs more primes than the first
+    q = linalg._lift_field(1).modulus
+    a, b = 987654321987, 123456789123
+    calls = _counting_rref(monkeypatch, 8)
+    rank, vectors = lifted_left_kernel(qmat([[1, 0], [0, q], [a, b * q]]))
+    assert (rank, vectors) == (2, [[-a, -b, 1]])
+    assert calls[:2] == [DEFAULT_PRIME, q] and len(calls) > 2
+
+
+def test_lifted_left_kernel_needs_a_rational_matrix():
+    with pytest.raises(ValueError):
+        lifted_left_kernel(DenseMatrix.identity(PrimeField(7), 2))

@@ -228,3 +228,35 @@ def test_power_and_product_validates_its_input():
                              ([(1, 2), (1, 2, 3)], (1,)), ([(1, 2), (1, 2, 3)], (-1, 1))):
         with pytest.raises(ValueError):
             power_and_product(space, forms, exponents)
+
+
+def test_power_matches_repeated_products():
+    # a linear form in one group is raised by the multinomial kernel: compare
+    # with the oracle's repeated products; any other base is squared
+    # repeatedly: compare with n plain multiplications
+    rng = random.Random(13)
+    for modulus in (None, 7, 1073741789):
+        field = QQ if modulus is None else PrimeField(modulus)
+        for _ in range(12):
+            sizes = tuple(rng.randint(2, 4) for _ in range(rng.randint(1, 3)))
+            space = TensorSpace(sizes, (1,) * len(sizes))
+            n = rng.randint(0, 9)
+            g = rng.randrange(len(sizes))
+            forms = [[1] * size for size in sizes]
+            forms[g] = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+                        for _ in range(sizes[g])]
+            start = space.group_slices[g].start
+            linear = MPoly(space, {tuple(int(i == start + j) for i in range(space.nvars)): c
+                                   for j, c in enumerate(forms[g])}, field)
+            exponents = [0] * len(sizes)
+            exponents[g] = n
+            want = repeated_product_expansion(sizes, forms, exponents, modulus)
+            assert (linear ** n).terms == want, (sizes, forms, n, modulus)
+
+            other = MPoly(space, {tuple(rng.randint(0, 2) for _ in range(space.nvars)):
+                                  rng.randint(-9, 9) for _ in range(rng.randint(2, 4))},
+                          field)
+            plain = MPoly(space, {(0,) * space.nvars: 1}, field)
+            for _ in range(n):
+                plain = plain * other
+            assert (other ** n).terms == plain.terms, (sizes, other.terms, n, modulus)
