@@ -287,21 +287,27 @@ def _field_info(field):
     return "probabilistic", field.modulus
 
 
-def _section_checks(prefix_dim, prefix_len, report: SchemeReport, h, length_required):
+def _scheme_detail(report: SchemeReport):
+    """The detail dict of a check on a section scheme."""
     detail = {"status": report.describe(), "method": report.method,
               "trace": [list(pair) for pair in report.trace]}
     if report.note:
         detail["note"] = report.note
+    return detail
+
+
+def _section_checks(prefix_dim, prefix_len, report: SchemeReport, h, length_required):
     zero_dim = report.status == "ZeroDim"
-    checks = [Check(prefix_dim, report.describe(), "ZeroDim", zero_dim, detail)]
+    checks = [Check(prefix_dim, report.describe(), "ZeroDim", zero_dim,
+                    _scheme_detail(report))]
     if length_required:
         checks.append(Check(prefix_len, report.length if zero_dim else report.describe(),
                             h, zero_dim and report.length == h))
     return checks
 
 
-def certify_prop31(T: MPoly, h: int, split: Split = None, *, budget=None,
-                   t_cap=None) -> Certificate:
+def certify_prop31(T: MPoly, h: int, split: Split = None, *,
+                   budget=None) -> Certificate:
     """Rank + section criterion; certifies h-identifiability and rank h."""
     start = time.perf_counter()
     if h < 1:
@@ -320,8 +326,7 @@ def certify_prop31(T: MPoly, h: int, split: Split = None, *, budget=None,
     checks = [Check("i_flattening_rank", fl.rank, h, fl.rank == h)]
     if checks[0].passed:
         ideal = pullback_linear_section(image_span(fl), space, split.b)
-        report = classify_linear_section(ideal, expected_length=h,
-                                         budget=budget, t_cap=t_cap)
+        report = classify_linear_section(ideal, budget=budget)
         checks.extend(_section_checks("ii_section_dimension",
                                       "iii_section_length", report, h, True))
         cert.budget_exhausted = report.budget_exhausted
@@ -330,7 +335,7 @@ def certify_prop31(T: MPoly, h: int, split: Split = None, *, budget=None,
     return cert
 
 
-def certify_thm37(F: MPoly, h: int, *, budget=None, t_cap=None) -> Certificate:
+def certify_thm37(F: MPoly, h: int, *, budget=None) -> Certificate:
     """Exceptional-family criterion: full catalecticant rank + empty section.
 
     Over QQ both checks run mod p first (``_thm37_witness``); a rank below
@@ -355,36 +360,32 @@ def certify_thm37(F: MPoly, h: int, *, budget=None, t_cap=None) -> Certificate:
                        field_mode=mode, prime=prime)
     split = Split.of(space, (s,))
     full = comb(n + s, n)
-    checks = _thm37_witness(F, split, full, budget, t_cap) if F.field == QQ else None
+    checks = _thm37_witness(F, split, full, budget) if F.field == QQ else None
     if checks is None:
-        checks, cert.budget_exhausted = _thm37_checks(F, split, full, budget, t_cap)
+        checks, cert.budget_exhausted = _thm37_checks(F, split, full, budget)
     cert.split = split
     cert.checks = tuple(checks)
     _finish(cert, start)
     return cert
 
 
-def _thm37_checks(F: MPoly, split: Split, full: int, budget, t_cap):
+def _thm37_checks(F: MPoly, split: Split, full: int, budget):
     """Theorem 3.7's two checks over the field of F, and whether the budget ran out."""
     fl = flatten(F, split)
     checks = [Check("a_derivative_span_rank", fl.rank, full, fl.rank == full)]
     if not checks[0].passed:
         return checks, False
     ideal = pullback_linear_section(image_span(fl), F.space, split.b)
-    report = classify_linear_section(ideal, budget=budget, t_cap=t_cap)
-    detail = {"status": report.describe(), "method": report.method,
-              "trace": [list(pair) for pair in report.trace]}
-    if report.note:
-        detail["note"] = report.note
+    report = classify_linear_section(ideal, budget=budget)
     checks.append(Check("b_section_empty", report.describe(), "Empty",
-                        report.status == "Empty", detail))
+                        report.status == "Empty", _scheme_detail(report)))
     return checks, report.budget_exhausted
 
 
 _WITNESS_FIELD = PrimeField(DEFAULT_PRIME)
 
 
-def _thm37_witness(F: MPoly, split: Split, full: int, budget, t_cap):
+def _thm37_witness(F: MPoly, split: Split, full: int, budget):
     """Theorem 3.7's checks for F over QQ, settled from residues mod primes.
 
     Returns the checks when they are decided exactly this way; returns None
@@ -423,7 +424,7 @@ def _thm37_witness(F: MPoly, split: Split, full: int, budget, t_cap):
         Fp = MPoly(F.space, F.terms, _WITNESS_FIELD)
     except ZeroDivisionError:
         return None
-    checks, _ = _thm37_checks(Fp, split, full, budget, t_cap)
+    checks, _ = _thm37_checks(Fp, split, full, budget)
     if checks[-1].passed:
         checks[1].detail["witness_prime"] = DEFAULT_PRIME
         return checks
@@ -474,7 +475,7 @@ def _prop33_split(space: TensorSpace, h: int):
     return None, None
 
 
-def certify_prop33(dec: Decomposition, *, budget=None, t_cap=None) -> Certificate:
+def certify_prop33(dec: Decomposition, *, budget=None) -> Certificate:
     """Boundary-regime criterion on an explicit decomposition."""
     start = time.perf_counter()
     space = dec.space
@@ -503,8 +504,7 @@ def certify_prop33(dec: Decomposition, *, budget=None, t_cap=None) -> Certificat
         checks.append(Check("i_flattening_rank", fl.rank, h, fl.rank == h))
         if checks[-1].passed:
             section = pullback_linear_section(image_span(fl), space, split.b)
-            report = classify_linear_section(section, expected_length=h,
-                                             budget=budget, t_cap=t_cap)
+            report = classify_linear_section(section, budget=budget)
             checks.extend(_section_checks("ii_section_dimension", "",
                                           report, h, False))
             cert.budget_exhausted = report.budget_exhausted
@@ -514,8 +514,7 @@ def certify_prop33(dec: Decomposition, *, budget=None, t_cap=None) -> Certificat
                         for i in range(h)]
                 span = row_space_basis(DenseMatrix(dec.field, rows, len(basis)))
                 full_section = pullback_linear_section(span, space, space.degrees)
-                report_v = classify_linear_section(full_section, expected_length=h,
-                                                   budget=budget, t_cap=t_cap)
+                report_v = classify_linear_section(full_section, budget=budget)
                 checks.extend(_section_checks("v_span_section_dimension",
                                               "v_span_section_length",
                                               report_v, h, True))
@@ -541,7 +540,7 @@ def _finish(cert: Certificate, start: float):
 
 
 def certify(target, h: int = None, *, criterion: str = "auto", split=None,
-            budget=None, t_cap=None) -> Certificate:
+            budget=None) -> Certificate:
     """Dispatch a tensor or decomposition to the appropriate criterion.
 
     Order: a single-group instance in one of the three exceptional families
@@ -567,28 +566,28 @@ def certify(target, h: int = None, *, criterion: str = "auto", split=None,
         return target if dec is None else dec.expand()
 
     if criterion == "thm37":
-        return certify_thm37(tensor(), h, budget=budget, t_cap=t_cap)
+        return certify_thm37(tensor(), h, budget=budget)
     if criterion == "prop31":
-        return certify_prop31(tensor(), h, split, budget=budget, t_cap=t_cap)
+        return certify_prop31(tensor(), h, split, budget=budget)
     if criterion == "prop33":
         if dec is None:
             raise ValueError("this criterion needs an explicit decomposition")
-        return certify_prop33(dec, budget=budget, t_cap=t_cap)
+        return certify_prop33(dec, budget=budget)
     if criterion != "auto":
         raise ValueError(f"unknown criterion {criterion!r}")
 
     if space.p == 1 and thm37_family(space, h) is not None:
-        return certify_thm37(tensor(), h, budget=budget, t_cap=t_cap)
+        return certify_thm37(tensor(), h, budget=budget)
     if split is not None:
-        return certify_prop31(tensor(), h, split, budget=budget, t_cap=t_cap)
+        return certify_prop31(tensor(), h, split, budget=budget)
     try:
         candidate = default_split(space, h)
     except SplitError:
         candidate = None
     if candidate is not None and effective_range(space, candidate, h):
-        return certify_prop31(tensor(), h, candidate, budget=budget, t_cap=t_cap)
+        return certify_prop31(tensor(), h, candidate, budget=budget)
     if dec is not None:
-        return certify_prop33(dec, budget=budget, t_cap=t_cap)
+        return certify_prop33(dec, budget=budget)
 
     mode, prime = _field_info(target.field)
     cert = Certificate(None, "Inconclusive", h, space, label="",

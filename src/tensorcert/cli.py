@@ -366,8 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--report", default="text", choices=["text", "json"])
     cert.add_argument("--budget", type=int, default=None,
                       help="S-pair budget for Groebner runs")
-    cert.add_argument("--profile-cap", type=int, default=None,
-                      help="cap for the diagonal Hilbert profile")
     cert.add_argument("--trace", action="store_true",
                       help="dump Hilbert profile traces in text reports")
 
@@ -418,8 +416,6 @@ def _resolve_budget(flag_value):
 
 def _cmd_certify(args, out) -> int:
     budget = _resolve_budget(args.budget)
-    if args.profile_cap is not None and args.profile_cap < 0:
-        raise ValueError(f"--profile-cap must be >= 0, got {args.profile_cap}")
     if args.input == "-":
         text = sys.stdin.read()
     else:
@@ -436,7 +432,7 @@ def _cmd_certify(args, out) -> int:
     if args.split is not None:
         split = Split.of(doc.space, _parse_int_list(args.split))
     cert = certify(target, h, criterion=args.criterion, split=split,
-                   budget=budget, t_cap=args.profile_cap)
+                   budget=budget)
     return _emit_certificate(cert, args.report, out, trace=args.trace)
 
 

@@ -5,13 +5,15 @@ back to the source product of projective spaces as a multihomogeneous ideal.
 Its status is decided on the Hilbert function of the leading-term ideal of a
 reduced Groebner basis:
 
-* a single group of variables gets the exact Hilbert series of the monomial
-  ideal (recursive pivot decomposition), hence exact dimension and degree;
-* several groups are decided on the diagonal Hilbert profile t -> HF(t,..,t),
-  with a stabilization rule and a hard cap, never guessing: when the cap is
-  reached the verdict is Inconclusive;
+* the Hilbert series numerator of the monomial ideal (recursive pivot
+  decomposition) gives the diagonal Hilbert function t -> HF(t,..,t) exactly,
+  and past the numerator's largest exponent that function is the Hilbert
+  polynomial of the scheme's Segre image, whose degree and constant are the
+  dimension and the length, for any number of groups;
 * ideals of binary forms skip Groebner bases entirely: the scheme is the
   divisor of the gcd of the generators.
+
+Only an exhausted S-pair budget leaves a scheme Inconclusive.
 
 Buchberger runs with Gebauer-Moeller pair elimination and sugar selection;
 over the rationals the reduction arithmetic is fraction free on primitive
@@ -24,7 +26,6 @@ divisor and a recorded miss needs only the elements added since.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -45,7 +46,7 @@ class BudgetExceededError(RuntimeError):
 class Ideal:
     """Multihomogeneous ideal given by generators in one space and field."""
 
-    __slots__ = ("space", "field", "generators", "multidegrees")
+    __slots__ = ("space", "field", "generators")
 
     def __init__(self, space: TensorSpace, generators, field=None):
         gens = []
@@ -54,6 +55,8 @@ class Ideal:
                 raise ValueError("generators must be MPoly over the given space")
             if not g:
                 continue
+            if not g.is_multihomogeneous():
+                raise ValueError("generators must be multihomogeneous")
             gens.append(g)
         if field is None:
             field = gens[0].field if gens else QQ
@@ -62,7 +65,6 @@ class Ideal:
         self.space = space
         self.field = field
         self.generators = tuple(gens)
-        self.multidegrees = tuple(g.multidegree() for g in gens)
 
     def __len__(self):
         return len(self.generators)
@@ -104,7 +106,7 @@ class SchemeReport:
 
     status: str                      # Empty | ZeroDim | PositiveDim | Inconclusive
     length: int = None               # set exactly when status == ZeroDim
-    trace: tuple = ()                # ((t, hilbert value), ...)
+    trace: tuple = ()                # ((t, HF(t,..,t)), ...) as classified
     method: str = ""
     note: str = ""
     budget_exhausted: bool = False
@@ -553,98 +555,54 @@ def hilbert_value(gb: GroebnerBasis, deg) -> int:
 # classification
 
 
-def classify_linear_section(ideal: Ideal, expected_length=None, *, budget=None,
-                            t_cap=None, use_binary_path=True) -> SchemeReport:
+def classify_linear_section(ideal: Ideal, *, budget=None) -> SchemeReport:
     """Decide Empty / ZeroDim(length) / PositiveDim for the section scheme.
 
-    Resource exhaustion or an insufficient profile cap yields Inconclusive,
-    never a wrong verdict.
+    An exhausted S-pair budget yields Inconclusive, never a wrong verdict.
     """
     space = ideal.space
     if not ideal.generators:
         # zero ideal: the whole variety, of dimension >= 1
         return SchemeReport("PositiveDim", method="empty-generators")
-    if use_binary_path and space.p == 1 and space.sizes[0] == 2:
+    if space.p == 1 and space.sizes[0] == 2:
         return binary_fast_path(ideal)
     try:
         gb = buchberger(ideal, budget=budget)
     except BudgetExceededError as exc:
         return SchemeReport("Inconclusive", method="groebner",
                             note=str(exc), budget_exhausted=True)
-    if space.p == 1:
-        return _classify_single_graded(gb)
-    return _classify_multigraded(gb, ideal, expected_length, t_cap)
+    return _classify(gb)
 
 
-def _classify_single_graded(gb: GroebnerBasis) -> SchemeReport:
+def _classify(gb: GroebnerBasis) -> SchemeReport:
+    """Read the scheme off its diagonal Hilbert polynomial.
+
+    Let ``top`` be the largest exponent in the series numerator K = sum c_e
+    T^e and n = n_1 + .. + n_p.  For t >= top every factor has t - e_i >= 0,
+    so HF(t,..,t) = sum_e c_e prod_i C(t - e_i + n_i, n_i) exactly: a
+    polynomial in t of degree <= n, and n + 1 samples at t = top .. top + n
+    decide whether it is 0 or a constant.  HF(t,..,t) is the Hilbert
+    function of the Segre image of the scheme, so this polynomial is the
+    image's Hilbert polynomial: its degree is the dimension of the scheme
+    and, in dimension 0, its constant is the length (Bayer-Stillman,
+    "Computation of Hilbert functions", JSC 14, 1992).  All samples 0 means
+    Empty, all equal to c != 0 means ZeroDim(c), anything else PositiveDim.
+
+    The trace holds (t, HF(t,..,t)) for t = 0 .. top + n; the unit ideal
+    has K = 0 and top = 0.
+    """
     space = gb.space
-    v = space.sizes[0]
     num = gb.numerator
-    if not num:
-        # unit ideal: the quotient ring is zero
-        return SchemeReport("Empty", method="hilbert-series")
-    top = max(e[0] for e in num)
-    coeffs = [0] * (top + 1)
-    for e, c in num.items():
-        coeffs[e[0]] = c
-    # split off the full power of (1 - T)
-    drops = 0
-    while sum(coeffs) == 0:
-        coeffs = list(itertools.accumulate(coeffs[:-1]))
-        drops += 1
-    krull = v - drops
-    trace = tuple((t, _standard_count(num, space, (t,))) for t in range(top + 3))
-    if krull <= 0:
-        return SchemeReport("Empty", trace=trace, method="hilbert-series")
-    if krull == 1:
-        return SchemeReport("ZeroDim", length=sum(coeffs), trace=trace,
-                            method="hilbert-series")
-    return SchemeReport("PositiveDim", trace=trace, method="hilbert-series")
-
-
-def _classify_multigraded(gb: GroebnerBasis, ideal: Ideal, expected_length,
-                          t_cap) -> SchemeReport:
-    space = gb.space
-    p, n = space.p, space.total_projective_dim
-    num = gb.numerator
-    exact_from = max((max(e) for e in num), default=0)
-    gen_cap = tuple(max(d[i] for d in ideal.multidegrees) for i in range(p))
-    length_guess = expected_length if expected_length and expected_length > 0 else 1
-    t_min = sum(gen_cap) * length_guess
-    t_trust = max(t_min, exact_from)
-    t_top = t_cap if t_cap is not None else t_trust + n + 3
-
-    profile = []
-    for t in range(t_top + 1):
-        val = _standard_count(num, space, (t,) * p)
-        profile.append(val)
-        if val == 0:
-            # standard monomials are closed under division, so the diagonal
-            # Hilbert function stays zero from here on (t = 0 means the
-            # ideal is the unit ideal)
-            trace = tuple(enumerate(profile))
-            return SchemeReport("Empty", trace=trace, method="diagonal-profile")
-    trace = tuple(enumerate(profile))
-
-    seq = profile
-    for k in range(n + 1):
-        if k > 0:
-            seq = [b - a for a, b in zip(seq, seq[1:])]
-        window = n - k + 3
-        start_t = t_top - k - (window - 1)
-        if len(seq) < window or start_t < t_trust:
-            continue
-        tail = seq[-window:]
-        if all(x == tail[0] for x in tail):
-            value = tail[0]
-            if k == 0:
-                return SchemeReport("ZeroDim", length=value, trace=trace,
-                                    method="diagonal-profile")
-            if value != 0:
-                return SchemeReport("PositiveDim", trace=trace,
-                                    method="diagonal-profile")
-    return SchemeReport("Inconclusive", trace=trace, method="diagonal-profile",
-                        note=f"diagonal profile cap {t_top} reached before stabilization")
+    top = max((max(e) for e in num), default=0)
+    trace = tuple((t, _standard_count(num, space, (t,) * space.p))
+                  for t in range(top + space.total_projective_dim + 1))
+    tail = {v for _, v in trace[top:]}
+    if tail == {0}:
+        return SchemeReport("Empty", trace=trace, method="hilbert-polynomial")
+    if len(tail) == 1:
+        return SchemeReport("ZeroDim", length=tail.pop(), trace=trace,
+                            method="hilbert-polynomial")
+    return SchemeReport("PositiveDim", trace=trace, method="hilbert-polynomial")
 
 
 # ---------------------------------------------------------------------------

@@ -337,3 +337,83 @@ def repeated_product_expansion(sizes, forms, exponents, modulus=None):
             result = mul(result, form)
         start += size
     return result
+
+
+# ---------------------------------------------------------------------------
+# scheme classification from the Hilbert series of one group
+
+
+def series_classify(gb):
+    """(status, length) of a one-group scheme from its Hilbert series.
+
+    HS(R/I) = K(T) / (1 - T)^v with K the numerator of the leading-term
+    ideal.  Dividing out the full power (1 - T)^k leaves K' with K'(1) != 0;
+    the Krull dimension is v - k, and in Krull dimension 1 the length is
+    K'(1).  K is the package's ``gb.numerator``: what this checks on its own
+    is how the verdict is read off it.
+    """
+    num = gb.numerator
+    (v,) = gb.space.sizes
+    if not num:
+        return "Empty", None     # unit ideal: the quotient ring is zero
+    coeffs = [0] * (max(e for (e,) in num) + 1)
+    for (e,), c in num.items():
+        coeffs[e] = c
+    drops = 0
+    while sum(coeffs) == 0:
+        coeffs = list(itertools.accumulate(coeffs[:-1]))   # K / (1 - T)
+        drops += 1
+    krull = v - drops
+    if krull <= 0:
+        return "Empty", None
+    if krull == 1:
+        return "ZeroDim", sum(coeffs)
+    return "PositiveDim", None
+
+
+# ---------------------------------------------------------------------------
+# linear changes of coordinates
+
+
+def random_invertible(size, rng, bound=3):
+    """Seeded random invertible size x size integer matrix."""
+    while True:
+        rows = [[rng.randint(-bound, bound) for _ in range(size)]
+                for _ in range(size)]
+        if fraction_rref(rows)[1] == size:
+            return rows
+
+
+def substitute(sizes, terms, matrices):
+    """Polynomial dict after x_j -> sum_k A[j][k] x_k in every group.
+
+    ``matrices`` holds one square matrix A per group; the image of a
+    monomial is the product of the images of its variables, expanded term
+    by term.
+    """
+    nvars = sum(sizes)
+    images, start = [], 0
+    for size, a in zip(sizes, matrices):
+        for j in range(size):
+            image = {}
+            for k, c in enumerate(a[j]):
+                if c:
+                    mono = [0] * nvars
+                    mono[start + k] = 1
+                    image[tuple(mono)] = Fraction(c)
+            images.append(image)
+        start += size
+    out = {}
+    for mono, coeff in terms.items():
+        prod = {(0,) * nvars: Fraction(coeff)}
+        for var, e in enumerate(mono):
+            for _ in range(e):
+                step = {}
+                for m1, c1 in prod.items():
+                    for m2, c2 in images[var].items():
+                        m = tuple(x + y for x, y in zip(m1, m2))
+                        step[m] = step.get(m, 0) + c1 * c2
+                prod = step
+        for m, c in prod.items():
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}

@@ -391,8 +391,8 @@ def test_budget_env_override(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flags,env", [
-    (("--budget", "-3"), None), ((), "-3"), (("--profile-cap", "-1"), None),
-], ids=["budget-flag", "budget-env", "profile-cap"])
+    (("--budget", "-3"), None), ((), "-3"),
+], ids=["budget-flag", "budget-env"])
 def test_negative_budget_and_cap_are_usage_errors(tmp_path, monkeypatch, capsys,
                                                   flags, env):
     _, text = run_cli("random", "--sizes", "2,3", "--degrees", "2,2",
@@ -405,6 +405,20 @@ def test_negative_budget_and_cap_are_usage_errors(tmp_path, monkeypatch, capsys,
     code, report = run_cli("certify", "--input", str(path), "--h", "2", *flags)
     assert (code, report) == (1, "")
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_profile_cap_is_an_unknown_argument(tmp_path, capsys):
+    # the Hilbert polynomial decides every section, so no cap is taken
+    path = tmp_path / "t.txt"
+    path.write_text("sizes: 2\ndegrees: 3\ntensor: x1_0^3 + x1_1^3\n", encoding="utf-8")
+    capsys.readouterr()
+    code, report = run_cli("certify", "--input", str(path), "--h", "2",
+                           "--profile-cap", "5")
+    assert (code, report) == (1, "")
+    assert "unrecognized arguments: --profile-cap 5" in capsys.readouterr().err
+    assert run_cli("certify", "--help")[0] == 0
+    usage = capsys.readouterr().out
+    assert "--budget" in usage and "--profile-cap" not in usage
 
 
 def test_document_declared_field(tmp_path):

@@ -9,6 +9,8 @@ from tensorcert import (BudgetExceededError, DenseMatrix, Ideal, MPoly, QQ,
                         hilbert_value, image_span, monomial_basis, PrimeField,
                         pullback_linear_section, random_tensor, RandomConfig)
 
+from tensorcert.ideals import _classify
+
 import oracles
 from conftest import random_form
 
@@ -59,6 +61,14 @@ def test_pullback_wrong_width():
     space = TensorSpace((2,), (2,))
     with pytest.raises(ValueError):
         pullback_linear_section(DenseMatrix.identity(QQ, 4), space, (2,))
+
+
+def test_ideal_rejects_inhomogeneous_generators():
+    # the Hilbert function that classifies a scheme needs a graded ideal
+    space = TensorSpace((2, 2), (1, 1))
+    f = MPoly(space, {(1, 0, 1, 0): 1, (1, 0, 0, 0): 2})   # degrees (1,1) and (1,0)
+    with pytest.raises(ValueError, match="multihomogeneous"):
+        Ideal(space, [f])
 
 
 def test_pullback_contains_the_decomposition_points():
@@ -460,7 +470,7 @@ def test_classify_generic_points_on_veronese():
         rows = [coefficient_vector(dec.term_polynomial(i), basis) for i in range(k)]
         span = DenseMatrix(QQ, rows, len(basis))
         ideal = pullback_linear_section(span, space, (d,))
-        report = classify_linear_section(ideal, expected_length=k)
+        report = classify_linear_section(ideal)
         assert report.status == "ZeroDim" and report.length == k
 
 
@@ -512,30 +522,110 @@ def test_classify_mixed_segre_veronese_points():
     fl = flatten(T, Split.of(space, (1, 1)))
     assert fl.rank == 2
     ideal = pullback_linear_section(image_span(fl), space, (1, 1))
-    report = classify_linear_section(ideal, expected_length=2)
+    report = classify_linear_section(ideal)
     assert report.status == "ZeroDim" and report.length == 2
+
+
+def _verdict(report):
+    return report.status, report.length
+
+
+def test_classify_multigraded_known_answers():
+    # one general (1,1) form on P1 x P1 cuts a curve, two cut (1,1).(1,1) = 2
+    # points, three cut nothing
+    rng = random.Random(30)
+    space = TensorSpace((2, 2), (1, 1))
+    gens = [random_form(space, (1, 1), rng) for _ in range(3)]
+    assert _verdict(classify_linear_section(Ideal(space, gens[:1]))) == ("PositiveDim", None)
+    assert _verdict(classify_linear_section(Ideal(space, gens[:2]))) == ("ZeroDim", 2)
+    assert _verdict(classify_linear_section(Ideal(space, gens))) == ("Empty", None)
+
+
+def test_classify_reads_past_the_numerator_top():
+    # (x0, x1^5) on P2 is the point [0:0:1] with multiplicity 5; its profile
+    # 1, 2, 3, 4, 5, 5, .. still rises at t = 0 .. 3, and the samples from
+    # the numerator's top exponent 6 on read the constant 5
+    space = ternary(5)
+    ideal = Ideal(space, [MPoly(space, {(1, 0, 0): 1}), MPoly(space, {(0, 5, 0): 1})])
+    report = classify_linear_section(ideal)
+    assert _verdict(report) == ("ZeroDim", 5)
+    assert [v for _, v in report.trace] == [1, 2, 3, 4, 5, 5, 5, 5, 5]
+
+
+# (sizes, generator multidegrees) of the seeded sweep below
+SWEEP_SPACES = [
+    ((2, 2), [(1, 1), (1, 2), (2, 1)]),
+    ((2, 3), [(1, 1), (1, 2), (2, 1)]),
+    ((2, 2, 2), [(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)]),
+]
+
+# verdicts of the stabilization-window classifier this one replaced, one per
+# ideal of ``_sweep_ideals(29, 40)``: P = PositiveDim, E = Empty, an integer
+# the length of a ZeroDim scheme
+SWEEP_VERDICTS = ("P 3 E 3 3 P P 1 12 2 P P P 3 P P P E 4 E "
+                  "P P P P E E P 3 4 E 12 3 P P P P E P E E")
+
+
+def _sweep_ideals(seed, trials):
+    """n - 1 .. n + 1 random forms on a product of dimension n, a fifth of
+    the time all multiplied by one common form of degree (1, 0, ..)."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        sizes, degrees = rng.choice(SWEEP_SPACES)
+        space = TensorSpace(sizes, (1,) * len(sizes))
+        n = space.total_projective_dim
+        gens = [random_form(space, rng.choice(degrees), rng, bound=5)
+                for _ in range(rng.randint(max(1, n - 1), n + 1))]
+        if rng.random() < 0.2:
+            common = random_form(space, (1,) + (0,) * (len(sizes) - 1), rng, bound=5)
+            gens = [common * g for g in gens]
+        yield Ideal(space, gens)
+
+
+def test_classify_multigraded_sweep_matches_known_verdicts():
+    codes = {"P": ("PositiveDim", None), "E": ("Empty", None)}
+    expected = [codes.get(c) or ("ZeroDim", int(c)) for c in SWEEP_VERDICTS.split()]
+    got = [_verdict(classify_linear_section(ideal)) for ideal in _sweep_ideals(29, 40)]
+    assert got == expected
+
+
+@pytest.mark.parametrize("sizes,degrees,expected", [
+    ((3,), [2, 3], ("ZeroDim", 6)),
+    ((3,), [2, 2, 2], ("Empty", None)),
+    ((3,), [3], ("PositiveDim", None)),
+    ((2, 2), [(1, 1), (1, 2)], ("ZeroDim", 3)),
+    ((2, 2), [(2, 1)], ("PositiveDim", None)),
+    ((2, 3), [(1, 1), (1, 2), (2, 1)], ("ZeroDim", 7)),
+    ((2, 3), [(1, 1)] * 4, ("Empty", None)),
+], ids=["P2-points", "P2-empty", "P2-curve", "P1xP1-points", "P1xP1-curve",
+        "P1xP2-points", "P1xP2-empty"])
+def test_classify_invariant_under_change_of_coordinates(sizes, degrees, expected):
+    # an invertible linear change of coordinates in each group moves the
+    # scheme by an automorphism, so its dimension and length stay
+    rng = random.Random(38)
+    space = TensorSpace(sizes, (1,) * len(sizes))
+    gens = [random_form(space, d, rng, bound=5) for d in degrees]
+    matrices = [oracles.random_invertible(s, rng) for s in sizes]
+    moved = [MPoly(space, oracles.substitute(sizes, g.terms, matrices)) for g in gens]
+    assert _verdict(classify_linear_section(Ideal(space, gens))) == expected
+    assert _verdict(classify_linear_section(Ideal(space, moved))) == expected
 
 
 # ---------------------------------------------------------------------------
 # binary fast path
 
 
-def test_single_graded_and_profile_classifiers_agree():
-    # the exact Hilbert-series route and the diagonal-profile route are
-    # independent decision procedures; they must agree on one-group input
-    from tensorcert.ideals import _classify_multigraded, _classify_single_graded
+def test_hilbert_polynomial_and_series_classifiers_agree():
+    # the package reads the diagonal Hilbert polynomial; the oracle divides
+    # the Hilbert series by (1 - T): independent readings of one numerator
     rng = random.Random(28)
     for trial in range(12):
         space = TensorSpace((3,), (3,))
         degs = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
         gens = [random_form(space, d, rng, bound=8) for d in degs]
-        ideal = Ideal(space, gens)
-        gb = buchberger(ideal)
-        exact = _classify_single_graded(gb)
-        profile = _classify_multigraded(gb, ideal, None, None)
-        assert exact.status == profile.status, (trial, degs)
-        if exact.status == "ZeroDim":
-            assert exact.length == profile.length, (trial, degs)
+        gb = buchberger(Ideal(space, gens))
+        report = _classify(gb)
+        assert (report.status, report.length) == oracles.series_classify(gb), (trial, degs)
 
 
 def test_classify_unit_ideal_empty():
@@ -585,7 +675,7 @@ def test_binary_fast_path_agrees_with_general_classifier():
                 f = random_form(space, d, rng, bound=6)
             gens.append(f)
         fast = binary_fast_path(Ideal(space, gens))
-        general = classify_linear_section(Ideal(space, gens), use_binary_path=False)
+        general = _classify(buchberger(Ideal(space, gens)))
         assert fast.status == general.status
         if fast.status == "ZeroDim":
             assert fast.length == general.length
