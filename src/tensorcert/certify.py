@@ -23,12 +23,12 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
-from .fields import DEFAULT_PRIME, QQ, PrimeField
+from .fields import DEFAULT_PRIME, QQ, PrimeField, numerators
 from .flatten import (Split, SplitError, default_split, flatten, flattening_matrix,
                       image_span)
-from .ideals import SchemeReport, classify_linear_section, pullback_linear_section
+from .ideals import classify_linear_section, pullback_linear_section
 from .linalg import DenseMatrix, lifted_left_kernel, row_space_basis
 from .poly import (MPoly, TensorSpace, coefficient_vector, monomial_basis,
                    poly_from_numerators, rank_one_numerators)
@@ -186,18 +186,15 @@ class Decomposition:
         # integer numerators over one common denominator, summed in one dict;
         # field elements are made once per monomial at the end
         f = self.field
-        parts = []
+        parts, weights = [], []
         for i in indices:
             nums, den = rank_one_numerators(self.space, self.terms[i], field=f)
             lam = f.one if self.lambdas is None else self.lambdas[i]
-            if f.modulus is None:
-                parts.append((nums, lam.numerator, den * lam.denominator))
-            else:
-                parts.append((nums, lam, 1))
-        common = lcm(*(den for _, _, den in parts))
+            parts.append(nums)
+            weights.append(lam / den if f.modulus is None else lam)   # den is 1 mod p
+        weights, common = numerators(weights)
         acc = {}
-        for nums, weight, den in parts:
-            weight *= common // den
+        for nums, weight in zip(parts, weights):
             for m, n in nums.items():
                 acc[m] = acc.get(m, 0) + n * weight
         return poly_from_numerators(self.space, acc, common, f)
@@ -281,29 +278,49 @@ def corollary35_bounds(family: str, h: int, **params) -> bool:
 # criteria
 
 
-def _field_info(field):
-    if field.modulus is None:
-        return "exact", None
-    return "probabilistic", field.modulus
+def _certificate(criterion, h, space, field, label="", **fields):
+    """A certificate over the field, Inconclusive until ``_finish`` decides."""
+    return Certificate(criterion, "Inconclusive", h, space,
+                       label=label or CRITERION_LABELS.get(criterion, ""),
+                       field_mode="exact" if field.modulus is None else "probabilistic",
+                       prime=field.modulus, **fields)
 
 
-def _scheme_detail(report: SchemeReport):
-    """The detail dict of a check on a section scheme."""
+def _flattening_checks(T: MPoly, split: Split, rank, section, length=None, *, budget):
+    """The checks shared by Propositions 3.1 and 3.3 and Theorem 3.7.
+
+    The flattening of T at the split must have the required rank; then the
+    span of its rows must cut the multidegree-b variety in a scheme of the
+    required status and, when asked, length.  ``rank``, ``section`` and
+    ``length`` are (check name, required value) pairs.  Returns the checks
+    and whether the S-pair budget ran out.
+    """
+    fl = flatten(T, split)
+    name, required = rank
+    checks = [Check(name, fl.rank, required, fl.rank == required)]
+    if not checks[0].passed:
+        return checks, False
+    more, exhausted = _section_checks(image_span(fl), T.space, split.b, section, length,
+                                      budget=budget)
+    return checks + more, exhausted
+
+
+def _section_checks(span, space: TensorSpace, b, section, length=None, *, budget):
+    """Checks on the scheme the row space of span cuts on the multidegree-b
+    variety: its status and, when asked, its length (see ``_flattening_checks``)."""
+    report = classify_linear_section(pullback_linear_section(span, space, b), budget=budget)
     detail = {"status": report.describe(), "method": report.method,
               "trace": [list(pair) for pair in report.trace]}
     if report.note:
         detail["note"] = report.note
-    return detail
-
-
-def _section_checks(prefix_dim, prefix_len, report: SchemeReport, h, length_required):
-    zero_dim = report.status == "ZeroDim"
-    checks = [Check(prefix_dim, report.describe(), "ZeroDim", zero_dim,
-                    _scheme_detail(report))]
-    if length_required:
-        checks.append(Check(prefix_len, report.length if zero_dim else report.describe(),
-                            h, zero_dim and report.length == h))
-    return checks
+    name, required = section
+    ok = report.status == required
+    checks = [Check(name, report.describe(), required, ok, detail)]
+    if length is not None:
+        name, required = length
+        checks.append(Check(name, report.length if ok else report.describe(), required,
+                            ok and report.length == required))
+    return checks, report.budget_exhausted
 
 
 def certify_prop31(T: MPoly, h: int, split: Split = None, *,
@@ -317,22 +334,11 @@ def certify_prop31(T: MPoly, h: int, split: Split = None, *,
         split = default_split(space, h)      # may raise SplitError
     elif split.dim_a < h:
         raise SplitError(f"split has dim V_A = {split.dim_a} < h = {h}")
-    mode, prime = _field_info(T.field)
-    cert = Certificate("Prop31", "Inconclusive", h, space,
-                       label=CRITERION_LABELS["Prop31"], split=split,
-                       effective=effective_range(space, split, h),
-                       field_mode=mode, prime=prime)
-    fl = flatten(T, split)
-    checks = [Check("i_flattening_rank", fl.rank, h, fl.rank == h)]
-    if checks[0].passed:
-        ideal = pullback_linear_section(image_span(fl), space, split.b)
-        report = classify_linear_section(ideal, budget=budget)
-        checks.extend(_section_checks("ii_section_dimension",
-                                      "iii_section_length", report, h, True))
-        cert.budget_exhausted = report.budget_exhausted
-    cert.checks = tuple(checks)
-    _finish(cert, start)
-    return cert
+    cert = _certificate("Prop31", h, space, T.field, split=split,
+                        effective=effective_range(space, split, h))
+    return _finish(cert, start, *_flattening_checks(
+        T, split, ("i_flattening_rank", h), ("ii_section_dimension", "ZeroDim"),
+        ("iii_section_length", h), budget=budget))
 
 
 def certify_thm37(F: MPoly, h: int, *, budget=None) -> Certificate:
@@ -352,34 +358,22 @@ def certify_thm37(F: MPoly, h: int, *, budget=None) -> Certificate:
             f"(n, d, h) = ({space.sizes[0] - 1}, {space.degrees[0]}, {h}) "
             "is not in one of the three certified families")
     n, d, _, s = family
-    mode, prime = _field_info(F.field)
-    cert = Certificate("Thm37", "Inconclusive", h, space,
-                       label=(f"Theorem 3.7 ({h}-identifiability for "
-                              f"{n + 1}-forms of degree {d})"),
-                       family=family, effective=True,
-                       field_mode=mode, prime=prime)
     split = Split.of(space, (s,))
+    cert = _certificate("Thm37", h, space, F.field, split=split, family=family,
+                        effective=True,
+                        label=(f"Theorem 3.7 ({h}-identifiability for "
+                               f"{n + 1}-forms of degree {d})"))
     full = comb(n + s, n)
     checks = _thm37_witness(F, split, full, budget) if F.field == QQ else None
-    if checks is None:
-        checks, cert.budget_exhausted = _thm37_checks(F, split, full, budget)
-    cert.split = split
-    cert.checks = tuple(checks)
-    _finish(cert, start)
-    return cert
+    if checks is not None:
+        return _finish(cert, start, checks)
+    return _finish(cert, start, *_thm37_checks(F, split, full, budget))
 
 
 def _thm37_checks(F: MPoly, split: Split, full: int, budget):
     """Theorem 3.7's two checks over the field of F, and whether the budget ran out."""
-    fl = flatten(F, split)
-    checks = [Check("a_derivative_span_rank", fl.rank, full, fl.rank == full)]
-    if not checks[0].passed:
-        return checks, False
-    ideal = pullback_linear_section(image_span(fl), F.space, split.b)
-    report = classify_linear_section(ideal, budget=budget)
-    checks.append(Check("b_section_empty", report.describe(), "Empty",
-                        report.status == "Empty", _scheme_detail(report)))
-    return checks, report.budget_exhausted
+    return _flattening_checks(F, split, ("a_derivative_span_rank", full),
+                              ("b_section_empty", "Empty"), budget=budget)
 
 
 _WITNESS_FIELD = PrimeField(DEFAULT_PRIME)
@@ -481,50 +475,40 @@ def certify_prop33(dec: Decomposition, *, budget=None) -> Certificate:
     space = dec.space
     h = dec.h
     n = space.total_projective_dim
-    mode, prime = _field_info(dec.field)
-    cert = Certificate("Prop33", "Inconclusive", h, space,
-                       label=CRITERION_LABELS["Prop33"],
-                       field_mode=mode, prime=prime)
     split, iv_ok = _prop33_split(space, h)
+    cert = _certificate("Prop33", h, space, dec.field, split=split, effective=bool(iv_ok))
     if split is None:
-        cert.checks = (Check("iii_ambient_count", None, h + n, False,
-                             {"note": "no split with dim V_A >= h has dim V_B = h + n"}),)
-        _finish(cert, start)
-        return cert
-    cert.split = split
+        return _finish(cert, start, [Check(
+            "iii_ambient_count", None, h + n, False,
+            {"note": "no split with dim V_A >= h has dim V_B = h + n"})])
     degree = segre_veronese_degree(space.projective_dims, split.b)
     checks = [
         Check("iii_ambient_count", split.dim_b, h + n, True),
-        Check("iv_variety_degree", degree, f"<= {h + 1}", bool(iv_ok)),
+        Check("iv_variety_degree", degree, f"<= {h + 1}", iv_ok),
     ]
-    cert.effective = iv_ok
+    exhausted = False
     if iv_ok:
-        T = dec.expand()
-        fl = flatten(T, split)
-        checks.append(Check("i_flattening_rank", fl.rank, h, fl.rank == h))
+        more, exhausted = _flattening_checks(
+            dec.expand(), split, ("i_flattening_rank", h),
+            ("ii_section_dimension", "ZeroDim"), budget=budget)
+        checks += more
         if checks[-1].passed:
-            section = pullback_linear_section(image_span(fl), space, split.b)
-            report = classify_linear_section(section, budget=budget)
-            checks.extend(_section_checks("ii_section_dimension", "",
-                                          report, h, False))
-            cert.budget_exhausted = report.budget_exhausted
-            if checks[-1].passed:
-                basis = monomial_basis(space, space.degrees)
-                rows = [coefficient_vector(dec.term_polynomial(i), basis)
-                        for i in range(h)]
-                span = row_space_basis(DenseMatrix(dec.field, rows, len(basis)))
-                full_section = pullback_linear_section(span, space, space.degrees)
-                report_v = classify_linear_section(full_section, budget=budget)
-                checks.extend(_section_checks("v_span_section_dimension",
-                                              "v_span_section_length",
-                                              report_v, h, True))
-                cert.budget_exhausted = cert.budget_exhausted or report_v.budget_exhausted
+            # check ii passed, so its budget did not run out: only check v's can
+            basis = monomial_basis(space, space.degrees)
+            rows = [coefficient_vector(dec.term_polynomial(i), basis) for i in range(h)]
+            span = row_space_basis(DenseMatrix(dec.field, rows, len(basis)))
+            more, exhausted = _section_checks(
+                span, space, space.degrees, ("v_span_section_dimension", "ZeroDim"),
+                ("v_span_section_length", h), budget=budget)
+            checks += more
+    return _finish(cert, start, checks, exhausted)
+
+
+def _finish(cert: Certificate, start: float, checks, budget_exhausted=False):
+    """The certificate with its checks, time and verdict: Certified exactly
+    when there are checks and all of them pass."""
     cert.checks = tuple(checks)
-    _finish(cert, start)
-    return cert
-
-
-def _finish(cert: Certificate, start: float):
+    cert.budget_exhausted = budget_exhausted
     cert.seconds = time.perf_counter() - start
     if cert.checks and all(c.passed for c in cert.checks):
         cert.verdict = "Certified"
@@ -537,6 +521,7 @@ def _finish(cert: Certificate, start: float):
             failing = [c.name for c in cert.checks if not c.passed]
             cert.reason = f"failed checks: {', '.join(failing)}" if failing \
                 else "no check evaluated"
+    return cert
 
 
 def certify(target, h: int = None, *, criterion: str = "auto", split=None,
@@ -589,8 +574,4 @@ def certify(target, h: int = None, *, criterion: str = "auto", split=None,
     if dec is not None:
         return certify_prop33(dec, budget=budget)
 
-    mode, prime = _field_info(target.field)
-    cert = Certificate(None, "Inconclusive", h, space, label="",
-                       reason="out of criteria range",
-                       field_mode=mode, prime=prime)
-    return cert
+    return _certificate(None, h, space, target.field, reason="out of criteria range")

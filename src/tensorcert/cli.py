@@ -51,6 +51,10 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # polynomial expressions
 
+#: Deepest nesting of parentheses a document may use; each level costs the
+#: recursive parser two stack frames.
+_MAX_NESTING = 200
+
 _TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<var>x(\d+)_(\d+))|(?P<op>[-+*^()/])"
                        r"|(?P<bad>.)", re.S)
 
@@ -74,6 +78,7 @@ class _ExprParser:
     def __init__(self, text, space, field):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.space = space
         self.field = field
         self.text = text
@@ -148,11 +153,23 @@ class _ExprParser:
                     raise ParseError(str(exc), tok[2]) from None
                 mono[index] += self._exponent()
             elif tok[0] == "(":
+                if self.depth == _MAX_NESTING:
+                    raise ParseError(
+                        f"parentheses nested deeper than {_MAX_NESTING} levels", tok[2])
+                self.depth += 1
                 inner = self._expr()
+                self.depth -= 1
                 close = self._take()
                 if close[0] != ")":
                     raise ParseError("expected ')'", close[2])
-                inner = inner ** self._exponent()
+                caret = self._peek()
+                k = self._exponent()
+                degree = k * max(map(sum, inner.terms), default=0)
+                if k > 1 and degree > sum(space.degrees):
+                    # refuse before expanding: the power could only be rejected
+                    raise ParseError(f"power has total degree {degree}, more than the "
+                                     f"declared {sum(space.degrees)}", caret[2])
+                inner = inner ** k
                 poly = inner if poly is None else poly * inner
             else:
                 raise ParseError(f"unexpected token {tok[0]!r}", tok[2])
@@ -176,12 +193,6 @@ class _ExprParser:
         return etok[1]
 
 
-def _mono_name(space, mono) -> str:
-    parts = [f"{space.var_name(i)}^{e}" if e > 1 else space.var_name(i)
-             for i, e in enumerate(mono) if e]
-    return "*".join(parts) if parts else "1"
-
-
 def parse_polynomial(text: str, space: TensorSpace, field=QQ) -> MPoly:
     """Parse an expression in x<group>_<index> variables and validate the
     multidegree against the space; offending monomials are named."""
@@ -189,7 +200,7 @@ def parse_polynomial(text: str, space: TensorSpace, field=QQ) -> MPoly:
     for mono in poly.terms:
         if space.multidegree_of(mono) != space.degrees:
             raise ParseError(
-                f"monomial {_mono_name(space, mono)} has multidegree "
+                f"monomial {poly_to_string(MPoly(space, {mono: 1}))} has multidegree "
                 f"{space.multidegree_of(mono)}, expected {space.degrees}")
     return poly
 
@@ -285,12 +296,6 @@ def parse_document(text: str, field_override=None) -> InputDocument:
     return InputDocument(space, payload, field, seed)
 
 
-def _format_scalar(c) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(c)
-
-
 def _document_header(space, field, seed):
     lines = [f"sizes: {','.join(map(str, space.sizes))}",
              f"degrees: {','.join(map(str, space.degrees))}"]
@@ -314,8 +319,7 @@ def render_decomposition_document(dec: Decomposition, seed=None) -> str:
     lines = _document_header(dec.space, dec.field, seed)
     lines.append("decomposition:")
     for term in dec.terms:
-        lines.append(" | ".join(",".join(_format_scalar(c) for c in form)
-                                for form in term))
+        lines.append(" | ".join(",".join(map(str, form)) for form in term))
     return "\n".join(lines) + "\n"
 
 

@@ -12,6 +12,7 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 #: 30-bit prime used when a modular run is requested without an explicit prime.
 DEFAULT_PRIME = 1073741789
@@ -158,6 +159,21 @@ class PrimeField:
 
 #: shared descriptor for the rationals
 QQ = RationalField()
+
+
+def numerators(values):
+    """Integers N_i and the lcm D of the denominators, with values[i] = N_i / D.
+
+    The one conversion of rationals to integers; an int is its own numerator.
+    """
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def primitive(ints):
+    """The integers divided by their gcd; unchanged when that is 0 or 1."""
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def field_from_spec(spec: str):

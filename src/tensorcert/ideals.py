@@ -32,7 +32,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
-from .fields import QQ
+from .fields import QQ, numerators, primitive
 from .linalg import DenseMatrix, kernel_basis
 from .poly import MPoly, TensorSpace, monomial_basis, monomial_multinomial
 
@@ -198,11 +198,8 @@ class _Engine:
     def prepare(self, poly: MPoly):
         """MPoly -> int-coefficient dict (primitive over QQ, monic over Fp)."""
         if self.modulus is None:
-            den = 1
-            for c in poly.terms.values():
-                den = den * c.denominator // gcd(den, c.denominator)
-            terms = {m: int(c * den) for m, c in poly.terms.items()}
-            return self.strip_content(terms)
+            nums, _ = numerators(list(poly.terms.values()))
+            return self.strip_content(dict(zip(poly.terms, nums)))
         terms = {m: c % self.modulus for m, c in poly.terms.items()}
         return self.make_monic(terms)
 
@@ -613,15 +610,10 @@ def _int_coeff_list(poly: MPoly):
     # binary form -> little-endian int list indexed by the x1_0 exponent
     d = poly.multidegree()[0]
     out = [0] * (d + 1)
-    if poly.field.modulus is None:
-        den = 1
-        for c in poly.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        for (i, _), c in poly.terms.items():
-            out[i] = int(c * den)
-    else:
-        for (i, _), c in poly.terms.items():
-            out[i] = c
+    # residues mod p are ints, their own numerators
+    nums, _ = numerators(list(poly.terms.values()))
+    for (i, _), c in zip(poly.terms, nums):
+        out[i] = c
     return out
 
 
@@ -630,17 +622,6 @@ def _deg(u):
         if u[i]:
             return i
     return -1
-
-
-def _primitive(u):
-    g = 0
-    for c in u:
-        g = gcd(g, c)
-        if g == 1:
-            return u
-    if g == 0:
-        return []
-    return [c // g for c in u]
 
 
 def _pseudo_rem(u, v):
@@ -660,11 +641,11 @@ def _pseudo_rem(u, v):
 
 
 def _gcd_int_poly(u, v):
-    u, v = _primitive(u), _primitive(v)
+    u, v = primitive(u), primitive(v)
     if _deg(u) < _deg(v):
         u, v = v, u
     while _deg(v) >= 0:
-        r = _primitive(_pseudo_rem(u, v))
+        r = primitive(_pseudo_rem(u, v))
         u, v = v, r
     return u
 

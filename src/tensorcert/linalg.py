@@ -5,9 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
-from .fields import DEFAULT_PRIME, PrimeField, is_prime
+from .fields import DEFAULT_PRIME, PrimeField, is_prime, numerators, primitive
 
 
 class DenseMatrix:
@@ -145,27 +145,18 @@ def _rref_mod_p(matrix: DenseMatrix):
     return DenseMatrix(matrix.field, m, ncols), r, tuple(pivots)
 
 
-def _primitive(row):
-    """The row divided by the gcd of its entries (unchanged when zero)."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
 def _eliminate(row, prow, c):
     """Primitive integer row: ``row`` with its column-c entry cleared by ``prow``."""
     piv, q = prow[c], row[c]
     g = gcd(piv, q)
     a, q = piv // g, q // g
-    return _primitive([a * x - q * y for x, y in zip(row, prow)])
+    return primitive([a * x - q * y for x, y in zip(row, prow)])
 
 
 def _rref_rational(matrix: DenseMatrix):
     f = matrix.field
     nrows, ncols = matrix.nrows, matrix.ncols
-    m = []
-    for row in matrix.rows:
-        den = lcm(*(x.denominator for x in row))
-        m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    m = [primitive(numerators(row)[0]) for row in matrix.rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -308,11 +299,9 @@ def lifted_left_kernel(matrix: DenseMatrix):
     if matrix.field.modulus is not None:
         raise ValueError("lifted_left_kernel needs a matrix over QQ")
     nrows = matrix.nrows
-    rows, dens = [], []
-    for row in matrix.rows:
-        den = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-        dens.append(den)
+    cleared = [numerators(row) for row in matrix.rows]
+    rows = [num for num, _ in cleared]
+    dens = [den for _, den in cleared]
     columns = list(zip(*rows))
     first = None
     modulus, tried_bits = 1, 0
@@ -371,6 +360,5 @@ def _verified_kernel(rows, dens, pivots, free, residues, modulus):
         full = [0] * len(rows)
         for i, x in y.items():
             full[i] = x * dens[i]
-        g = gcd(*full)
-        out.append([x // g for x in full])
+        out.append(primitive(full))
     return out

@@ -16,9 +16,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 
-from .fields import QQ
+from .fields import QQ, numerators
 
 Mono = tuple  # exponent tuple across all variables
 
@@ -398,8 +398,7 @@ def rank_one_numerators(space: TensorSpace, forms, exponents=None, field=QQ):
             raise ValueError("negative power")
         coeffs = [field(c) for c in coeffs]
         if field.modulus is None:
-            scale = lcm(*(c.denominator for c in coeffs))
-            coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
+            coeffs, scale = numerators(coeffs)
             den *= scale ** e
         powers = [[a ** j for j in range(e + 1)] for a in coeffs]
         group = []
@@ -452,12 +451,6 @@ def power_and_product(space: TensorSpace, forms, exponents=None, field=QQ):
     return poly_from_numerators(space, numerators, den, field)
 
 
-def _format_coeff(c, field) -> str:
-    if field.modulus is None:
-        return str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return str(c)
-
-
 def poly_to_string(F: MPoly) -> str:
     if not F.terms:
         return "0"
@@ -473,7 +466,7 @@ def poly_to_string(F: MPoly) -> str:
                 factors.append(f"{space.var_name(i)}^{e}")
         negative = field.modulus is None and c < 0
         mag = -c if negative else c
-        body = _format_coeff(mag, field)
+        body = str(mag)
         if factors:
             body = "*".join(factors) if mag == field.one else body + "*" + "*".join(factors)
         parts.append(("- " if negative else "+ ") + body)

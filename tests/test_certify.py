@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -639,3 +641,62 @@ def test_certify_expands_a_decomposition_once(monkeypatch):
     cert = certify(dec)
     assert cert.certified and cert.criterion == "Prop33"
     assert calls == [dec]
+
+
+# ---------------------------------------------------------------------------
+# one pinned report per route through the criteria
+
+
+def _random(sizes, degrees, h, seed, field=QQ):
+    return random_tensor(TensorSpace(sizes, degrees), h,
+                         RandomConfig(seed=seed, field=field))
+
+
+def _unlucky(sizes, degrees, h, lost, seed):
+    # the last `lost` terms carry the factor p, so the rank drops mod p only
+    _, dec = _random(sizes, degrees, h, seed)
+    lambdas = [1] * (h - lost) + [DEFAULT_PRIME] * lost
+    return Decomposition(dec.space, dec.terms, lambdas).expand()
+
+
+_PINNED_REPORTS = {
+    "prop31-qq": (
+        lambda: certify(_random((3,), (5,), 6, 1)[0], 6),
+        "2f331c3cbf8ae7cb9658595b402df90a5e04f964b212474199891c1ca1ac5556"),
+    "prop31-fp": (
+        lambda: certify(_random((3,), (5,), 6, 1, PrimeField(DEFAULT_PRIME))[0], 6),
+        "89fb25fec9217491dcfc717d30e92d0bf14a8da6060769f103fe618054a5572c"),
+    "prop31-multigraded-1c": (
+        lambda: certify(_random((2, 5, 4), (3, 2, 3), 5, 1)[0], 5),
+        "5d596424e90bce0ab85abcc06cccaf7403e86214db34bece9a99b626bd910a2f"),
+    "prop33-1d": (
+        lambda: certify(_random((4,), (4,), 7, 1)[1]),
+        "fedda873fac70a19526041f400ec97fe8d3943e8cedc2923b4063d67db0e855a"),
+    "prop33-no-split": (
+        lambda: certify_prop33(_random((2,), (4,), 3, 6)[1]),
+        "67487274e7197d449ae901eaa67b295a5103845e61e19c2312b5e1c31aa45bf8"),
+    "thm37-witness": (
+        lambda: certify(_random((3,), (5,), 7, 1)[0], 7),
+        "f4bf354672d6db58e591450f25fdabff0679219aae6de689675f04267c362f74"),
+    "thm37-lifted-rank": (
+        lambda: certify(_random((3,), (5,), 5, 1)[0], 7),
+        "702bd6b44842799a6e66a7b9237e59a50d501345493471ff4b5f13fc2c21f4e6"),
+    "thm37-unlucky-prime": (
+        lambda: certify(_unlucky((3,), (5,), 7, 2, 1), 7),
+        "b34d59b0e5fcb35eb027236a79643268ef0b3d6497d9c7d71f977e66d3e6d6b4"),
+    "out-of-range": (
+        lambda: certify(_random((3,), (4,), 5, 15)[0], 5),
+        "776bf266e910f2f7ccd84faa468e0df7246b23655b92268f6a635bbe2f998272"),
+    "prop31-budget-exhausted": (
+        lambda: certify_prop31(_random((3,), (5,), 6, 1)[0], 6, budget=0),
+        "5247443d3a936b7082d4b6ff6c63563b82f030912172d13fffab6fb74da94d6f"),
+}
+
+
+@pytest.mark.parametrize("route", list(_PINNED_REPORTS))
+def test_report_is_unchanged(route):
+    # the sha256 of the JSON report without its timing, as first recorded
+    build, digest = _PINNED_REPORTS[route]
+    doc = build().to_json_dict()
+    del doc["timing_seconds"]
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,6 +76,35 @@ def test_parse_error_positions():
     with pytest.raises(ParseError, match="exponent") as info:
         parse_polynomial("x1_0^x1_1", space)
     assert info.value.position == 5
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    # the recursive parser refuses the nesting instead of overflowing the stack
+    space = TensorSpace((2,), (1,))
+    assert parse_polynomial("(" * 150 + "x1_0" + ")" * 150, space).terms == \
+        {(1, 0): QQ(1)}
+    text = "(" * 3000 + "x1_0" + ")" * 3000
+    with pytest.raises(ParseError, match="nested") as info:
+        parse_polynomial(text, space)
+    assert text[info.value.position] == "("
+    path = tmp_path / "deep.txt"
+    path.write_text(f"sizes: 2\ndegrees: 1\ntensor: {text}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("certify", "--input", str(path), "--h", "1") == (1, "")
+    assert capsys.readouterr().err.startswith("error: parentheses nested")
+
+
+def test_power_beyond_the_degree_is_refused_before_expansion():
+    space = TensorSpace((2,), (3,))
+    text = "(x1_0 + x1_1)^3000"
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="total degree 3000") as info:
+        parse_polynomial(text, space)
+    assert time.perf_counter() - start < 1.0
+    assert text[info.value.position] == "^"
+    # a constant base takes any power
+    F = parse_polynomial("(1/2)^3000*(2 - 1)^6000*x1_0^3", space)
+    assert F.terms == {(3, 0): QQ(1) / 2 ** 3000}
 
 
 def test_parse_mixed_variables():
