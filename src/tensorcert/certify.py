@@ -28,8 +28,8 @@ from math import comb, factorial
 from .fields import DEFAULT_PRIME, QQ, PrimeField, numerators
 from .flatten import (Split, SplitError, default_split, flatten, flattening_matrix,
                       image_span)
-from .ideals import classify_linear_section, pullback_linear_section
-from .linalg import DenseMatrix, lifted_left_kernel, row_space_basis
+from .ideals import classify_linear_section, pullback_linear_section, section_ideal
+from .linalg import DenseMatrix, lifted_kernel, row_space_basis
 from .poly import (MPoly, TensorSpace, coefficient_vector, monomial_basis,
                    poly_from_numerators, rank_one_numerators)
 
@@ -300,15 +300,15 @@ def _flattening_checks(T: MPoly, split: Split, rank, section, length=None, *, bu
     checks = [Check(name, fl.rank, required, fl.rank == required)]
     if not checks[0].passed:
         return checks, False
-    more, exhausted = _section_checks(image_span(fl), T.space, split.b, section, length,
-                                      budget=budget)
+    ideal = pullback_linear_section(image_span(fl), T.space, split.b)
+    more, exhausted = _section_checks(ideal, section, length, budget=budget)
     return checks + more, exhausted
 
 
-def _section_checks(span, space: TensorSpace, b, section, length=None, *, budget):
-    """Checks on the scheme the row space of span cuts on the multidegree-b
-    variety: its status and, when asked, its length (see ``_flattening_checks``)."""
-    report = classify_linear_section(pullback_linear_section(span, space, b), budget=budget)
+def _section_checks(ideal, section, length=None, *, budget):
+    """Checks on the scheme an ideal cuts: its status and, when asked, its
+    length (see ``_flattening_checks``)."""
+    report = classify_linear_section(ideal, budget=budget)
     detail = {"status": report.describe(), "method": report.method,
               "trace": [list(pair) for pair in report.trace]}
     if report.note:
@@ -344,9 +344,9 @@ def certify_prop31(T: MPoly, h: int, split: Split = None, *,
 def certify_thm37(F: MPoly, h: int, *, budget=None) -> Certificate:
     """Exceptional-family criterion: full catalecticant rank + empty section.
 
-    Over QQ both checks run mod p first (``_thm37_witness``); a rank below
-    full there is made exact by a lifted left kernel.  The exact rational
-    path runs only when neither settles the checks.
+    Over QQ both checks run mod p first (``_thm37_witness``); whatever that
+    leaves open is settled from one lifted kernel where it can be.  The
+    exact rational path runs only when neither settles the checks.
     """
     start = time.perf_counter()
     space = F.space
@@ -364,10 +364,10 @@ def certify_thm37(F: MPoly, h: int, *, budget=None) -> Certificate:
                         label=(f"Theorem 3.7 ({h}-identifiability for "
                                f"{n + 1}-forms of degree {d})"))
     full = comb(n + s, n)
-    checks = _thm37_witness(F, split, full, budget) if F.field == QQ else None
-    if checks is not None:
-        return _finish(cert, start, checks)
-    return _finish(cert, start, *_thm37_checks(F, split, full, budget))
+    decided = _thm37_witness(F, split, full, budget) if F.field == QQ else None
+    if decided is None:
+        decided = _thm37_checks(F, split, full, budget)
+    return _finish(cert, start, *decided)
 
 
 def _thm37_checks(F: MPoly, split: Split, full: int, budget):
@@ -380,39 +380,48 @@ _WITNESS_FIELD = PrimeField(DEFAULT_PRIME)
 
 
 def _thm37_witness(F: MPoly, split: Split, full: int, budget):
-    """Theorem 3.7's checks for F over QQ, settled from residues mod primes.
+    """Theorem 3.7's checks for F over QQ, settled from residues mod one prime.
 
-    Returns the checks when they are decided exactly this way; returns None
-    otherwise, and the exact path decides.  Two outcomes are exact:
+    Returns the checks and whether the budget ran out, when they are decided
+    this way, and the same checks as the exact path; returns None otherwise,
+    and the exact path decides.  M is the catalecticant of F, and
+    ``lifted_kernel`` lifts a kernel mod p = ``DEFAULT_PRIME`` to QQ.  Three
+    outcomes are exact:
 
     * Both checks pass mod p, which certifies F over QQ.
-    * The rank check fails mod p, and ``lifted_left_kernel`` proves the rank
-      over QQ below full: the single failed rank check is returned, with
-      that rank, and no rational echelon form runs.
+    * The rank is below full mod p, and the lifted left kernel of M proves
+      the rank over QQ: the single failed rank check is returned, with that
+      rank.
+    * The rank is full mod p and the section check fails there.  The lifted
+      right kernel of M is ``kernel_basis`` of its QQ span, so its section
+      ideal is the exact path's pullback, generator for generator, and the
+      section is classified over QQ from it.
+
+    No rational echelon form runs on any of these routes.
 
     Let Z_(p) be the rationals whose denominator is prime to p.  F reduces
     mod p when its coefficients lie in Z_(p), and then the flattening M_p of
-    F_p is the reduction of the flattening M of F.
+    F_p is the reduction of M.
 
     * rank_p <= rank_QQ <= #rows, so rank_p = #rows is the full rank over QQ.
     * rank_p = #rows makes the Z_(p)-lattice spanned by the rows of M
       saturated (a maximal minor is a unit of Z_(p)).  So the mod-p kernel,
       whose rows are the generators of I_p in degree b, is the reduction of
       the kernel lattice over QQ: both have dimension N - #rows.  The
-      pullback's column scaling divides by multinomials of degree b < p,
+      pullback's column scaling multiplies by multinomials of degree b < p,
       which are units mod p, so it keeps this true.
     * So (I_p)_t lies in the reduction of the lattice (I_QQ)_t, whose rank
       is dim (I_QQ)_t, for every t.  That gives HF_QQ(t) <= HF_p(t), and a
       section that is Empty mod p (HF_p(t) = 0 for large t; for binary forms,
       no common root of the generators mod p) is Empty over QQ.
-    * A rank below full mod p is only a lower bound.  The lift turns it into
-      the exact rank: #rows - r independent vectors y with y . M = 0,
-      checked over ZZ, prove rank_QQ <= r, and a prime's rank r is at most
-      rank_QQ (see ``lifted_left_kernel``).
+    * A lifted kernel is checked to vanish under M over ZZ, and its vectors
+      are independent, so they bound rank_QQ from above by the rank mod p;
+      the mod-p rank bounds it from below.  A lifted kernel is also checked
+      to be zero at every pivot right of its free column, which makes the
+      pivots mod p the pivots over QQ (see ``lifted_kernel``).
 
-    A non-empty section or an exhausted budget mod p proves nothing over
-    QQ; neither does a denominator divisible by p, a lift that gives up, or
-    a lifted rank that is full.
+    A denominator divisible by p, or a lift that gives up, proves nothing:
+    None.
     """
     try:
         Fp = MPoly(F.space, F.terms, _WITNESS_FIELD)
@@ -421,12 +430,20 @@ def _thm37_witness(F: MPoly, split: Split, full: int, budget):
     checks, _ = _thm37_checks(Fp, split, full, budget)
     if checks[-1].passed:
         checks[1].detail["witness_prime"] = DEFAULT_PRIME
-        return checks
+        return checks, False
+    M = flattening_matrix(F, split)
     if len(checks) == 1:
-        lifted = lifted_left_kernel(flattening_matrix(F, split))
-        if lifted is not None and lifted[0] < full:
-            return [Check("a_derivative_span_rank", lifted[0], full, False)]
-    return None
+        left = lifted_kernel(M.transpose())
+        if left is None:
+            return None
+        return [Check("a_derivative_span_rank", M.nrows - left.nrows, full, False)], False
+    kernel = lifted_kernel(M)
+    if kernel is None:
+        return None
+    # the rank check passed mod p, and full rank mod p is full rank over QQ
+    more, exhausted = _section_checks(section_ideal(kernel, F.space, split.b),
+                                      ("b_section_empty", "Empty"), budget=budget)
+    return checks[:1] + more, exhausted
 
 
 def thm37_family(space: TensorSpace, h: int):
@@ -498,8 +515,9 @@ def certify_prop33(dec: Decomposition, *, budget=None) -> Certificate:
             rows = [coefficient_vector(dec.term_polynomial(i), basis) for i in range(h)]
             span = row_space_basis(DenseMatrix(dec.field, rows, len(basis)))
             more, exhausted = _section_checks(
-                span, space, space.degrees, ("v_span_section_dimension", "ZeroDim"),
-                ("v_span_section_length", h), budget=budget)
+                pullback_linear_section(span, space, space.degrees),
+                ("v_span_section_dimension", "ZeroDim"), ("v_span_section_length", h),
+                budget=budget)
             checks += more
     return _finish(cert, start, checks, exhausted)
 

@@ -55,6 +55,10 @@ class ParseError(ValueError):
 #: recursive parser two stack frames.
 _MAX_NESTING = 200
 
+#: Largest bit size of a power of a number over QQ; a larger one is refused
+#: before it is computed (over F_p, powers are reduced as they are taken).
+_MAX_POWER_BITS = 1 << 16
+
 _TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<var>x(\d+)_(\d+))|(?P<op>[-+*^()/])"
                        r"|(?P<bad>.)", re.S)
 
@@ -72,6 +76,23 @@ def _tokenize(text):
         elif kind == "bad":
             raise ParseError(f"unexpected character {m.group()!r}", pos)
     return tokens
+
+
+def _check_power_bits(value, k, caret):
+    """Refuse a rational number to the power k whose result would pass
+    ``_MAX_POWER_BITS`` bits, before computing it: a numerator or
+    denominator of bit length L >= 2 makes one of at least (L - 1) k + 1 bits."""
+    length = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+    if k > 1 and (length - 1) * k >= _MAX_POWER_BITS:
+        raise ParseError(f"power has more than {_MAX_POWER_BITS} bits", caret[2])
+
+
+def _check_term_degree(degree, declared, star):
+    """Refuse a product whose total degree passes the declared one, at the
+    '*' that took it past."""
+    if star is not None and degree > declared:
+        raise ParseError(f"product has total degree {degree}, more than the "
+                         f"declared {declared}", star[2])
 
 
 class _ExprParser:
@@ -126,11 +147,16 @@ class _ExprParser:
 
     def _term(self) -> MPoly:
         # number and variable factors fold into one coefficient and one
-        # exponent vector; only parenthesised factors multiply polynomials
+        # exponent vector; only parenthesised factors multiply polynomials.
+        # The term's total degree is the sum of its factors' degrees, and a
+        # term that passes the declared degree is refused at the '*' that
+        # joins the factor taking it past, before any product is expanded
         f, space = self.field, self.space
+        declared = sum(space.degrees)
         coeff = f.one
         mono = [0] * space.nvars
         poly = None
+        degree, star = 0, None
         while True:
             tok = self._take()
             if tok[0] == "num":
@@ -143,15 +169,23 @@ class _ExprParser:
                         raise ParseError("denominator must be a positive integer",
                                          dtok[2])
                     value = Fraction(value, dtok[1])
+                caret = self._peek()
                 c, k = f(value), self._exponent()
-                c = c ** k if f.modulus is None else pow(c, k, f.modulus)
+                if f.modulus is None:
+                    _check_power_bits(value, k, caret)
+                    c = c ** k
+                else:
+                    c = pow(c, k, f.modulus)
                 coeff = f.mul(coeff, c)
             elif tok[0] == "var":
                 try:
                     index = space.var_index(*tok[1])
                 except ValueError as exc:
                     raise ParseError(str(exc), tok[2]) from None
-                mono[index] += self._exponent()
+                k = self._exponent()
+                mono[index] += k
+                degree += k
+                _check_term_degree(degree, declared, star)
             elif tok[0] == "(":
                 if self.depth == _MAX_NESTING:
                     raise ParseError(
@@ -164,11 +198,15 @@ class _ExprParser:
                     raise ParseError("expected ')'", close[2])
                 caret = self._peek()
                 k = self._exponent()
-                degree = k * max(map(sum, inner.terms), default=0)
-                if k > 1 and degree > sum(space.degrees):
+                inner_degree = max(map(sum, inner.terms), default=0)
+                if k > 1 and k * inner_degree > declared:
                     # refuse before expanding: the power could only be rejected
-                    raise ParseError(f"power has total degree {degree}, more than the "
-                                     f"declared {sum(space.degrees)}", caret[2])
+                    raise ParseError(f"power has total degree {k * inner_degree}, more "
+                                     f"than the declared {declared}", caret[2])
+                if inner_degree == 0 and f.modulus is None and inner:
+                    _check_power_bits(inner.terms[(0,) * space.nvars], k, caret)
+                degree += k * inner_degree
+                _check_term_degree(degree, declared, star)
                 inner = inner ** k
                 poly = inner if poly is None else poly * inner
             else:
@@ -176,7 +214,7 @@ class _ExprParser:
             tok = self._peek()
             if tok is None or tok[0] != "*":
                 break
-            self._take()
+            star = self._take()
         if f.is_zero(coeff):
             return MPoly.zero(space, f)
         term = MPoly(space, {tuple(mono): coeff}, f, _clean=True)

@@ -73,29 +73,44 @@ class Ideal:
 def pullback_linear_section(span: DenseMatrix, space: TensorSpace, b) -> Ideal:
     """Ideal of the section of the multidegree-b variety by the row space of span.
 
-    Span rows hold polynomial coefficients; dividing column m by its
-    multinomial rewrites them in tensor coordinates, where the variety is
-    parametrized by the plain monomials.  Every kernel vector c of the scaled
-    matrix is a linear form sum c_m z_m vanishing on the span, and
-    substituting the parametrization turns it into the multidegree-b
-    polynomial sum c_m m(x).
+    Span rows hold polynomial coefficients; the ideal is built from their
+    right kernel by ``section_ideal``.  A reduced span, such as
+    ``image_span`` of a flattening, has its kernel read off its pivots with
+    no second echelon pass.
+    """
+    return section_ideal(kernel_basis(span), space, b)
+
+
+def section_ideal(kernel: DenseMatrix, space: TensorSpace, b) -> Ideal:
+    """Ideal of the section of the multidegree-b variety by the subspace whose
+    right kernel, in polynomial coordinates, has the rows of ``kernel`` as
+    its ``kernel_basis``.
+
+    Dividing column m of a span by its multinomial rewrites it in tensor
+    coordinates, where the variety is parametrized by the plain monomials.
+    The kernel of the scaled span is diag(multinomials) times the kernel of
+    the span; each vector, scaled to 1 at its free column (its last nonzero
+    entry) as ``kernel_basis`` of the scaled span has it, is a linear form
+    sum c_m z_m vanishing on the span, and substituting the parametrization
+    turns it into the multidegree-b polynomial sum c_m m(x).
     """
     b = tuple(int(x) for x in b)
     basis = monomial_basis(space, b)
-    if span.ncols != len(basis):
+    if kernel.ncols != len(basis):
         raise ValueError(
-            f"span has {span.ncols} columns, multidegree {b} basis has {len(basis)}")
-    field = span.field
+            f"span has {kernel.ncols} columns, multidegree {b} basis has {len(basis)}")
+    field = kernel.field
     if field.modulus is not None and field.modulus <= max(b, default=0):
         raise ValueError(
             f"prime modulus {field.modulus} <= max degree {max(b)}: monomial "
             "multinomials may vanish; choose a larger prime")
-    scale = [field.inv(field(monomial_multinomial(space, m))) for m in basis]
-    scaled = DenseMatrix(field, [[field.mul(c, s) for c, s in zip(row, scale)]
-                                 for row in span.rows], span.ncols)
+    scale = [field(monomial_multinomial(space, m)) for m in basis]
     gens = []
-    for row in kernel_basis(scaled).rows:
-        terms = {m: c for m, c in zip(basis, row) if not field.is_zero(c)}
+    for row in kernel.rows:
+        scaled = [field.mul(c, s) for c, s in zip(row, scale)]
+        lead = next(c for c in reversed(scaled) if not field.is_zero(c))
+        terms = {m: field.div(c, lead) for m, c in zip(basis, scaled)
+                 if not field.is_zero(c)}
         gens.append(MPoly(space, terms, field, _clean=True))
     return Ideal(space, gens, field)
 

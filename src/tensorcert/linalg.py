@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import count
 from math import gcd, isqrt
+from operator import mul
 
-from .fields import DEFAULT_PRIME, PrimeField, is_prime, numerators, primitive
+from .fields import DEFAULT_PRIME, PrimeField, numerators, primitive
 
 
 class DenseMatrix:
@@ -191,10 +190,16 @@ def _rref_rational(matrix: DenseMatrix):
 def kernel_basis(matrix: DenseMatrix) -> DenseMatrix:
     """Basis of the right null space, one vector per row.
 
-    Row count equals ``ncols - rank``; every row v satisfies M v^T = 0.
+    Row count equals ``ncols - rank``; every row v satisfies M v^T = 0.  The
+    row for a free column j is 1 at j, 0 at the other free columns, and minus
+    row r's entry in column j at the r-th pivot column.  A matrix already in
+    reduced row echelon form (such as a span from ``row_space_basis``) is
+    read as it is, with no echelon pass.
     """
     f = matrix.field
-    reduced, rank, pivots = rref(matrix)
+    reduced, pivots = matrix, _reduced_pivots(matrix)
+    if pivots is None:
+        reduced, _, pivots = rref(matrix)
     pivot_set = set(pivots)
     free = [c for c in range(matrix.ncols) if c not in pivot_set]
     rows = []
@@ -207,22 +212,32 @@ def kernel_basis(matrix: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(f, rows, matrix.ncols)
 
 
+def _reduced_pivots(matrix: DenseMatrix):
+    """The pivot columns of a matrix in reduced row echelon form, else None."""
+    f = matrix.field
+    rows = matrix.rows
+    pivots = []
+    for i, row in enumerate(rows):
+        c = next((j for j, x in enumerate(row) if not f.is_zero(x)), None)
+        if c is None:
+            # the zero rows must all come last
+            if any(not f.is_zero(x) for later in rows[i:] for x in later):
+                return None
+            break
+        if (pivots and c <= pivots[-1]) or not f.is_zero(f.sub(row[c], f.one)):
+            return None
+        pivots.append(c)
+    for k, c in enumerate(pivots):
+        if any(not f.is_zero(rows[i][c]) for i in range(len(pivots)) if i != k):
+            return None
+    return tuple(pivots)
+
+
 def row_space_basis(matrix: DenseMatrix) -> DenseMatrix:
     """The nonzero rows of the reduced row echelon form."""
     f = matrix.field
     reduced, rank, _ = rref(matrix)
     return DenseMatrix(f, reduced.rows[:rank], matrix.ncols)
-
-
-@lru_cache(maxsize=None)
-def _lift_field(i: int) -> PrimeField:
-    """The i-th lift prime field: DEFAULT_PRIME, then the primes below it."""
-    if i == 0:
-        return PrimeField(DEFAULT_PRIME)
-    q = _lift_field(i - 1).modulus - 2
-    while not is_prime(q):
-        q -= 2
-    return PrimeField(q)
 
 
 def _rational(u: int, m: int, bound: int):
@@ -264,101 +279,115 @@ def _reconstruct(residues, m: int):
     return den, nums
 
 
-def lifted_left_kernel(matrix: DenseMatrix):
-    """Exact rank of a matrix over QQ and a basis of its left kernel, from
-    residues mod primes, or None.
+_LIFT_FIELD = PrimeField(DEFAULT_PRIME)
 
-    Returns ``(rank, vectors)``: ``vectors`` holds ``nrows - rank`` primitive
-    integer lists y with y . M = 0, one for each mod-p free row.  None means
-    the primes did not settle the rank; ``rref`` over QQ must decide.
+
+def lifted_kernel(matrix: DenseMatrix):
+    """``kernel_basis(matrix)`` for a matrix over QQ, from residues mod one
+    prime by Dixon's p-adic lifting (Numer. Math. 40, 1982), or None.
+
+    The left kernel of M is ``lifted_kernel(M.transpose())``.  None means
+    the prime did not settle the kernel; ``rref`` over QQ must decide.
+
+    Method.  Denominators are cleared row by row, which keeps the right
+    kernel, giving an integer matrix A.  One Gauss-Jordan pass of A mod
+    p = ``DEFAULT_PRIME`` gives the rank r, pivot rows R and pivot columns P
+    mod p, and the inverse C of the r x r pivot minor A_RP mod p.  For each
+    free column j the system A_RP x = -A_Rj is solved p-adically: the digit
+    y = C b mod p of the residual b is taken out, and b becomes
+    (b - A_RP y) / p, exactly.  At checkpoints where the modulus p^k has
+    grown geometrically, ``_reconstruct`` turns x mod p^k into a candidate
+    integer vector v, with v_j its denominator and 0 at the other free
+    columns.
 
     Soundness, for M over QQ:
 
-    * Clearing denominators row by row gives an integer matrix A with the
-      same rank; y' . A = 0 exactly when (y'_i * den_i) . M = 0.
-    * For each lift prime p, the left kernel mod p comes from ``rref`` of
-      A^T mod p, normalised to the identity on the mod-p free coordinates
-      (the non-pivot columns of A^T).  The first prime fixes the rank r and
-      the pivots.  A prime of lower rank is skipped; a prime of higher rank,
-      or of the same rank with other pivots, shows the first prime was
-      unlucky, and the result is None.
-    * The primes are combined by CRT, and Wang's rational reconstruction is
-      tried only when the modulus has grown geometrically since the last
-      try.  Candidates are cleared of denominators and then checked:
-      y . A = 0 exactly over ZZ, on every column.
-    * Once verified, the nrows - r vectors are independent (the identity on
-      the free coordinates), so rank_QQ <= r.  Also rank_p <= rank_QQ for
-      the first prime.  Together these give rank_QQ = r exactly.
-    * When r = rank_QQ, every accepted prime reduces the same rational
-      kernel vectors, whose entries are ratios of r x r minors of A, so they
-      are at most H in size, H the Hadamard bound of those minors.  Their
-      reconstruction is then unique and succeeds once the modulus passes
-      2 H^2.  Past that point the routine gives up with None.  A skipped
-      prime divides a nonzero r x r minor, so only finitely many are skipped.
+    * A returned vector v satisfies A v = 0 exactly over ZZ, on every row.
+      The n - r returned vectors are independent (v_j != 0 only at their own
+      free column), so rank_QQ <= r.  Also rank_p <= rank_QQ, so
+      rank_QQ = r, and the vectors span the kernel over QQ.
+    * Each returned v is zero at every pivot column right of its free column
+      j, so column j is a combination of earlier columns, and j is not a
+      pivot over QQ.  The n - r mod-p free columns are then exactly the free
+      columns over QQ, and a kernel basis normalized to the identity on the
+      free columns is unique: the result is ``kernel_basis(matrix)``, entry
+      for entry.
+    * A candidate with A_R v = 0 is the exact solution: A_RP is invertible
+      over QQ, since its determinant is nonzero mod p.  If it then fails
+      another row, rank_QQ > r; if it is nonzero at a pivot right of j, the
+      pivots over QQ differ.  Either way the prime was unlucky: None.
+    * When rank_QQ = r and the pivots agree, the entries of x are ratios of
+      r x r minors of A_R, at most H in size, H the Hadamard bound of A_R's
+      rows.  Reconstruction is unique and succeeds once the modulus passes
+      2 H^2; past that point the routine gives up with None.
     """
     if matrix.field.modulus is not None:
-        raise ValueError("lifted_left_kernel needs a matrix over QQ")
-    nrows = matrix.nrows
-    cleared = [numerators(row) for row in matrix.rows]
-    rows = [num for num, _ in cleared]
-    dens = [den for _, den in cleared]
-    columns = list(zip(*rows))
-    first = None
+        raise ValueError("lifted_kernel needs a matrix over QQ")
+    f, n = matrix.field, matrix.ncols
+    rows = [numerators(row)[0] for row in matrix.rows]
+    p = _LIFT_FIELD.modulus
+    prows, pivots, inverse = _pivot_inverse_mod_p(rows, n)
+    others = set(range(len(rows))) - set(prows)
+    minor = [[rows[i][c] for c in pivots] for i in prows]
+    pending = {j: ([-rows[i][j] for i in prows], [0] * len(prows))
+               for j in sorted(set(range(n)) - set(pivots))}
+    # twice the square of the Hadamard bound of the r x r minors of A_R
+    give_up = 2
+    for i in prows:
+        give_up *= sum(x * x for x in rows[i])
+    kernel = {}
     modulus, tried_bits = 1, 0
-    for i in count():
-        field = _lift_field(i)
-        p = field.modulus
-        reduced, rank, pivots = rref(
-            DenseMatrix(field, [[x % p for x in col] for col in columns], nrows))
-        if first is None:
-            if rank == nrows:
-                return rank, []
-            first = rank, pivots
-            pivot_set = set(pivots)
-            free = [j for j in range(nrows) if j not in pivot_set]
-            # twice the square of the Hadamard bound of the rank x rank minors
-            norms = sorted(sum(x * x for x in row) for row in rows)
-            give_up = 2
-            for n in norms[nrows - rank:]:
-                give_up *= n
-            residues = [[0] * rank for _ in free]
-        elif rank < first[0]:
-            continue
-        elif (rank, pivots) != first:
-            return None
-        inv = pow(modulus, -1, p)
-        for vec, j in zip(residues, free):
-            for k in range(rank):
-                x = vec[k]
-                vec[k] = x + modulus * ((-reduced.rows[k][j] - x) * inv % p)
+    while pending:
+        for b, x in pending.values():
+            residues = [v % p for v in b]
+            y = [sum(map(mul, crow, residues)) % p for crow in inverse]
+            b[:] = [(v - sum(map(mul, mrow, y))) // p for v, mrow in zip(b, minor)]
+            x[:] = [u + modulus * v for u, v in zip(x, y)]
         modulus *= p
         last = modulus > give_up
-        # reconstruct once the modulus has 10 % more bits than at the last try
-        if last or modulus.bit_length() * 10 >= tried_bits * 11:
-            tried_bits = modulus.bit_length()
-            vectors = _verified_kernel(rows, dens, pivots, free, residues, modulus)
-            if vectors is not None:
-                return rank, vectors
-        if last:
+        if not (last or modulus.bit_length() * 4 >= tried_bits * 5):
+            continue
+        tried_bits = modulus.bit_length()
+        for j, (_, x) in list(pending.items()):
+            rec = _reconstruct(x, modulus)
+            if rec is None:
+                continue
+            den, nums = rec
+            support = [(c, v) for c, v in zip(pivots, nums) if v] + [(j, den)]
+            if any(sum(rows[i][c] * v for c, v in support) for i in prows):
+                continue        # not the exact solution yet
+            if (any(sum(rows[i][c] * v for c, v in support) for i in others)
+                    or any(c > j for c, _ in support[:-1])):
+                return None
+            v = [f.zero] * n
+            v[j] = f.one
+            for c, num in support[:-1]:
+                v[c] = Fraction(num, den)
+            kernel[j] = v
+            del pending[j]
+        if pending and last:
             return None
+    return DenseMatrix(f, [kernel[j] for j in sorted(kernel)], n)
 
 
-def _verified_kernel(rows, dens, pivots, free, residues, modulus):
-    """The reconstructed vectors, scaled to the input matrix, or None unless
-    every one is an exact left kernel vector of the integer rows."""
-    out = []
-    for vec, j in zip(residues, free):
-        rec = _reconstruct(vec, modulus)
-        if rec is None:
-            return None
-        den, nums = rec
-        y = {j: den}
-        y.update((i, x) for i, x in zip(pivots, nums) if x)
-        support = [(x, rows[i]) for i, x in y.items()]
-        if any(sum(x * row[c] for x, row in support) for c in range(len(rows[0]))):
-            return None
-        full = [0] * len(rows)
-        for i, x in y.items():
-            full[i] = x * dens[i]
-        out.append(primitive(full))
-    return out
+def _pivot_inverse_mod_p(rows, ncols):
+    """Pivot rows and columns of integer rows mod p, and the inverse mod p of
+    the minor on them, in pivot order, from one ``rref`` of [rows | identity].
+
+    The pivots in the rows' own columns are their pivots mod p, r of them.
+    Each of the other m - r pivots lies in the identity block, at a row that
+    the reduced form writes as a combination of later rows, so the r rows
+    left over are independent.  The first r reduced rows are [G A | G] with
+    G A the identity on the pivot columns, and G is zero at every other
+    pivot, so G on the rows left over is the inverse of their minor.
+    """
+    p = _LIFT_FIELD.modulus
+    m = len(rows)
+    augmented = [[x % p for x in row] + [int(i == k) for k in range(m)]
+                 for i, row in enumerate(rows)]
+    reduced, _, pivots = _rref_mod_p(DenseMatrix(_LIFT_FIELD, augmented, ncols + m))
+    r = sum(c < ncols for c in pivots)
+    dependent = {c - ncols for c in pivots[r:]}
+    prows = [i for i in range(m) if i not in dependent]
+    return prows, pivots[:r], [[reduced.rows[k][ncols + i] for i in prows]
+                               for k in range(r)]

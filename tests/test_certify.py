@@ -18,7 +18,8 @@ from tensorcert import (DEFAULT_PRIME, Decomposition, MPoly, PrimeField, QQ,
 import oracles
 from conftest import random_form
 from tensorcert.flatten import flattening_matrix
-from tensorcert.linalg import lifted_left_kernel
+from tensorcert.ideals import pullback_linear_section, section_ideal
+from tensorcert.linalg import lifted_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +344,7 @@ def test_thm37_unlucky_prime_gives_up_the_lift(monkeypatch, sizes, degrees, h):
     _, dec = random_tensor(TensorSpace(sizes, degrees), h, RandomConfig(seed=26))
     F = Decomposition(dec.space, dec.terms, [1] * (h - 2) + [DEFAULT_PRIME] * 2).expand()
     split = Split.of(F.space, (thm37_family(F.space, h)[3],))
-    assert lifted_left_kernel(flattening_matrix(F, split)) is None
+    assert lifted_kernel(flattening_matrix(F, split).transpose()) is None
     cert = certify_thm37(F, h)
     assert cert.certified
     assert _full_view(cert) == _full_view(_exact_thm37(monkeypatch, F, h))
@@ -363,6 +364,52 @@ def test_thm37_rank_deficient_forms_match_exact_path(monkeypatch, sizes, degrees
             cert = certify_thm37(T, h)
             assert cert.verdict == "Inconclusive"
             assert _full_view(cert) == _full_view(_exact_thm37(monkeypatch, T, h))
+
+
+def _no_rational_rref(monkeypatch):
+    """Make any rational echelon pass fail the test."""
+    def refuse(matrix):
+        raise AssertionError("a rational rref ran")
+
+    monkeypatch.setattr(importlib.import_module("tensorcert.linalg"), "_rref_rational",
+                        refuse)
+
+
+@pytest.mark.parametrize("sizes,degrees,h,rank", [
+    ((2,), (9,), 5, 4), ((2,), (31,), 16, 15), ((3,), (5,), 7, 6), ((4,), (3,), 5, 4),
+], ids=["binary-9", "binary-31", "ternary-quintic", "quaternary-cubic"])
+def test_thm37_lifted_section_matches_exact_path(monkeypatch, sizes, degrees, h, rank):
+    # full rank mod p and a non-empty section: the lifted right kernel gives
+    # the exact path's pullback generators, so its report, with no rational rref
+    for seed in (41, 42):
+        T, _ = random_tensor(TensorSpace(sizes, degrees), rank, RandomConfig(seed=seed))
+        split = Split.of(T.space, (thm37_family(T.space, h)[3],))
+        exact = _exact_thm37(monkeypatch, T, h)
+        kernel = lifted_kernel(flattening_matrix(T, split))
+        assert section_ideal(kernel, T.space, split.b).generators == \
+            pullback_linear_section(flatten(T, split).span, T.space, split.b).generators
+        with monkeypatch.context() as m:
+            _no_rational_rref(m)
+            cert = certify_thm37(T, h)
+        assert cert.reason == "failed checks: b_section_empty"
+        assert _full_view(cert) == _full_view(exact)
+
+
+def test_thm37_conjugate_irrational_points_match_exact_path(monkeypatch):
+    # (x + sqrt2 y)^31 + (x - sqrt2 y)^31 has rational coefficients but no
+    # rational points; with 13 rational terms the catalecticant has full rank
+    # 15 and the section is the 15 points, so the lifted kernel decides
+    space = TensorSpace((2,), (31,))
+    conjugate = MPoly(space, {(31 - k, k): 2 * comb(31, k) * 2 ** (k // 2)
+                              for k in range(0, 32, 2)})
+    T13, _ = random_tensor(space, 13, RandomConfig(seed=43))
+    F = T13 + conjugate
+    exact = _exact_thm37(monkeypatch, F, 16)
+    with monkeypatch.context() as m:
+        _no_rational_rref(m)
+        cert = certify_thm37(F, 16)
+    assert [c.computed for c in cert.checks] == [15, "ZeroDim(15)"]
+    assert _full_view(cert) == _full_view(exact)
 
 
 def test_thm37_denominator_divisible_by_prime_skips_witness(monkeypatch):
@@ -608,13 +655,17 @@ def _count_rref_inputs(monkeypatch):
     ((4,), (4,), 7, 7, 0, 4, "Prop33", 1, 0),
     ((3,), (5,), 7, 5, 0, 1, "Thm37", 0, 1),
     ((3,), (5,), 7, 7, 2, 1, "Thm37", 1, 1),
-], ids=["Prop31", "Thm37", "Prop33", "Thm37-fallback", "Thm37-unlucky-prime"])
+    ((3,), (5,), 7, 6, 0, 1, "Thm37", 0, 1),
+], ids=["Prop31", "Thm37", "Prop33", "Thm37-fallback", "Thm37-unlucky-prime",
+        "Thm37-lifted-section"])
 def test_flattening_matrix_is_reduced_once(monkeypatch, sizes, degrees, h, rank, lost,
                                            seed, criterion, qq_passes, p_passes):
     # a Theorem 3.7 witness reduces the mod-p flattening once; the QQ one is
     # never reduced for a rank-deficient form (the lifted left kernel proves
-    # its rank), and once when the last `lost` terms carry the factor p, so
-    # that the rank drops mod p only and the lift gives up
+    # its rank) nor for a full-rank one with a non-empty section (the lifted
+    # right kernel gives its section), and once when the last `lost` terms
+    # carry the factor p, so that the rank drops mod p only and the lift
+    # gives up
     T, dec = random_tensor(TensorSpace(sizes, degrees), rank, RandomConfig(seed=seed))
     if lost:
         lambdas = [1] * (rank - lost) + [DEFAULT_PRIME] * lost
@@ -681,6 +732,9 @@ _PINNED_REPORTS = {
     "thm37-lifted-rank": (
         lambda: certify(_random((3,), (5,), 5, 1)[0], 7),
         "702bd6b44842799a6e66a7b9237e59a50d501345493471ff4b5f13fc2c21f4e6"),
+    "thm37-lifted-section": (
+        lambda: certify(_random((3,), (5,), 6, 1)[0], 7),
+        "7c1c7f2855a86ea04d51b386f727b4247ff209dbfd99d037cede8b85f7d70a5c"),
     "thm37-unlucky-prime": (
         lambda: certify(_unlucky((3,), (5,), 7, 2, 1), 7),
         "b34d59b0e5fcb35eb027236a79643268ef0b3d6497d9c7d71f977e66d3e6d6b4"),

@@ -107,6 +107,59 @@ def test_power_beyond_the_degree_is_refused_before_expansion():
     assert F.terms == {(3, 0): QQ(1) / 2 ** 3000}
 
 
+def test_power_of_a_number_is_capped_before_it_is_computed():
+    space = TensorSpace((2,), (1,))
+    text = "3^1000000*x1_0 - 3^1000000*x1_0 + x1_1"
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="bits") as info:
+        parse_polynomial(text, space)
+    assert time.perf_counter() - start < 0.05
+    assert info.value.position == text.index("^")
+    for refused in ("(3)^1000000*x1_0", "(1/3)^1000000*x1_0", "x1_0*1/2^200000"):
+        with pytest.raises(ParseError, match="bits") as info:
+            parse_polynomial(refused, space)
+        assert refused[info.value.position] == "^"
+    assert parse_polynomial("2^64*x1_0", space).terms == {(1, 0): QQ(2 ** 64)}
+    assert parse_polynomial("1^1000000*(1)^1000000*x1_0", space).terms == {(1, 0): QQ(1)}
+    # over F_p the power is reduced as it is taken, and no cap applies
+    p = 1073741789
+    doc = parse_document(f"sizes: 2\ndegrees: 1\nfield: fp:{p}\ntensor: {text}\n")
+    assert doc.payload.terms == {(0, 1): 1}
+    doc = parse_document(f"sizes: 2\ndegrees: 1\nfield: fp:{p}\n"
+                         "tensor: 3^1000000*x1_0\n")
+    assert doc.payload.terms == {(1, 0): pow(3, 1000000, p)}
+
+
+def test_product_beyond_the_degree_is_refused_at_its_star():
+    space = TensorSpace((2,), (3,))
+    text = "*".join(["(x1_0 + x1_1)^3"] * 250)
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="total degree 6") as info:
+        parse_polynomial(text, space)
+    assert time.perf_counter() - start < 0.05
+    assert info.value.position == text.index("*")
+    for refused, degree in (("x1_0^2*x1_1*(x1_0 - x1_1)", 4), ("2*x1_0^2*3*x1_1^2", 4),
+                            ("(x1_0)*(x1_1)^2*x1_0", 4)):
+        with pytest.raises(ParseError, match=f"total degree {degree}") as info:
+            parse_polynomial(refused, space)
+        assert refused[info.value.position] == "*"
+        assert refused[info.value.position + 1:].lstrip()[:1] in "x(2"
+
+
+def test_legal_products_parse_to_the_generic_product():
+    space = TensorSpace((3,), (3,))
+    x = [MPoly(space, {tuple(int(i == j) for j in range(3)): 1}) for i in range(3)]
+    cases = {
+        "(x1_0 + x1_1)*(x1_0 - 2*x1_2)*x1_1": (x[0] + x[1]) * (x[0] - x[2].scale(2)) * x[1],
+        "x1_2*(x1_0 + x1_1)^2": x[2] * (x[0] + x[1]) * (x[0] + x[1]),
+        "3/4*(x1_0)*2*(x1_1 - x1_2)*(1 + 1)*x1_2^1":
+            (x[0] * (x[1] - x[2]) * x[2]).scale(3),
+        "(x1_0 + x1_1 + x1_2)^3*1^5": (x[0] + x[1] + x[2]) ** 3,
+    }
+    for text, want in cases.items():
+        assert parse_polynomial(text, space) == want
+
+
 def test_parse_mixed_variables():
     space = TensorSpace((2, 3), (1, 1))
     F = parse_polynomial("x1_0*x2_2 - x1_1*x2_0", space)

@@ -10,6 +10,8 @@ from tensorcert import (BudgetExceededError, DenseMatrix, Ideal, MPoly, QQ,
                         pullback_linear_section, random_tensor, RandomConfig)
 
 from tensorcert.ideals import _classify
+from tensorcert.linalg import kernel_basis
+from tensorcert.poly import monomial_multinomial
 
 import oracles
 from conftest import random_form
@@ -55,6 +57,37 @@ def test_pullback_generator_count():
     assert fl.rank == 6
     ideal = pullback_linear_section(image_span(fl), space, (3,))
     assert len(ideal) == 10 - 6
+
+
+def _scaled_kernel(span, space, b):
+    """The pullback's generators as first built: the kernel of the span with
+    column m divided by its multinomial, by a full echelon pass."""
+    field = span.field
+    basis = monomial_basis(space, b)
+    scale = [field.inv(field(monomial_multinomial(space, m))) for m in basis]
+    scaled = DenseMatrix(field, [[field.mul(c, s) for c, s in zip(row, scale)]
+                                 for row in span.rows], span.ncols)
+    return [{m: c for m, c in zip(basis, row) if not field.is_zero(c)}
+            for row in kernel_basis(scaled).rows]
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
+def test_pullback_generators_match_the_scaled_kernel(field):
+    # a reduced span has its kernel read off its pivots; any other span is
+    # reduced first; both give the generators of the scaled kernel exactly
+    for sizes, degrees, rank, a in [((3,), (5,), 6, (2,)), ((2,), (9,), 4, (3,)),
+                                    ((2, 3), (2, 2), 4, (1, 1))]:
+        space = TensorSpace(sizes, degrees)
+        T, _ = random_tensor(space, rank, RandomConfig(seed=7, field=field))
+        fl = flatten(T, Split.of(space, a))
+        b = fl.split.b
+        span = image_span(fl)
+        mixed = DenseMatrix(field, [[field.add(x, field.mul_int(y, 3)) for x, y in
+                                     zip(span.rows[-1], span.rows[0])]] + list(span.rows[:-1]),
+                            span.ncols)
+        for rows in (span, fl.matrix, mixed):
+            gens = pullback_linear_section(rows, space, b).generators
+            assert [g.terms for g in gens] == _scaled_kernel(span, space, b)
 
 
 def test_pullback_wrong_width():

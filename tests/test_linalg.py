@@ -6,7 +6,7 @@ import pytest
 from tensorcert import (DEFAULT_PRIME, DenseMatrix, PrimeField, QQ, kernel_basis, rref,
                         row_space_basis)
 import tensorcert.linalg as linalg
-from tensorcert.linalg import lifted_left_kernel
+from tensorcert.linalg import lifted_kernel
 
 import oracles
 
@@ -162,6 +162,19 @@ def test_rref_matches_fraction_oracle_over_qq():
         assert all(type(x) is Fraction for row in reduced.rows for x in row)
 
 
+def test_kernel_basis_reads_a_reduced_matrix_without_rref(monkeypatch):
+    fp = PrimeField(1073741789)
+    for rows, ncols in _rref_cases():
+        want = oracles.fraction_kernel(rows, ncols)
+        assert [list(r) for r in kernel_basis(qmat(rows, ncols)).rows] == want
+        reduced = oracles.fraction_rref(rows)[0]
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "rref", lambda matrix: pytest.fail("rref ran"))
+            assert [list(r) for r in kernel_basis(qmat(reduced, ncols)).rows] == want
+            got = kernel_basis(DenseMatrix.from_rows(fp, reduced, ncols))
+            assert got.rows == tuple(tuple(fp(x) for x in row) for row in want)
+
+
 def test_rref_matches_fraction_oracle_mod_p():
     # with the same pivot columns, the reduced form mod p is the rational one
     # reduced mod p (its entries are ratios of minors that are units mod p)
@@ -207,54 +220,79 @@ def _lift_cases():
 
 
 def test_lifted_left_kernel_matches_fraction_oracle():
+    # the left kernel is the right kernel of the transpose, and it proves the rank
     for rows in _lift_cases():
-        lifted = lifted_left_kernel(qmat(rows, len(rows[0])))
+        ncols = len(rows[0])
+        lifted = lifted_kernel(qmat(rows, ncols).transpose())
         assert lifted is not None
-        rank, vectors = lifted
+        rank = len(rows) - lifted.nrows
         assert rank == oracles.fraction_rref(rows)[1]
-        assert len(vectors) == len(rows) - rank
-        for y in vectors:
-            assert all(type(x) is int for x in y)
+        for y in lifted.rows:
+            assert all(type(x) is Fraction for x in y)
             assert all(sum(x * row[c] for x, row in zip(y, rows)) == 0
-                       for c in range(len(rows[0])))
-        assert oracles.fraction_rref(vectors)[1] == len(vectors)
+                       for c in range(ncols))
+        assert oracles.fraction_rref(lifted.rows)[1] == lifted.nrows
 
 
-def _counting_rref(monkeypatch, limit):
-    """Count the lift's echelon passes; fail once there are more than `limit`."""
-    calls = []
-    real = linalg.rref
-
-    def counting(matrix):
-        calls.append(matrix.field.modulus)
-        assert len(calls) <= limit, "the lift kept drawing primes"
-        return real(matrix)
-
-    monkeypatch.setattr(linalg, "rref", counting)
-    return calls
+def test_lifted_kernel_matches_fraction_kernel_on_both_sides():
+    # the lift returns kernel_basis entry for entry, on M and on its transpose
+    for rows, ncols in [(rows, len(rows[0])) for rows in _lift_cases()] + _rref_cases():
+        m = qmat(rows, ncols)
+        for side in (m, m.transpose()):
+            lifted = lifted_kernel(side)
+            want = oracles.fraction_kernel([list(r) for r in side.rows], side.ncols)
+            assert lifted is not None
+            assert [list(r) for r in lifted.rows] == want
+            assert lifted == kernel_basis(side)
 
 
-def test_lifted_left_kernel_gives_up_on_an_unlucky_first_prime(monkeypatch):
-    # det = p: rank 1 mod the first lift prime, rank 2 over QQ.  The small
-    # kernel (-3, 1) mod p reconstructs at once, so only the exact check
-    # keeps it out, and the second prime's higher rank ends the lift
+def _counting_reconstruct(monkeypatch):
+    """The moduli at which the lift tries a reconstruction."""
+    moduli = []
+    real = linalg._reconstruct
+
+    def counting(residues, m):
+        moduli.append(m)
+        return real(residues, m)
+
+    monkeypatch.setattr(linalg, "_reconstruct", counting)
+    return moduli
+
+
+def test_lifted_kernel_gives_up_on_an_unlucky_prime(monkeypatch):
+    # det = -p: rank 1 mod p, rank 2 over QQ.  The pivot row (1, 2) has the
+    # small exact solution (-2, 1), and only the check over ZZ on the other
+    # row keeps it out: the lift ends with None after one step, not rank 1
     p = DEFAULT_PRIME
-    calls = _counting_rref(monkeypatch, 4)
-    assert lifted_left_kernel(qmat([[1, 2], [3, 6 + p]])) is None
-    assert calls == [p, linalg._lift_field(1).modulus]
+    moduli = _counting_reconstruct(monkeypatch)
+    assert lifted_kernel(qmat([[3, 6 + p], [1, 2]])) is None
+    assert moduli == [p]
+    assert lifted_kernel(qmat([[1, 2], [3, 6 + p]]).transpose()) is None
+    assert lifted_kernel(qmat([[p, 0], [0, 2 * p]])) is None
 
 
-def test_lifted_left_kernel_skips_a_prime_of_lower_rank(monkeypatch):
-    # the second lift prime q divides every 2 x 2 minor, so it is skipped;
-    # the 40-bit kernel (-a, -b, 1) needs more primes than the first
-    q = linalg._lift_field(1).modulus
+def test_lifted_kernel_lifts_a_40_bit_kernel_in_several_steps(monkeypatch):
+    # the kernel (-a, -b, 1) needs a modulus past 2 * (2^40)^2, three primes'
+    # worth, and the first steps' candidates must fail the exact check
     a, b = 987654321987, 123456789123
-    calls = _counting_rref(monkeypatch, 8)
-    rank, vectors = lifted_left_kernel(qmat([[1, 0], [0, q], [a, b * q]]))
-    assert (rank, vectors) == (2, [[-a, -b, 1]])
-    assert calls[:2] == [DEFAULT_PRIME, q] and len(calls) > 2
+    moduli = _counting_reconstruct(monkeypatch)
+    lifted = lifted_kernel(qmat([[1, 0], [0, 1], [a, b]]).transpose())
+    assert [list(r) for r in lifted.rows] == [[-a, -b, 1]]
+    assert len(moduli) > 1 and moduli == sorted(moduli)
+    assert moduli[-1] > 2 * (1 << 80) > moduli[0]
+
+
+def test_lifted_kernel_rejects_mod_p_pivots_that_differ_from_qq():
+    # rank 2 both ways, but the pivots are (0, 1) over QQ and (0, 2) mod p.
+    # The lifted vector (-2, 1, -p) is an exact kernel vector, yet it is not
+    # zero at pivot 2, right of its free column 1: kernel_basis has the free
+    # column 2, so the lift must give up
+    p = DEFAULT_PRIME
+    m = qmat([[1, 2, 0], [3, 6 + p, 1]])
+    assert [list(r) for r in kernel_basis(m).rows] == [[Fraction(2, p), Fraction(-1, p), 1]]
+    assert lifted_kernel(m) is None
 
 
 def test_lifted_left_kernel_needs_a_rational_matrix():
     with pytest.raises(ValueError):
-        lifted_left_kernel(DenseMatrix.identity(PrimeField(7), 2))
+        lifted_kernel(DenseMatrix.identity(PrimeField(7), 2))
