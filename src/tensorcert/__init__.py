@@ -4,16 +4,14 @@ symmetric tensors, over exact rationals or a prime field."""
 from .fields import DEFAULT_PRIME, PrimeField, QQ, field_from_spec
 from .linalg import DenseMatrix, kernel_basis, rref, row_space_basis
 from .poly import (MPoly, TensorSpace, coefficient_vector, dimension_of_multidegree,
-                   mixed_partial_derivatives, monomial_basis, partial_derivatives,
-                   poly_to_string, power_and_product)
-from .flatten import Flattening, Split, SplitError, choose_split, flatten, image_span
+                   monomial_basis, poly_to_string, power_and_product)
+from .flatten import Flattening, Split, SplitError, default_split, flatten, image_span
 from .ideals import (BudgetExceededError, GroebnerBasis, Ideal, SchemeReport,
                      binary_fast_path, buchberger, classify_linear_section,
                      hilbert_value, pullback_linear_section)
 from .certify import (Certificate, Check, Decomposition, certify, certify_prop31,
                       certify_prop33, certify_thm37, corollary35_bound,
-                      corollary35_bounds, effective_range, segre_veronese_degree,
-                      thm37_family)
+                      effective_range, segre_veronese_degree, thm37_family)
 from .randgen import RandomConfig, random_rank_one, random_tensor
 
 __version__ = "0.1.0"
@@ -22,14 +20,13 @@ __all__ = [
     "DEFAULT_PRIME", "PrimeField", "QQ", "field_from_spec",
     "DenseMatrix", "kernel_basis", "rref", "row_space_basis",
     "MPoly", "TensorSpace", "coefficient_vector", "dimension_of_multidegree",
-    "mixed_partial_derivatives", "monomial_basis", "partial_derivatives",
-    "poly_to_string", "power_and_product",
-    "Flattening", "Split", "SplitError", "choose_split", "flatten", "image_span",
+    "monomial_basis", "poly_to_string", "power_and_product",
+    "Flattening", "Split", "SplitError", "default_split", "flatten", "image_span",
     "BudgetExceededError", "GroebnerBasis", "Ideal", "SchemeReport",
     "binary_fast_path", "buchberger", "classify_linear_section",
     "hilbert_value", "pullback_linear_section",
     "Certificate", "Check", "Decomposition", "certify", "certify_prop31",
-    "certify_prop33", "certify_thm37", "corollary35_bound", "corollary35_bounds",
+    "certify_prop33", "certify_thm37", "corollary35_bound",
     "effective_range", "segre_veronese_degree", "thm37_family",
     "RandomConfig", "random_rank_one", "random_tensor",
     "__version__",

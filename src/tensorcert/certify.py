@@ -269,11 +269,6 @@ def corollary35_bound(family: str, *, n=None, degrees=None, factors=None, dims=N
     raise ValueError(f"unknown family {family!r}")
 
 
-def corollary35_bounds(family: str, h: int, **params) -> bool:
-    """Effectiveness test by direct evaluation of the displayed inequality."""
-    return h < corollary35_bound(family, **params)
-
-
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -292,17 +287,15 @@ def _flattening_checks(T: MPoly, split: Split, rank, section, length=None, *, bu
     The flattening of T at the split must have the required rank; then the
     span of its rows must cut the multidegree-b variety in a scheme of the
     required status and, when asked, length.  ``rank``, ``section`` and
-    ``length`` are (check name, required value) pairs.  Returns the checks
-    and whether the S-pair budget ran out.
+    ``length`` are (check name, required value) pairs.
     """
     fl = flatten(T, split)
     name, required = rank
     checks = [Check(name, fl.rank, required, fl.rank == required)]
     if not checks[0].passed:
-        return checks, False
+        return checks
     ideal = pullback_linear_section(image_span(fl), T.space, split.b)
-    more, exhausted = _section_checks(ideal, section, length, budget=budget)
-    return checks + more, exhausted
+    return checks + _section_checks(ideal, section, length, budget=budget)
 
 
 def _section_checks(ideal, section, length=None, *, budget):
@@ -320,7 +313,7 @@ def _section_checks(ideal, section, length=None, *, budget):
         name, required = length
         checks.append(Check(name, report.length if ok else report.describe(), required,
                             ok and report.length == required))
-    return checks, report.budget_exhausted
+    return checks
 
 
 def certify_prop31(T: MPoly, h: int, split: Split = None, *,
@@ -336,7 +329,7 @@ def certify_prop31(T: MPoly, h: int, split: Split = None, *,
         raise SplitError(f"split has dim V_A = {split.dim_a} < h = {h}")
     cert = _certificate("Prop31", h, space, T.field, split=split,
                         effective=effective_range(space, split, h))
-    return _finish(cert, start, *_flattening_checks(
+    return _finish(cert, start, _flattening_checks(
         T, split, ("i_flattening_rank", h), ("ii_section_dimension", "ZeroDim"),
         ("iii_section_length", h), budget=budget))
 
@@ -367,11 +360,11 @@ def certify_thm37(F: MPoly, h: int, *, budget=None) -> Certificate:
     decided = _thm37_witness(F, split, full, budget) if F.field == QQ else None
     if decided is None:
         decided = _thm37_checks(F, split, full, budget)
-    return _finish(cert, start, *decided)
+    return _finish(cert, start, decided)
 
 
 def _thm37_checks(F: MPoly, split: Split, full: int, budget):
-    """Theorem 3.7's two checks over the field of F, and whether the budget ran out."""
+    """Theorem 3.7's two checks over the field of F."""
     return _flattening_checks(F, split, ("a_derivative_span_rank", full),
                               ("b_section_empty", "Empty"), budget=budget)
 
@@ -382,11 +375,10 @@ _WITNESS_FIELD = PrimeField(DEFAULT_PRIME)
 def _thm37_witness(F: MPoly, split: Split, full: int, budget):
     """Theorem 3.7's checks for F over QQ, settled from residues mod one prime.
 
-    Returns the checks and whether the budget ran out, when they are decided
-    this way, and the same checks as the exact path; returns None otherwise,
-    and the exact path decides.  M is the catalecticant of F, and
-    ``lifted_kernel`` lifts a kernel mod p = ``DEFAULT_PRIME`` to QQ.  Three
-    outcomes are exact:
+    Returns the checks when they are decided this way, the same checks as
+    the exact path; returns None otherwise, and the exact path decides.  M
+    is the catalecticant of F, and ``lifted_kernel`` lifts a kernel mod
+    p = ``DEFAULT_PRIME`` to QQ.  Three outcomes are exact:
 
     * Both checks pass mod p, which certifies F over QQ.
     * The rank is below full mod p, and the lifted left kernel of M proves
@@ -427,23 +419,22 @@ def _thm37_witness(F: MPoly, split: Split, full: int, budget):
         Fp = MPoly(F.space, F.terms, _WITNESS_FIELD)
     except ZeroDivisionError:
         return None
-    checks, _ = _thm37_checks(Fp, split, full, budget)
+    checks = _thm37_checks(Fp, split, full, budget)
     if checks[-1].passed:
         checks[1].detail["witness_prime"] = DEFAULT_PRIME
-        return checks, False
+        return checks
     M = flattening_matrix(F, split)
     if len(checks) == 1:
         left = lifted_kernel(M.transpose())
         if left is None:
             return None
-        return [Check("a_derivative_span_rank", M.nrows - left.nrows, full, False)], False
+        return [Check("a_derivative_span_rank", M.nrows - left.nrows, full, False)]
     kernel = lifted_kernel(M)
     if kernel is None:
         return None
     # the rank check passed mod p, and full rank mod p is full rank over QQ
-    more, exhausted = _section_checks(section_ideal(kernel, F.space, split.b),
-                                      ("b_section_empty", "Empty"), budget=budget)
-    return checks[:1] + more, exhausted
+    return checks[:1] + _section_checks(section_ideal(kernel, F.space, split.b),
+                                        ("b_section_empty", "Empty"), budget=budget)
 
 
 def thm37_family(space: TensorSpace, h: int):
@@ -503,30 +494,31 @@ def certify_prop33(dec: Decomposition, *, budget=None) -> Certificate:
         Check("iii_ambient_count", split.dim_b, h + n, True),
         Check("iv_variety_degree", degree, f"<= {h + 1}", iv_ok),
     ]
-    exhausted = False
     if iv_ok:
-        more, exhausted = _flattening_checks(
+        checks += _flattening_checks(
             dec.expand(), split, ("i_flattening_rank", h),
             ("ii_section_dimension", "ZeroDim"), budget=budget)
-        checks += more
         if checks[-1].passed:
-            # check ii passed, so its budget did not run out: only check v's can
             basis = monomial_basis(space, space.degrees)
             rows = [coefficient_vector(dec.term_polynomial(i), basis) for i in range(h)]
             span = row_space_basis(DenseMatrix(dec.field, rows, len(basis)))
-            more, exhausted = _section_checks(
+            checks += _section_checks(
                 pullback_linear_section(span, space, space.degrees),
                 ("v_span_section_dimension", "ZeroDim"), ("v_span_section_length", h),
                 budget=budget)
-            checks += more
-    return _finish(cert, start, checks, exhausted)
+    return _finish(cert, start, checks)
 
 
-def _finish(cert: Certificate, start: float, checks, budget_exhausted=False):
+def _finish(cert: Certificate, start: float, checks):
     """The certificate with its checks, time and verdict: Certified exactly
-    when there are checks and all of them pass."""
+    when there are checks and all of them pass.
+
+    The budget ran out exactly when some check computed ``Inconclusive``: a
+    section check computes that only when its S-pair budget is exhausted
+    (``classify_linear_section``), and no other check ever does.
+    """
     cert.checks = tuple(checks)
-    cert.budget_exhausted = budget_exhausted
+    cert.budget_exhausted = any(c.computed == "Inconclusive" for c in cert.checks)
     cert.seconds = time.perf_counter() - start
     if cert.checks and all(c.passed for c in cert.checks):
         cert.verdict = "Certified"

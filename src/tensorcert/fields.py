@@ -17,11 +17,19 @@ from math import gcd, lcm
 #: 30-bit prime used when a modular run is requested without an explicit prime.
 DEFAULT_PRIME = 1073741789
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: psi_13, the least strong pseudoprime to every base in ``_MR_BASES``
+#: (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test, exact for all n < 3.3e24."""
+    """Deterministic Miller-Rabin test, exact for every n < ``_MR_LIMIT``;
+    raises ValueError from there on, where a composite could pass."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large for a deterministic primality test "
+                         f"(limit {_MR_LIMIT})")
     if n < 2:
         return False
     for q in _MR_BASES:

@@ -49,19 +49,16 @@ class Split:
         return self.a[0]
 
 
-def choose_split(space: TensorSpace, h: int, mode: str = "minimal") -> Split:
+def default_split(space: TensorSpace, h: int) -> Split:
     """Pick a split suited to target rank h.
 
-    ``minimal`` (single group only) returns the smallest s with
-    binom(n+s, n) >= h, so that binom(n+s-1, n) < h as well.  ``balanced``
-    takes a_i = ceil(d_i/2).  Raises SplitError when no admissible split
-    reaches dim V_A >= h.
+    For a single group, the smallest s with binom(n+s, n) >= h, so that
+    binom(n+s-1, n) < h as well; for several groups, the balanced split
+    a_i = ceil(d_i/2).  Raises SplitError when that split has dim V_A < h.
     """
     if h < 1:
         raise ValueError("h must be >= 1")
-    if mode == "minimal":
-        if space.p != 1:
-            raise SplitError("minimal splits are defined for a single group")
+    if space.p == 1:
         n = space.sizes[0] - 1
         d = space.degrees[0]
         for s in range(d + 1):
@@ -69,19 +66,10 @@ def choose_split(space: TensorSpace, h: int, mode: str = "minimal") -> Split:
                 return Split.of(space, (s,))
         raise SplitError(
             f"no admissible split: dim V_A is at most {comb(n + d, n)} < {h}")
-    if mode == "balanced":
-        a = tuple((d + 1) // 2 for d in space.degrees)
-        split = Split.of(space, a)
-        if split.dim_a < h:
-            raise SplitError(
-                f"balanced split has dim V_A = {split.dim_a} < {h}")
-        return split
-    raise ValueError(f"unknown split mode {mode!r}")
-
-
-def default_split(space: TensorSpace, h: int) -> Split:
-    """Minimal split for one group, balanced split for several."""
-    return choose_split(space, h, "minimal" if space.p == 1 else "balanced")
+    split = Split.of(space, tuple((d + 1) // 2 for d in space.degrees))
+    if split.dim_a < h:
+        raise SplitError(f"balanced split has dim V_A = {split.dim_a} < {h}")
+    return split
 
 
 @dataclass(frozen=True)

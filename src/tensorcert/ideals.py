@@ -124,7 +124,6 @@ class SchemeReport:
     trace: tuple = ()                # ((t, HF(t,..,t)), ...) as classified
     method: str = ""
     note: str = ""
-    budget_exhausted: bool = False
 
     def __post_init__(self):
         if self.status == "ZeroDim" and (self.length is None or self.length < 1):
@@ -134,14 +133,6 @@ class SchemeReport:
         if self.status == "ZeroDim":
             return f"ZeroDim({self.length})"
         return self.status
-
-    def trace_text(self) -> str:
-        """Hilbert profile as one text line per sampled degree."""
-        lines = [f"hilbert[{t}] = {v}" for t, v in self.trace]
-        lines.append(f"status: {self.describe()} ({self.method})")
-        if self.note:
-            lines.append(f"note: {self.note}")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +572,7 @@ def classify_linear_section(ideal: Ideal, *, budget=None) -> SchemeReport:
     try:
         gb = buchberger(ideal, budget=budget)
     except BudgetExceededError as exc:
-        return SchemeReport("Inconclusive", method="groebner",
-                            note=str(exc), budget_exhausted=True)
+        return SchemeReport("Inconclusive", method="groebner", note=str(exc))
     return _classify(gb)
 
 

@@ -43,9 +43,6 @@ class DenseMatrix:
     def zeros(cls, field, nrows, ncols):
         return cls(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def transpose(self):
         return DenseMatrix(self.field, list(zip(*self.rows)), self.nrows)
 

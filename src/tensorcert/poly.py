@@ -174,14 +174,6 @@ class MPoly:
     def zero(cls, space, field=QQ):
         return cls(space, {}, field, _clean=True)
 
-    @classmethod
-    def from_coeff_vector(cls, space, deg, coeffs, field=QQ):
-        """Dense ingestion: coefficients aligned with ``monomial_basis(space, deg)``."""
-        basis = monomial_basis(space, deg)
-        if len(coeffs) != len(basis):
-            raise ValueError(f"expected {len(basis)} coefficients, got {len(coeffs)}")
-        return cls(space, dict(zip(basis, coeffs)), field)
-
     def _check_compatible(self, other):
         if self.space != other.space or self.field != other.field:
             raise ValueError("polynomials live in different spaces or fields")
@@ -322,34 +314,6 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({poly_to_string(self)})"
-
-
-def partial_derivatives(F: MPoly, s: int):
-    """All order-s partials of a single-group form, in monomial-basis order."""
-    space = F.space
-    if space.p != 1:
-        raise ValueError("order-s partials are defined for a single variable group")
-    d = space.degrees[0]
-    if not (0 <= s <= d):
-        raise ValueError(f"derivative order {s} out of range 0..{d}")
-    _validate_degree(F)
-    return [F.derivative_by(m) for m in monomial_basis(space, (s,))]
-
-
-def mixed_partial_derivatives(T: MPoly, a):
-    """Iterated partials across all groups, one per monomial of multidegree a."""
-    space = T.space
-    a = tuple(int(x) for x in a)
-    if len(a) != space.p or any(not (0 <= ai <= di) for ai, di in zip(a, space.degrees)):
-        raise ValueError(f"multidegree {a} out of range for degrees {space.degrees}")
-    _validate_degree(T)
-    return [T.derivative_by(m) for m in monomial_basis(space, a)]
-
-
-def _validate_degree(F: MPoly):
-    deg = F.multidegree()
-    if deg is not None and deg != F.space.degrees:
-        raise ValueError(f"polynomial has multidegree {deg}, space declares {F.space.degrees}")
 
 
 def coefficient_vector(F: MPoly, basis):

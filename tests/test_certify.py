@@ -11,7 +11,7 @@ import pytest
 from tensorcert import (DEFAULT_PRIME, Decomposition, MPoly, PrimeField, QQ,
                         RandomConfig, Split, SplitError,
                         TensorSpace, certify, certify_prop31, certify_prop33,
-                        certify_thm37, corollary35_bound, corollary35_bounds,
+                        certify_thm37, corollary35_bound,
                         effective_range, flatten, random_tensor,
                         segre_veronese_degree, thm37_family)
 
@@ -54,8 +54,8 @@ def test_corollary35_examples():
     assert corollary35_bound("unbalanced-segre", dims=(50, 3, 3)) == 5
     # p = 1, degree 1 gives m_1 = 0: the degenerate guard bound h < 2 - n
     assert corollary35_bound("mixed-symmetric", n=2, degrees=(1,)) == 0
-    assert corollary35_bounds("segre", 4, n=3, factors=4)
-    assert not corollary35_bounds("segre", 5, n=3, factors=4)
+    assert 4 < corollary35_bound("segre", n=3, factors=4)
+    assert not 5 < corollary35_bound("segre", n=3, factors=4)
 
 
 def test_corollary35_unbalanced_precondition():
@@ -754,3 +754,22 @@ def test_report_is_unchanged(route):
     doc = build().to_json_dict()
     del doc["timing_seconds"]
     assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("build,exhausted", [
+    (lambda: certify(_random((3,), (5,), 6, 1)[0], 7, budget=0), True),
+    (lambda: certify(_random((3,), (5,), 7, 1)[0], 7, budget=0), True),
+    (lambda: certify(_random((4,), (4,), 7, 1)[1], budget=0), True),
+    (lambda: certify(_random((3,), (5,), 5, 1)[0], 7, budget=0), False),
+], ids=["thm37-lifted-section", "thm37-witness", "prop33-1d", "thm37-lifted-rank"])
+def test_budget_exhausted_is_read_off_the_checks(build, exhausted):
+    # an exhausted S-pair budget is the one way a check computes Inconclusive;
+    # the lifted-rank route decides on its rank check and runs no S-pair
+    cert = build()
+    assert not cert.certified
+    assert cert.budget_exhausted is exhausted
+    assert any(c.computed == "Inconclusive" for c in cert.checks) is exhausted
+    if exhausted:
+        assert cert.reason == "resource budget exhausted"
+    else:
+        assert cert.reason == "failed checks: a_derivative_span_rank"

@@ -514,6 +514,16 @@ def test_document_declared_field(tmp_path):
     assert json.loads(report)["field"] == {"mode": "probabilistic", "prime": 101}
 
 
+def test_document_composite_modulus_refused(tmp_path, capsys):
+    # psi_13 passes Miller-Rabin to every prime base up to 41
+    path = tmp_path / "t.txt"
+    path.write_text("sizes: 2\ndegrees: 3\nfield: fp:3317044064679887385961981\n"
+                    "tensor: x1_0^3 + x1_1^3\n", encoding="utf-8")
+    code, report = run_cli("certify", "--input", str(path), "--h", "2")
+    assert (code, report) == (1, "")
+    assert "primality" in capsys.readouterr().err
+
+
 def test_field_env_override(tmp_path, monkeypatch):
     path = tmp_path / "t.txt"
     path.write_text("sizes: 2\ndegrees: 3\ntensor: x1_0^3 + x1_1^3\n", encoding="utf-8")

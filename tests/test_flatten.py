@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from tensorcert import (MPoly, PrimeField, QQ, Split, SplitError, TensorSpace,
-                        choose_split, coefficient_vector, flatten, image_span,
+                        coefficient_vector, default_split, flatten, image_span,
                         monomial_basis, power_and_product, random_tensor,
                         RandomConfig, row_space_basis, rref)
-from tensorcert.flatten import default_split
 
 from conftest import random_form
 
@@ -40,7 +39,7 @@ def test_generic_seven_quintics_full_catalecticant():
 
 def test_choose_split_minimal():
     space = TensorSpace((3,), (5,))
-    split = choose_split(space, 6, "minimal")
+    split = default_split(space, 6)
     assert split.s == 2 and split.dim_a == 6
     # sandwich: binom(n+s, n) >= h > binom(n+s-1, n)
     assert split.dim_a >= 6 > 3
@@ -48,7 +47,7 @@ def test_choose_split_minimal():
 
 def test_choose_split_balanced_mixed():
     space = TensorSpace((2, 5, 4), (3, 2, 3))
-    split = choose_split(space, 5, "balanced")
+    split = default_split(space, 5)
     assert split.a == (2, 1, 2)
     assert split.b == (1, 1, 1)
     assert split.dim_b == 40
@@ -57,7 +56,7 @@ def test_choose_split_balanced_mixed():
 def test_choose_split_error():
     space = TensorSpace((2,), (3,))
     with pytest.raises(SplitError):
-        choose_split(space, 5, "minimal")
+        default_split(space, 5)
 
 
 def test_choose_split_sandwich_property():
@@ -68,7 +67,7 @@ def test_choose_split_sandwich_property():
         d = rng.randint(1, 6)
         space = TensorSpace((n + 1,), (d,))
         h = rng.randint(1, comb(n + d, n))
-        split = choose_split(space, h, "minimal")
+        split = default_split(space, h)
         s = split.s
         assert comb(n + s, n) >= h
         assert s == 0 or comb(n + s - 1, n) < h

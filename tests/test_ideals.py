@@ -513,7 +513,6 @@ def test_classify_budget_inconclusive():
     gens = [random_form(space, (1, 1), rng) for _ in range(2)]
     report = classify_linear_section(Ideal(space, gens), budget=1)
     assert report.status == "Inconclusive"
-    assert report.budget_exhausted
 
 
 def test_mixed_pullback_vanishes_on_decomposition_points():
@@ -672,8 +671,6 @@ def test_classify_unit_ideal_empty():
     one2 = MPoly(mixed, {(0, 0, 0, 0): 1})
     report2 = classify_linear_section(Ideal(mixed, [one2]))
     assert report2.status == "Empty"
-    text = report2.trace_text()
-    assert "status: Empty" in text
 
 
 def test_binary_fast_path_examples():

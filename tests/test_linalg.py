@@ -5,6 +5,7 @@ import pytest
 
 from tensorcert import (DEFAULT_PRIME, DenseMatrix, PrimeField, QQ, kernel_basis, rref,
                         row_space_basis)
+from tensorcert.fields import is_prime
 import tensorcert.linalg as linalg
 from tensorcert.linalg import lifted_kernel
 
@@ -112,6 +113,24 @@ def test_prime_field_arithmetic():
     assert fp.inv(7) * 7 % 101 == 1
     with pytest.raises(ValueError):
         PrimeField(100)
+
+
+# strong pseudoprimes to the bases 2 .. 37 (psi_12) and 2 .. 41 (psi_13)
+PSI12 = 318665857834031151167461
+PSI13 = 3317044064679887385961981
+
+
+def test_is_prime_refuses_the_pseudoprimes():
+    assert PSI12 == 399165290221 * 798330580441
+    assert PSI13 == 1287836182261 * 2575672364521
+    assert not is_prime(PSI12)
+    with pytest.raises(ValueError):
+        is_prime(PSI13)
+    for p in (PSI12, PSI13, PSI13 + 2):
+        with pytest.raises(ValueError):
+            PrimeField(p)
+    assert is_prime(2**61 - 1) and is_prime(DEFAULT_PRIME)
+    assert PrimeField(2**61 - 1).modulus == 2**61 - 1
 
 
 def test_matrix_immutable():
