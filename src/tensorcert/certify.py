@@ -23,15 +23,17 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
 from .fields import DEFAULT_PRIME, QQ, PrimeField, numerators
-from .flatten import (Split, SplitError, default_split, flatten, flattening_matrix,
+from .flatten import (Split, SplitError, default_split, flatten, flattening_numerators,
                       image_span)
-from .ideals import classify_linear_section, pullback_linear_section, section_ideal
-from .linalg import DenseMatrix, lifted_kernel, row_space_basis
-from .poly import (MPoly, TensorSpace, coefficient_vector, monomial_basis,
-                   poly_from_numerators, rank_one_numerators)
+from .ideals import (classify_linear_section, pullback_linear_section, rational_points,
+                     section_ideal)
+from .linalg import DenseMatrix, lifted_kernel, row_space_basis, spans_rows
+from .poly import (MPoly, TensorSpace, monomial_basis, poly_from_numerators,
+                   rank_one_numerators)
 
 CRITERION_LABELS = {
     "Prop31": "Proposition 3.1",
@@ -281,31 +283,39 @@ def _certificate(criterion, h, space, field, label="", **fields):
                        prime=field.modulus, **fields)
 
 
-def _flattening_checks(T: MPoly, split: Split, rank, section, length=None, *, budget):
+def _flattening_checks(T: MPoly, split: Split, rank, section, length=None, *, budget,
+                       prove=None):
     """The checks shared by Propositions 3.1 and 3.3 and Theorem 3.7.
 
     The flattening of T at the split must have the required rank; then the
     span of its rows must cut the multidegree-b variety in a scheme of the
     required status and, when asked, length.  ``rank``, ``section`` and
-    ``length`` are (check name, required value) pairs.
+    ``length`` are (check name, required value) pairs.  With ``prove``, T is
+    a tensor over QQ mod p: None unless ``_section_proof`` makes them exact.
     """
     fl = flatten(T, split)
     name, required = rank
     checks = [Check(name, fl.rank, required, fl.rank == required)]
     if not checks[0].passed:
-        return checks
+        return None if prove else checks
     ideal = pullback_linear_section(image_span(fl), T.space, split.b)
-    return checks + _section_checks(ideal, section, length, budget=budget)
+    tail = _section_checks(ideal, section, length, budget=budget,
+                           prove=prove and partial(prove, fl.rank, fl.matrix.nrows))
+    return tail and checks + tail
 
 
-def _section_checks(ideal, section, length=None, *, budget):
+def _section_checks(ideal, section, length=None, *, budget, prove=None):
     """Checks on the scheme an ideal cuts: its status and, when asked, its
-    length (see ``_flattening_checks``)."""
+    length (see ``_flattening_checks``); None when ``prove(report)`` is."""
     report = classify_linear_section(ideal, budget=budget)
     detail = {"status": report.describe(), "method": report.method,
               "trace": [list(pair) for pair in report.trace]}
     if report.note:
         detail["note"] = report.note
+    proof = prove(report) if prove else {}
+    if proof is None:
+        return None
+    detail.update(proof)
     name, required = section
     ok = report.status == required
     checks = [Check(name, report.describe(), required, ok, detail)]
@@ -316,9 +326,56 @@ def _section_checks(ideal, section, length=None, *, budget):
     return checks
 
 
+#: 2^61 - 1: Wang's bound sqrt(p/2) > 2^30 passes 16-bit coordinate ratios
+_POINTS_FIELD = PrimeField(2 ** 61 - 1)
+
+
+def _section_proof(rank, nrows, report, *, h, space, b, rows, points=None):
+    """The detail that makes a section classified mod p exact, or None.
+
+    S is an exact integer span, ``rows()``: a tensor's flattening over its
+    common denominator, or a decomposition's term vectors.  The section was
+    cut by S mod p = ``_POINTS_FIELD``, of rank ``rank`` with ``nrows`` rows.
+    The candidate points, one integer vector per group each, are ``points``,
+    or else those ``rational_points`` recovers from the section, and then
+    the detail lists them, sorted.
+
+    (a) rank = nrows and the section is Empty mod p gives the rank and Empty
+        exactly, by the argument of ``_thm37_witness``.
+    (b) rank = h, ZeroDim(h) mod p, and h points whose degree-b rank-one
+        vectors v_i are independent mod p and span every row of S over QQ
+        (``spans_rows``) give the rank h and ZeroDim(h) exactly:
+
+    * The span check gives rank_QQ <= h, and the mod-p rank gives >= h.
+    * So the row space over QQ is span(v_i).  A generator over QQ is a form
+      whose coefficients, scaled by the multinomials, are orthogonal to it,
+      and its value at a point is their product with the point's v_i: every
+      generator vanishes at the h points, distinct as the v_i are
+      independent.  Hence the length is >= h.
+    * rank_p = rank_QQ makes the mod-p kernel the reduction of the saturated
+      kernel lattice, and the multinomials are units mod p.  So HF_QQ(t) <=
+      HF_p(t) for every t (``_thm37_witness``), and the length is <= h.
+    """
+    proof = {"witness_prime": _POINTS_FIELD.modulus}
+    if report.status == "Empty" and rank == nrows:
+        return proof
+    if rank != h or report.describe() != f"ZeroDim({h})":
+        return None
+    found = points or (report.basis and rational_points(report.basis, h)) or ()
+    basis = monomial_basis(space, b)
+    vectors = [[nums.get(m, 0) for m in basis]
+               for nums, _ in (rank_one_numerators(space, point, b) for point in found)]
+    if len(found) != h or not spans_rows(vectors, rows(), _POINTS_FIELD):
+        return None
+    if points is None:
+        proof["points"] = sorted([list(form) for form in point] for point in found)
+    return proof
+
+
 def certify_prop31(T: MPoly, h: int, split: Split = None, *,
                    budget=None) -> Certificate:
-    """Rank + section criterion; certifies h-identifiability and rank h."""
+    """Rank + section criterion; certifies h-identifiability and rank h.
+    Over QQ the checks run mod ``_POINTS_FIELD`` first (``_section_proof``)."""
     start = time.perf_counter()
     if h < 1:
         raise ValueError("h must be >= 1")
@@ -329,9 +386,18 @@ def certify_prop31(T: MPoly, h: int, split: Split = None, *,
         raise SplitError(f"split has dim V_A = {split.dim_a} < h = {h}")
     cert = _certificate("Prop31", h, space, T.field, split=split,
                         effective=effective_range(space, split, h))
-    return _finish(cert, start, _flattening_checks(
-        T, split, ("i_flattening_rank", h), ("ii_section_dimension", "ZeroDim"),
-        ("iii_section_length", h), budget=budget))
+    required = (("i_flattening_rank", h), ("ii_section_dimension", "ZeroDim"),
+                ("iii_section_length", h))
+    try:
+        Tp = MPoly(space, T.terms, _POINTS_FIELD) if T.field == QQ else None
+    except ZeroDivisionError:           # p divides a denominator of T
+        Tp = None
+    decided = Tp is not None and _flattening_checks(
+        Tp, split, *required, budget=budget, prove=partial(
+            _section_proof, h=h, space=space, b=split.b,
+            rows=lambda: flattening_numerators(T, split)[0]))
+    return _finish(cert, start,
+                   decided or _flattening_checks(T, split, *required, budget=budget))
 
 
 def certify_thm37(F: MPoly, h: int, *, budget=None) -> Certificate:
@@ -423,7 +489,7 @@ def _thm37_witness(F: MPoly, split: Split, full: int, budget):
     if checks[-1].passed:
         checks[1].detail["witness_prime"] = DEFAULT_PRIME
         return checks
-    M = flattening_matrix(F, split)
+    M = DenseMatrix(QQ, flattening_numerators(F, split)[0])
     if len(checks) == 1:
         left = lifted_kernel(M.transpose())
         if left is None:
@@ -499,14 +565,29 @@ def certify_prop33(dec: Decomposition, *, budget=None) -> Certificate:
             dec.expand(), split, ("i_flattening_rank", h),
             ("ii_section_dimension", "ZeroDim"), budget=budget)
         if checks[-1].passed:
-            basis = monomial_basis(space, space.degrees)
-            rows = [coefficient_vector(dec.term_polynomial(i), basis) for i in range(h)]
-            span = row_space_basis(DenseMatrix(dec.field, rows, len(basis)))
-            checks += _section_checks(
-                pullback_linear_section(span, space, space.degrees),
-                ("v_span_section_dimension", "ZeroDim"), ("v_span_section_length", h),
-                budget=budget)
+            checks += _term_span_checks(dec, budget)
     return _finish(cert, start, checks)
+
+
+def _term_span_checks(dec: Decomposition, budget):
+    """Proposition 3.3's check v on the span of the terms themselves; over QQ
+    mod ``_POINTS_FIELD`` first, the terms being ``_section_proof``'s points."""
+    space, h = dec.space, dec.h
+    basis = monomial_basis(space, space.degrees)
+    vectors = [[nums.get(m, 0) for m in basis] for nums, _ in
+               (rank_one_numerators(space, term, field=dec.field) for term in dec.terms)]
+
+    def checks(field, prove=None):
+        span = row_space_basis(DenseMatrix(field, [list(map(field, v)) for v in vectors]))
+        return _section_checks(
+            pullback_linear_section(span, space, space.degrees),
+            ("v_span_section_dimension", "ZeroDim"), ("v_span_section_length", h),
+            budget=budget, prove=prove and partial(prove, span.nrows, h))
+
+    decided = dec.field == QQ and checks(_POINTS_FIELD, partial(
+        _section_proof, h=h, space=space, b=space.degrees, rows=lambda: vectors,
+        points=dec.terms))
+    return decided or checks(dec.field)
 
 
 def _finish(cert: Certificate, start: float, checks):

@@ -12,8 +12,10 @@ expanded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, perm
+from fractions import Fraction
+from math import comb, factorial, perm, prod
 
+from .fields import numerators
 from .linalg import DenseMatrix, rref
 from .poly import TensorSpace, dimension_of_multidegree, monomial_basis
 
@@ -90,7 +92,8 @@ def flattening_matrix(T, split: Split) -> DenseMatrix:
         T[m + m'] * prod_v (m + m')_v! / m'_v!,
 
     one falling factorial per variable: the coefficient of x^m' in the
-    iterated partial derivative of T by m.
+    iterated partial derivative of T by m.  Over QQ each entry is made once,
+    from the integer cells of ``flattening_numerators``.
     """
     space = T.space
     deg = T.multidegree()
@@ -100,7 +103,11 @@ def flattening_matrix(T, split: Split) -> DenseMatrix:
         raise ValueError("split does not match the space multidegree")
     f = T.field
     p = f.modulus
-    if p is not None and p <= max(space.degrees):
+    if p is None:
+        rows, den = flattening_numerators(T, split)
+        return DenseMatrix(f, [[Fraction(x, den) if x else f.zero for x in row]
+                               for row in rows])
+    if p <= max(space.degrees):
         raise ValueError(
             f"prime modulus {p} <= max degree {max(space.degrees)}: derivative "
             "coefficients may vanish; choose a larger prime")
@@ -122,6 +129,18 @@ def flattening_matrix(T, split: Split) -> DenseMatrix:
             row.append(f.mul_int(c, factor))
         rows.append(row)
     return DenseMatrix(f, rows, len(col_monos))
+
+
+def flattening_numerators(T, split: Split):
+    """Integer cells N and the common denominator D of T over QQ, with
+    ``flattening_matrix(T, split)`` equal to N / D: with m! the product of
+    the factorials of m's exponents, N at (m, m') is the numerator of
+    T[m + m'] times (m + m')! / m'!, the falling factorials above."""
+    nums, den = numerators(list(T.terms.values()))
+    scaled = {m: n * prod(map(factorial, m)) for m, n in zip(T.terms, nums)}
+    cols = [(mc, prod(map(factorial, mc))) for mc in monomial_basis(T.space, split.b)]
+    return [[scaled.get(tuple(map(int.__add__, m, mc)), 0) // below for mc, below in cols]
+            for m in monomial_basis(T.space, split.a)], den
 
 
 def flatten(T, split: Split) -> Flattening:

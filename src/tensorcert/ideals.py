@@ -2,38 +2,32 @@
 
 The scheme cut on a (Segre-)Veronese variety by a linear subspace is pulled
 back to the source product of projective spaces as a multihomogeneous ideal.
-Its status is decided on the Hilbert function of the leading-term ideal of a
-reduced Groebner basis:
-
-* the Hilbert series numerator of the monomial ideal (recursive pivot
-  decomposition) gives the diagonal Hilbert function t -> HF(t,..,t) exactly,
-  and past the numerator's largest exponent that function is the Hilbert
-  polynomial of the scheme's Segre image, whose degree and constant are the
-  dimension and the length, for any number of groups;
-* ideals of binary forms skip Groebner bases entirely: the scheme is the
-  divisor of the gcd of the generators.
-
-Only an exhausted S-pair budget leaves a scheme Inconclusive.
+Its status is read off the Hilbert series numerator of the leading-term ideal
+of a reduced Groebner basis, whose diagonal Hilbert function is, past the
+numerator's largest exponent, the Hilbert polynomial of the scheme's Segre
+image: its degree and constant are the dimension and the length.  Ideals of
+binary forms skip Groebner bases: the scheme is the divisor of the gcd of
+the generators.  Only an exhausted S-pair budget leaves a scheme
+Inconclusive.  The points of a zero-dimensional scheme over F_p are
+recovered from its basis by ``rational_points``.
 
 Buchberger runs with Gebauer-Moeller pair elimination and sugar selection;
 over the rationals the reduction arithmetic is fraction free on primitive
-integer polynomials.  Each run memoises, per monomial, its first reducer
-(the first basis element whose leading term divides it) together with that
-element's multiple shifted onto the monomial.  The basis only grows until the
-final interreduction renumbers it, so a recorded reducer stays the first
-divisor and a recorded miss needs only the elements added since.
+integer polynomials.  Each run memoises, per monomial, its first reducer and
+that element's multiple shifted onto the monomial (see ``_Engine``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
+from operator import mul
 
 from .fields import QQ, numerators, primitive
-from .linalg import DenseMatrix, kernel_basis
+from .linalg import DenseMatrix, _reconstruct, _rref_mod_p, kernel_basis
 from .poly import MPoly, TensorSpace, monomial_basis, monomial_multinomial
 
 DEFAULT_PAIR_BUDGET = 500_000
@@ -124,6 +118,7 @@ class SchemeReport:
     trace: tuple = ()                # ((t, HF(t,..,t)), ...) as classified
     method: str = ""
     note: str = ""
+    basis: object = field(default=None, compare=False, repr=False)  # classified
 
     def __post_init__(self):
         if self.status == "ZeroDim" and (self.length is None or self.length < 1):
@@ -256,10 +251,9 @@ class _Engine:
         self._reducers[m] = (len(lts), None)
         return None
 
-    def normal_form(self, terms, keep=None):
-        """Fully reduce a term dict against the current basis.
-
-        The monomial ``keep``, if given, is left as it is.
+    def normal_form(self, terms, keep=None, raw=False):
+        """Fully reduce a term dict against the current basis, and normalize
+        it unless ``raw``.  The monomial ``keep``, if given, is left as it is.
         """
         p = dict(terms)
         if not p:
@@ -303,7 +297,7 @@ class _Engine:
             steps += 1
             if modulus is None and steps % 64 == 0 and p:
                 p = self.strip_content(p)
-        return self.normalize(p)
+        return p if raw else self.normalize(p)
 
     # -- pair management (Gebauer-Moeller) ------------------------------------
 
@@ -579,19 +573,14 @@ def classify_linear_section(ideal: Ideal, *, budget=None) -> SchemeReport:
 def _classify(gb: GroebnerBasis) -> SchemeReport:
     """Read the scheme off its diagonal Hilbert polynomial.
 
-    Let ``top`` be the largest exponent in the series numerator K = sum c_e
-    T^e and n = n_1 + .. + n_p.  For t >= top every factor has t - e_i >= 0,
-    so HF(t,..,t) = sum_e c_e prod_i C(t - e_i + n_i, n_i) exactly: a
-    polynomial in t of degree <= n, and n + 1 samples at t = top .. top + n
-    decide whether it is 0 or a constant.  HF(t,..,t) is the Hilbert
-    function of the Segre image of the scheme, so this polynomial is the
-    image's Hilbert polynomial: its degree is the dimension of the scheme
-    and, in dimension 0, its constant is the length (Bayer-Stillman,
-    "Computation of Hilbert functions", JSC 14, 1992).  All samples 0 means
-    Empty, all equal to c != 0 means ZeroDim(c), anything else PositiveDim.
-
-    The trace holds (t, HF(t,..,t)) for t = 0 .. top + n; the unit ideal
-    has K = 0 and top = 0.
+    With ``top`` the largest exponent of the series numerator K = sum c_e
+    T^e and n = n_1 + .. + n_p, HF(t,..,t) = sum_e c_e prod_i C(t - e_i +
+    n_i, n_i) for t >= top: a polynomial of degree <= n, the Hilbert
+    polynomial of the scheme's Segre image, whose degree is the dimension
+    and, in dimension 0, whose constant is the length (Bayer-Stillman, JSC
+    14, 1992).  Its n + 1 samples at t = top .. top + n all 0 mean Empty,
+    all c != 0 ZeroDim(c), anything else PositiveDim.  The trace holds
+    (t, HF(t,..,t)) for t = 0 .. top + n; the unit ideal has K = 0, top = 0.
     """
     space = gb.space
     num = gb.numerator
@@ -599,12 +588,9 @@ def _classify(gb: GroebnerBasis) -> SchemeReport:
     trace = tuple((t, _standard_count(num, space, (t,) * space.p))
                   for t in range(top + space.total_projective_dim + 1))
     tail = {v for _, v in trace[top:]}
-    if tail == {0}:
-        return SchemeReport("Empty", trace=trace, method="hilbert-polynomial")
-    if len(tail) == 1:
-        return SchemeReport("ZeroDim", length=tail.pop(), trace=trace,
-                            method="hilbert-polynomial")
-    return SchemeReport("PositiveDim", trace=trace, method="hilbert-polynomial")
+    status = "Empty" if tail == {0} else "ZeroDim" if len(tail) == 1 else "PositiveDim"
+    return SchemeReport(status, tail.pop() if status == "ZeroDim" else None, trace,
+                        "hilbert-polynomial", basis=gb)
 
 
 # ---------------------------------------------------------------------------
@@ -698,3 +684,161 @@ def binary_fast_path(ideal: Ideal) -> SchemeReport:
     if total == 0:
         return SchemeReport("Empty", method="binary-gcd")
     return SchemeReport("ZeroDim", length=total, method="binary-gcd")
+
+
+# ---------------------------------------------------------------------------
+# the points of a zero-dimensional section mod p
+
+
+def rational_points(gb: GroebnerBasis, h: int):
+    """Candidate rational points of a section that is ``ZeroDim(h)`` mod p,
+    from the reduced Groebner basis of its ideal over F_p: h points, each a
+    tuple of primitive integer vectors, one per group, or None.  Nothing
+    here is proven; ``certify._section_proof`` checks the points.
+
+    Method (Stickelberger; Cox, Little and O'Shea, *Using Algebraic
+    Geometry*, ch. 2 §4), with a fixed seed.  At a degree t where the
+    quotient and its shifts t + e_g have dimension h, X_x multiplies by a
+    variable x of group g, by normal forms.  With random linear forms l_g,
+    r_g, A_x = X_(l_g)^-1 X_x is multiplication by x / l_g, diagonal at h
+    distinct points, as is M = sum_g X_(l_g)^-1 X_(r_g).  The Krylov basis
+    of a random v gives the characteristic polynomial of M and each A_x as
+    q_x(M); at its roots mu, the q_x(mu) are the points in the charts
+    l_g = 1, whose ratios Wang's reconstruction lifts.
+    """
+    from random import Random
+
+    space, field, p = gb.space, gb.field, gb.field.modulus
+    rng, num = Random(1703026), gb.numerator
+
+    def degrees(t):             # (t, .., t), then its shift by each group
+        return [tuple(t + (k == g) for k in range(space.p)) for g in range(-1, space.p)]
+
+    t = next((t for t in range(1, max((max(e) for e in num), default=0) + 1)
+              if all(_standard_count(num, space, d) == h for d in degrees(t))), None)
+    if t is None:
+        return None
+    lead = [(lt, space.multidegree_of(lt)) for lt in gb.lead_terms]
+
+    def standard(d):
+        lts = [lt for lt, e in lead if all(map(int.__le__, e, d))]
+        return [m for m in monomial_basis(space, d)
+                if not any(all(map(int.__le__, lt, m)) for lt in lts)]
+
+    engine = _Engine(space, field, None)
+    for g in gb:
+        engine.add_poly(dict(g.terms))
+    source = standard(degrees(t)[0])
+    v = [rng.randrange(p) for _ in range(h)]
+    M = [[0] * h for _ in range(h)]
+    images = []                 # A_x v, group by group
+    for g, d in enumerate(degrees(t)[1:]):
+        index = {m: i for i, m in enumerate(standard(d))}
+        X = []                  # X[j][i][k]: x_j * source[k] at standard monomial i
+        for var in range(space.group_slices[g].start, space.group_slices[g].stop):
+            X.append([[0] * h for _ in range(h)])
+            for k, m in enumerate(source):
+                moved = m[:var] + (m[var] + 1,) + m[var + 1:]
+                for mono, c in engine.normal_form({moved: 1}, raw=True).items():
+                    X[-1][index[mono]][k] = c
+        forms = [[rng.randrange(1, p) for _ in X] for _ in range(2)]
+        rows = []               # [X_(l_g) | X_(r_g) | X_x v]
+        for i in range(h):
+            rows.append([sum(c * Xj[i][k] for c, Xj in zip(form, X)) % p
+                         for form in forms for k in range(h)]
+                        + [sum(map(mul, Xj[i], v)) % p for Xj in X])
+        solved = _solve(field, rows, h)
+        if solved is None:
+            return None
+        M = [[(a + b) % p for a, b in zip(mrow, row)] for mrow, row in zip(M, solved)]
+        images += zip(*(row[h:] for row in solved))
+    krylov = [v]
+    for _ in range(h):
+        krylov.append([sum(map(mul, row, krylov[-1])) % p for row in M])
+    solved = _solve(field, [[w[i] for w in krylov + images] for i in range(h)], h)
+    if solved is None:
+        return None
+    chi, *polys = zip(*solved)  # M^h v and each A_x v in the Krylov basis
+    points = []
+    for mu in _roots_mod_p([-c % p for c in chi] + [1], p, rng) or ():
+        powers = [pow(mu, k, p) for k in range(h)]
+        coords = [sum(map(mul, q, powers)) % p for q in polys]
+        points.append(tuple(_lift_form(coords[group], p) for group in space.group_slices))
+    return points if points and all(None not in point for point in points) else None
+
+
+def _solve(field, rows, n):
+    """The columns right of the first n of the reduced rows [A | B]: A^-1 B
+    for an invertible n x n matrix A of residues; None if A is singular."""
+    reduced, _, pivots = _rref_mod_p(DenseMatrix(field, rows))
+    if pivots[:n] != tuple(range(n)):
+        return None
+    return [row[n:] for row in reduced.rows]
+
+
+def _lift_form(residues, p):
+    """A primitive integer vector proportional to the residues, or None."""
+    inv = pow(next((r for r in residues if r), 1), -1, p)
+    lifted = _reconstruct([r * inv % p for r in residues], p)
+    return None if lifted is None or not any(lifted[1]) else tuple(primitive(lifted[1]))
+
+
+def _mulmod(a, b, f, p):
+    """a b mod the monic f of degree n over F_p, on lists of n residues."""
+    n = len(f) - 1
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for i in range(2 * n - 2, n - 1, -1):
+        c = prod[i] % p
+        for j in range(n):
+            prod[i - n + j] -= c * f[j]
+    return [c % p for c in prod[:n]]
+
+
+def _roots_mod_p(f, p, rng):
+    """The deg f distinct roots of the monic f in F_p, or None.
+
+    With f(0) != 0, f divides x^p - x exactly when x^(p+1) = x^2 mod f.
+    Cantor-Zassenhaus (Math. Comp. 36, 1981) then splits a factor g by its
+    gcd with (x + a)^((p+1)/2) - (x + a), a = 0 first, then random; for
+    p = 2^61 - 1 the power takes squarings only.
+    """
+    roots, pending, a = [], [f], 0
+    for attempt in range(64 * len(f)):
+        if not pending:
+            return roots
+        g = pending.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+            continue
+        u = base = [a, 1] + [0] * (len(g) - 3)
+        for bit in bin((p + 1) // 2)[3:]:
+            u = _mulmod(u, u, g, p)
+            if bit == "1":
+                u = _mulmod(u, base, g, p)
+        if not attempt and (not f[0] or _mulmod(u, u, f, p) != _mulmod(base, base, f, p)):
+            return None
+        u[0] -= a
+        u[1] -= 1
+        d = _gcd_mod_poly(g, u, p)
+        d = d[:_deg(d) + 1]
+        if 1 < len(d) < len(g):
+            inv = pow(d[-1], -1, p)
+            d = [c * inv % p for c in d]
+            pending += [d, _quotient(g, d, p)]
+        else:
+            pending.append(g)
+        a = rng.randrange(p)
+    return None
+
+
+def _quotient(g, d, p):
+    """g / d for a monic d that divides g."""
+    g, q = list(g), [0] * (len(g) - len(d) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = g[i + len(d) - 1] % p
+        for j, y in enumerate(d):
+            g[i + j] -= c * y
+    return q

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
-from .fields import DEFAULT_PRIME, PrimeField, numerators, primitive
+from .fields import DEFAULT_PRIME, QQ, PrimeField, numerators, primitive
 
 
 class DenseMatrix:
@@ -82,29 +82,21 @@ class DenseMatrix:
 
 
 def rref(matrix: DenseMatrix):
-    """Gauss-Jordan elimination.
+    """Gauss-Jordan elimination: ``(reduced, rank, pivots)``, the unique
+    reduced row echelon form and the increasing pivot columns.
 
-    Returns ``(reduced, rank, pivots)`` where ``reduced`` is the unique
-    reduced row echelon form and ``pivots`` is the strictly increasing tuple
-    of pivot column indices.
+    Over QQ it is fraction-free on primitive integer rows.  A pivot entry is
+    cleared from another row by row_i <- piv * row_i - q * row_r (piv and q
+    first divided by their gcd), whose content is divided out at once,
+    downwards first and then upwards from the last pivot; each pivot row is
+    divided by its pivot once, at the end.  Every step scales a row by a
+    nonzero rational or adds a multiple of another row to it, so the row
+    space is kept, and a reduced echelon form is unique: the result is plain
+    Fraction Gauss-Jordan's, entry for entry.  Primitive rows keep the
+    factorial content of catalecticant rows from growing with every update.
 
-    Over QQ the elimination is fraction-free.  Each row is scaled to a
-    primitive integer vector (denominators cleared, content divided out).
-    A pivot entry is cleared from another row by the integer update
-    ``row_i <- piv * row_i - q * row_r`` (with ``piv`` and ``q`` first
-    divided by their gcd), and the new row's content is divided out at
-    once; pivots are cleared downwards first, then upwards from the last
-    pivot.  Each pivot row is divided by its pivot only once, at the end.
-    Every step scales a row by a nonzero rational or adds a multiple of
-    another row to it, so the row space never changes, and the final rows
-    are in reduced echelon form.  That form is unique for a row space, so
-    the result equals plain Fraction Gauss-Jordan entry for entry; keeping
-    rows primitive stops the factorial content of catalecticant rows from
-    growing with every update.
-
-    Over F_p the entries are plain residues.  Each pivot row is scaled once
-    by the inverse of its pivot, and every other row is updated from the
-    pivot column onward only: the pivot row is zero to the left of it.
+    Over F_p each pivot row is scaled once by the inverse of its pivot, and
+    every other row is updated from the pivot column onward only.
     """
     if matrix.field.modulus is None:
         return _rref_rational(matrix)
@@ -182,6 +174,29 @@ def _rref_rational(matrix: DenseMatrix):
                for i, c in enumerate(pivots)]
     reduced.extend([zero] * ncols for _ in range(nrows - r))
     return DenseMatrix(f, reduced, ncols), r, tuple(pivots)
+
+
+def spans_rows(vectors, rows, field) -> bool:
+    """Whether the integer vectors are independent in the prime field and
+    span every integer row over QQ, fraction-free: the reduced echelon rows
+    of the vectors, as integer rows E_k with pivots c_k and L the lcm of the
+    E_k[c_k], span a row a exactly when L a = sum_k a[c_k] (L / E_k[c_k]) E_k.
+    """
+    residues = DenseMatrix(field, [list(map(field, v)) for v in vectors])
+    if _rref_mod_p(residues)[1] < len(vectors):
+        return False
+    reduced, _, pivots = _rref_rational(DenseMatrix(QQ, vectors))
+    basis = [(c, numerators(row)) for c, row in zip(pivots, reduced.rows)]
+    lead = lcm(*(den for _, (_, den) in basis))
+    for a in rows:
+        rest = [lead * x for x in a]
+        for c, (e, den) in basis:
+            q = a[c] * (lead // den)
+            if q:
+                rest = [x - q * y for x, y in zip(rest, e)]
+        if any(rest):
+            return False
+    return True
 
 
 def kernel_basis(matrix: DenseMatrix) -> DenseMatrix:
@@ -284,7 +299,8 @@ def lifted_kernel(matrix: DenseMatrix):
     prime by Dixon's p-adic lifting (Numer. Math. 40, 1982), or None.
 
     The left kernel of M is ``lifted_kernel(M.transpose())``.  None means
-    the prime did not settle the kernel; ``rref`` over QQ must decide.
+    the prime did not settle the kernel; ``rref`` over QQ must decide.  The
+    entries may be ints, such as a flattening's integer cells.
 
     Method.  Denominators are cleared row by row, which keeps the right
     kernel, giving an integer matrix A.  One Gauss-Jordan pass of A mod

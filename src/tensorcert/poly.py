@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .fields import QQ, numerators
 
@@ -284,30 +284,20 @@ class MPoly:
             return False
         return True
 
-    def derivative(self, var: int):
-        """Partial derivative with respect to one flat variable index."""
+    def derivative_by(self, mono: Mono):
+        """Iterated raw partial derivative: c x^e becomes
+        c prod_v e_v! / (e_v - mono_v)! x^(e - mono) where e >= mono."""
         f = self.field
         out = {}
         for m, c in self.terms.items():
-            e = m[var]
-            if e == 0:
-                continue
-            v = f.mul_int(c, e)
-            if f.is_zero(v):
-                continue
-            m2 = m[:var] + (e - 1,) + m[var + 1:]
-            out[m2] = v
+            if all(map(int.__ge__, m, mono)):
+                factor = 1
+                for e, k in zip(m, mono):
+                    factor *= perm(e, k)
+                v = f.mul_int(c, factor)
+                if not f.is_zero(v):
+                    out[tuple(map(int.__sub__, m, mono))] = v
         return MPoly(self.space, out, f, _clean=True)
-
-    def derivative_by(self, mono: Mono):
-        """Iterated raw partial derivative, one pass per unit of each exponent."""
-        result = self
-        for var, e in enumerate(mono):
-            for _ in range(e):
-                if not result:
-                    return result
-                result = result.derivative(var)
-        return result
 
     def __str__(self):
         return poly_to_string(self)

@@ -417,3 +417,20 @@ def substitute(sizes, terms, matrices):
         for m, c in prod.items():
             out[m] = out.get(m, 0) + c
     return {m: c for m, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# a polynomial at a point of a product of projective spaces
+
+
+def evaluate(terms, point):
+    """Value of sum c_m x^m (``terms``: exponent tuple -> coefficient) at a
+    point given as one coordinate vector per group, concatenated in order."""
+    coords = [x for form in point for x in form]
+    total = 0
+    for mono, c in terms.items():
+        value = c
+        for x, e in zip(coords, mono):
+            value *= x ** e
+        total += value
+    return total

@@ -21,6 +21,9 @@ from tensorcert.flatten import flattening_matrix
 from tensorcert.ideals import pullback_linear_section, section_ideal
 from tensorcert.linalg import lifted_kernel
 
+#: the prime of Proposition 3.1's and 3.3's mod-p route
+ROUTE_PRIME = 2 ** 61 - 1
+
 
 # ---------------------------------------------------------------------------
 # numeric ranges
@@ -650,14 +653,15 @@ def _count_rref_inputs(monkeypatch):
 
 
 @pytest.mark.parametrize("sizes,degrees,h,rank,lost,seed,criterion,qq_passes,p_passes", [
-    ((3,), (5,), 6, 6, 0, 1, "Prop31", 1, 0),
+    ((3,), (5,), 6, 6, 0, 1, "Prop31", 0, 1),
+    ((3,), (5,), 6, 6, 1, 1, "Prop31", 1, 1),
     ((3,), (5,), 7, 7, 0, 1, "Thm37", 0, 1),
     ((4,), (4,), 7, 7, 0, 4, "Prop33", 1, 0),
     ((3,), (5,), 7, 5, 0, 1, "Thm37", 0, 1),
     ((3,), (5,), 7, 7, 2, 1, "Thm37", 1, 1),
     ((3,), (5,), 7, 6, 0, 1, "Thm37", 0, 1),
-], ids=["Prop31", "Thm37", "Prop33", "Thm37-fallback", "Thm37-unlucky-prime",
-        "Thm37-lifted-section"])
+], ids=["Prop31", "Prop31-fallback", "Thm37", "Prop33", "Thm37-fallback",
+        "Thm37-unlucky-prime", "Thm37-lifted-section"])
 def test_flattening_matrix_is_reduced_once(monkeypatch, sizes, degrees, h, rank, lost,
                                            seed, criterion, qq_passes, p_passes):
     # a Theorem 3.7 witness reduces the mod-p flattening once; the QQ one is
@@ -665,16 +669,19 @@ def test_flattening_matrix_is_reduced_once(monkeypatch, sizes, degrees, h, rank,
     # its rank) nor for a full-rank one with a non-empty section (the lifted
     # right kernel gives its section), and once when the last `lost` terms
     # carry the factor p, so that the rank drops mod p only and the lift
-    # gives up
+    # gives up.  Proposition 3.1 reduces its flattening mod its own prime
+    # once, and over QQ only when a term carrying that prime sends it to the
+    # exact path
+    prime = ROUTE_PRIME if criterion == "Prop31" else DEFAULT_PRIME
     T, dec = random_tensor(TensorSpace(sizes, degrees), rank, RandomConfig(seed=seed))
     if lost:
-        lambdas = [1] * (rank - lost) + [DEFAULT_PRIME] * lost
+        lambdas = [1] * (rank - lost) + [prime] * lost
         T = Decomposition(dec.space, dec.terms, lambdas).expand()
     seen = _count_rref_inputs(monkeypatch)
     cert = certify(dec if criterion == "Prop33" else T, h)
     monkeypatch.undo()
     assert cert.criterion == criterion and cert.certified == (rank == h)
-    Tp = MPoly(T.space, T.terms, PrimeField(DEFAULT_PRIME))
+    Tp = MPoly(T.space, T.terms, PrimeField(prime))
     assert seen[flatten(T, cert.split).matrix] == qq_passes
     assert seen[flatten(Tp, cert.split).matrix] == p_passes
 
@@ -713,16 +720,16 @@ def _unlucky(sizes, degrees, h, lost, seed):
 _PINNED_REPORTS = {
     "prop31-qq": (
         lambda: certify(_random((3,), (5,), 6, 1)[0], 6),
-        "2f331c3cbf8ae7cb9658595b402df90a5e04f964b212474199891c1ca1ac5556"),
+        "603052197d287652f9ba9cf3f62696b0101db2c5b9f5d9c66044d429fcbaad74"),
     "prop31-fp": (
         lambda: certify(_random((3,), (5,), 6, 1, PrimeField(DEFAULT_PRIME))[0], 6),
         "89fb25fec9217491dcfc717d30e92d0bf14a8da6060769f103fe618054a5572c"),
     "prop31-multigraded-1c": (
         lambda: certify(_random((2, 5, 4), (3, 2, 3), 5, 1)[0], 5),
-        "5d596424e90bce0ab85abcc06cccaf7403e86214db34bece9a99b626bd910a2f"),
+        "2c60e5604b6a5844a3acca6bd3e22b80943a604640e03ad7322e4138cf136a66"),
     "prop33-1d": (
         lambda: certify(_random((4,), (4,), 7, 1)[1]),
-        "fedda873fac70a19526041f400ec97fe8d3943e8cedc2923b4063d67db0e855a"),
+        "35d30c4a2444479a20ac38091eb338d0a6111b61e18ab2eeb74e0bc384bc37db"),
     "prop33-no-split": (
         lambda: certify_prop33(_random((2,), (4,), 3, 6)[1]),
         "67487274e7197d449ae901eaa67b295a5103845e61e19c2312b5e1c31aa45bf8"),

@@ -1,0 +1,239 @@
+"""Propositions 3.1 and 3.3 over QQ: the mod-p route against the exact path.
+
+Over QQ both criteria classify their section mod 2^61 - 1 first and keep the
+answer only when it is proven exact: Proposition 3.1 from the section's h
+points, recovered mod p and checked over ZZ, and Proposition 3.3's check v
+from the decomposition's own terms.  Everything else runs the exact path.
+"""
+
+import importlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from tensorcert import (Decomposition, MPoly, RandomConfig, SchemeReport, Split,
+                        TensorSpace, certify, flatten, monomial_basis,
+                        pullback_linear_section, random_tensor)
+from tensorcert.fields import primitive
+from tensorcert.flatten import flattening_matrix, flattening_numerators
+from tensorcert.linalg import spans_rows
+
+import oracles
+
+ROUTE_PRIME = 2 ** 61 - 1
+CERTIFY = importlib.import_module("tensorcert.certify")
+
+
+def _exact(monkeypatch, target, h=None, **kw):
+    """The certificate of the exact path: no mod-p classification is kept."""
+    with monkeypatch.context() as m:
+        m.setattr(CERTIFY, "_section_proof", lambda *args, **kwargs: None)
+        return certify(target, h, **kw)
+
+
+def _view(cert):
+    """The JSON report without its timing, witness prime and points."""
+    doc = cert.to_json_dict()
+    del doc["timing_seconds"]
+    for check in doc["checks"]:
+        for key in ("witness_prime", "points"):
+            (check["detail"] or {}).pop(key, None)
+    return doc
+
+
+def _witnessed(cert):
+    return [c.name for c in cert.checks if c.detail and "witness_prime" in c.detail]
+
+
+def _space(sizes, degrees):
+    return TensorSpace(sizes, degrees)
+
+
+def _first_six(seed):
+    # paper 1b: the first six terms of 1a's seven
+    space = _space((3,), (5,))
+    _, dec = random_tensor(space, 7, RandomConfig(seed=seed))
+    return Decomposition(space, dec.terms[:6]).expand(), 6
+
+
+def _tensor(sizes, degrees, rank, h):
+    def build(seed):
+        return random_tensor(_space(sizes, degrees), rank, RandomConfig(seed=seed))[0], h
+    return build
+
+
+def _decomposition(sizes, degrees, h):
+    def build(seed):
+        return random_tensor(_space(sizes, degrees), h, RandomConfig(seed=seed))[1], None
+    return build
+
+
+@pytest.mark.parametrize("build,seeds,witnessed", [
+    (_first_six, (1, 2), ["ii_section_dimension"]),
+    (_tensor((2, 5, 4), (3, 2, 3), 5, 5), (1, 2), ["ii_section_dimension"]),
+    (_decomposition((4,), (4,), 7), (1, 2), ["v_span_section_dimension"]),
+    (_decomposition((3,), (6,), 8), (1, 2), ["v_span_section_dimension"]),
+    (_tensor((6,), (4,), 13, 13), (1,), ["ii_section_dimension"]),
+    (_tensor((4,), (6,), 11, 10), (1,), ["ii_section_dimension"]),
+], ids=["1b", "1c", "1d", "1e", "6-4-h13", "groebner-control"])
+def test_route_matches_exact_path(monkeypatch, build, seeds, witnessed):
+    # the control fails ii with Empty by rule (a); the others certify by (b)
+    for seed in seeds:
+        target, h = build(seed)
+        cert = certify(target, h)
+        assert _witnessed(cert) == witnessed
+        assert _view(cert) == _view(_exact(monkeypatch, target, h))
+
+
+@pytest.mark.parametrize("sizes,degrees,h", [
+    ((3,), (5,), 6), ((2, 5, 4), (3, 2, 3), 5), ((6,), (4,), 13),
+], ids=["3-5-h6", "1c", "6-4-h13"])
+def test_points_are_the_terms_and_zeros_of_the_exact_generators(sizes, degrees, h):
+    T, dec = random_tensor(_space(sizes, degrees), h, RandomConfig(seed=1))
+    cert = certify(T, h)
+    section = cert.checks[1]
+    assert section.detail["witness_prime"] == ROUTE_PRIME
+    # the terms T was built from, each a primitive vector per group with a
+    # positive first nonzero entry
+    points = section.detail["points"]
+    assert points == sorted([_normalized(form) for form in term] for term in dec.terms)
+    generators = pullback_linear_section(flatten(T, cert.split).span, T.space,
+                                         cert.split.b).generators
+    assert generators
+    for g in generators:
+        for point in points:
+            assert oracles.evaluate(g.terms, point) == 0
+
+
+def _normalized(form):
+    form = primitive([int(x) for x in form])
+    sign = -1 if next(x for x in form if x) < 0 else 1
+    return [sign * x for x in form]
+
+
+def test_denominator_divisible_by_the_prime_runs_the_exact_path(monkeypatch):
+    T, h = _first_six(1)
+    F = T.scale(Fraction(1, ROUTE_PRIME))
+    cert = certify(F, h)
+    assert cert.certified and not _witnessed(cert)
+    assert _view(cert) == _view(_exact(monkeypatch, F, h))
+
+
+def test_term_carrying_the_prime_runs_the_exact_path(monkeypatch):
+    # mod p the tensor has rank 5, so the rank check fails there only
+    _, dec = random_tensor(_space((3,), (5,)), 6, RandomConfig(seed=1))
+    F = Decomposition(dec.space, dec.terms, [1] * 5 + [ROUTE_PRIME]).expand()
+    cert = certify(F, 6)
+    assert cert.certified and not _witnessed(cert)
+    assert _view(cert) == _view(_exact(monkeypatch, F, 6))
+
+
+def test_term_vanishing_mod_the_prime_runs_the_exact_span_check(monkeypatch):
+    # one term's form carries the factor p: the term vectors lose rank mod p
+    _, dec = random_tensor(_space((4,), (4,)), 7, RandomConfig(seed=1))
+    first = tuple(tuple(ROUTE_PRIME * x for x in form) for form in dec.terms[0])
+    scaled = Decomposition(dec.space, (first,) + dec.terms[1:])
+    cert = certify(scaled)
+    assert cert.certified and cert.criterion == "Prop33" and not _witnessed(cert)
+    assert _view(cert) == _view(_exact(monkeypatch, scaled))
+
+
+def test_conjugate_points_keep_the_exact_verdict():
+    # 11 rational terms plus (l + sqrt2 m)^4 + (l - sqrt2 m)^4: the section's
+    # 13 points split mod p (2 is a square mod 2^61 - 1), but two of them
+    # have no rational coordinates, so the route proves nothing and the
+    # exact path certifies
+    space = _space((6,), (4,))
+    T11, _ = random_tensor(space, 11, RandomConfig(seed=5))
+    rng = random.Random(5)
+    l, m = ([rng.randint(-50, 50) for _ in range(6)] for _ in range(2))
+
+    def form(coeffs):
+        return MPoly(space, {tuple(int(i == j) for j in range(6)): c
+                             for i, c in enumerate(coeffs) if c})
+
+    L, M = form(l), form(m)
+    pair = (L ** 4 + (L ** 2 * M ** 2).scale(12) + (M ** 4).scale(4)).scale(2)
+    cert = certify(T11 + pair, 13)
+    assert cert.certified and not _witnessed(cert)
+    assert [c.computed for c in cert.checks] == [13, "ZeroDim(13)", 13]
+
+
+def test_section_longer_than_h_runs_the_exact_path(monkeypatch):
+    # Proposition 3.1 forced on 1d's tensor: rank 7, but the section is
+    # ZeroDim(8), which mod p proves only a bound
+    T, _ = random_tensor(_space((4,), (4,)), 7, RandomConfig(seed=1))
+    cert = certify(T, 7, criterion="prop31")
+    assert [c.computed for c in cert.checks] == [7, "ZeroDim(8)", 8]
+    assert not _witnessed(cert)
+    assert _view(cert) == _view(_exact(monkeypatch, T, 7, criterion="prop31"))
+
+
+def test_empty_section_below_full_row_rank_runs_the_exact_path(monkeypatch):
+    # 20 sixth powers of points on the quadric x0 x1 = x2 x3: Q(d) F = 0 for
+    # the dual quadric, so the 10-row flattening has rank 9 = h, and the
+    # section is Empty.  Rank 9 < 10 rows mod p proves no rank over QQ.
+    rng = random.Random(7)
+    terms = []
+    for _ in range(20):
+        a, c, d = (rng.choice([-1, 1]) * rng.randint(1, 50) for _ in range(3))
+        terms.append(((a * a, c * d, a * c, a * d),))
+    F = Decomposition(_space((4,), (6,)), terms).expand()
+    cert = certify(F, 9)
+    assert [c.computed for c in cert.checks] == [9, "Empty", "Empty"]
+    assert not _witnessed(cert)
+    assert _view(cert) == _view(_exact(monkeypatch, F, 9))
+
+
+def test_perturbed_point_is_rejected(monkeypatch):
+    T, h = _first_six(1)
+    real = CERTIFY.rational_points
+
+    def perturbed(basis, count):
+        points = real(basis, count)
+        first = (tuple(x + (i == 0) for i, x in enumerate(points[0][0])),)
+        return [first] + points[1:]
+
+    with monkeypatch.context() as m:
+        m.setattr(CERTIFY, "rational_points", perturbed)
+        cert = certify(T, h)
+    assert cert.certified and not _witnessed(cert)
+    assert _view(cert) == _view(_exact(monkeypatch, T, h))
+
+
+@pytest.mark.parametrize("length,extra,proven", [
+    (6, False, True), (7, False, False), (7, True, False), (5, False, False),
+], ids=["ZeroDim(h)", "ZeroDim(h+1)", "ZeroDim(h+1)-with-h+1-points", "ZeroDim(h-1)"])
+def test_section_proof_needs_length_h(length, extra, proven):
+    # the rule itself, on 3-5-h6's exact rows and its own terms: a mod-p
+    # length other than h proves nothing, even with verified points, h + 1
+    # of them included (the extra one is off the section)
+    T, dec = random_tensor(_space((3,), (5,)), 6, RandomConfig(seed=1))
+    split = Split.of(T.space, (2,))
+    points = list(dec.terms) + ([((1, 2, 3),)] if extra else [])
+    report = SchemeReport("ZeroDim", length=length)
+    proof = CERTIFY._section_proof(
+        6, 6, report, h=6, space=T.space, b=split.b, points=points,
+        rows=lambda: flattening_numerators(T, split)[0])
+    assert proof == ({"witness_prime": ROUTE_PRIME} if proven else None)
+
+
+def test_spans_rows():
+    field = CERTIFY._POINTS_FIELD
+    vectors = [[1, 2, 3], [0, 1, 4]]
+    assert spans_rows(vectors, [[2, 5, 10], [3, 7, 13], [0, 0, 0]], field)
+    assert not spans_rows(vectors, [[2, 5, 11]], field)
+    # dependent mod p, though independent over QQ
+    assert not spans_rows([[1, 2, 3], [1, 2, 3 + ROUTE_PRIME]], [[1, 2, 3]], field)
+
+
+def test_flattening_numerators_over_the_common_denominator():
+    space = _space((2, 3), (2, 2))
+    rng = random.Random(3)
+    T = MPoly(space, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                      for m in monomial_basis(space, (2, 2))})
+    split = Split.of(space, (1, 1))
+    rows, den = flattening_numerators(T, split)
+    assert [[Fraction(x, den) for x in row] for row in rows] == \
+        [list(row) for row in flattening_matrix(T, split).rows]
