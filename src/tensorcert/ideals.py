@@ -13,8 +13,10 @@ recovered from its basis by ``rational_points``.
 
 Buchberger runs with Gebauer-Moeller pair elimination and sugar selection;
 over the rationals the reduction arithmetic is fraction free on primitive
-integer polynomials.  Each run memoises, per monomial, its first reducer and
-that element's multiple shifted onto the monomial (see ``_Engine``).
+integer polynomials.  Within a run each monomial is one packed int, and
+the run memoises, per monomial, its first reducer and that element's
+multiple shifted onto the monomial (see ``_Engine``); monomials enter and
+leave it as exponent tuples.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ DEFAULT_PAIR_BUDGET = 500_000
 
 
 class BudgetExceededError(RuntimeError):
-    """S-pair budget of a Groebner run exhausted."""
+    """S-pair budget, or packed exponent range, of a Groebner run exhausted."""
 
 
 class Ideal:
@@ -131,31 +133,26 @@ class SchemeReport:
 
 
 # ---------------------------------------------------------------------------
-# monomial helpers on flat exponent tuples
+# the Groebner engine, on packed monomials
 
 
-def _m_lcm(a, b):
-    return tuple(map(max, a, b))
-
-
-def _m_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _m_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _m_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _negate(key):
-    return -key if isinstance(key, int) else tuple(map(_negate, key))
+#: Bits of one field of a packed monomial, its guard bit included.
+_WIDTH = 16
 
 
 class _Engine:
     """Buchberger state: basis polynomials as primitive/monic int dicts.
+
+    A monomial is one int (Bachmann and Schoenemann, ISSAC 1998) of
+    ``_WIDTH``-bit fields, each topped by a guard bit: per group from the
+    most significant end, the group's degree, then its exponents, last
+    variable first.  A product is a sum, lt divides m exactly when m - lt
+    sets no guard bit, and m ^ ``flip`` (exponent bits flipped) is a key of
+    ``TensorSpace.monomial_key``'s order, m ^ ``rflip`` of its reverse.  An
+    exponent is at most its group degree and a product keeps the
+    multidegree, so no field reaches its guard once ``pack`` has checked the
+    input monomials and ``lcm`` each S-pair.  Tuples enter by ``prepare``
+    and ``pack`` and leave by ``unpack``.
 
     ``_reducers`` maps a monomial to its first reducer i and the multiple
     x^(m - lt_i) * g_i as a term list, or, when no leading term divided it,
@@ -171,38 +168,61 @@ class _Engine:
         self.modulus = field.modulus
         self.budget = budget if budget is not None else DEFAULT_PAIR_BUDGET
         self.pairs_done = 0
-        self._keys = {}
-        self._negkeys = {}
         self.polys = []   # dict mono -> int
         self.lts = []
         self.lcs = []
         self.sugars = []
         self._reducers = {}  # see the class docstring
+        self.limit = 1 << (_WIDTH - 1)
+        shifts, units, self._groups, pos = [0] * space.nvars, [0] * space.nvars, [], 0
+        for sl in reversed(space.group_slices):
+            at = pos + _WIDTH * (sl.stop - sl.start)   # the group's degree field
+            shifts[sl] = range(pos, at, _WIDTH)
+            units[sl] = [1 << s | 1 << at for s in shifts[sl]]
+            self._groups.append((pos, sum(1 << s - pos for s in shifts[sl]), at - pos - _WIDTH, at))
+            pos = at + _WIDTH
+        self._shifts, self._units = shifts, units
+        self.guard = sum(self.limit << k for k in range(0, pos, _WIDTH))
+        self.flip = sum(self.limit - 1 << s for s in self._shifts)
+        self.rflip = (1 << pos) - 1 ^ self.flip
+        self._eguard = sum(self.limit << s for s in self._shifts)   # exponents' guards
 
-    # -- order -------------------------------------------------------------
+    # -- packed monomials ------------------------------------------------------
 
-    def key(self, m):
-        k = self._keys.get(m)
-        if k is None:
-            k = self._keys[m] = self.space.monomial_key(m)
-        return k
+    def pack(self, mono):
+        """Exponent tuple -> packed int; ValueError if a group degree overflows."""
+        if max(self.space.multidegree_of(mono)) >= self.limit:
+            raise ValueError(f"monomial {mono} overflows the {_WIDTH}-bit packed fields")
+        return sum(map(mul, mono, self._units))
 
-    def negkey(self, m):
-        """Key of the reversed order: every component of ``key`` negated."""
-        k = self._negkeys.get(m)
-        if k is None:
-            k = self._negkeys[m] = _negate(self.space.monomial_key(m))
-        return k
+    def unpack(self, m):
+        return tuple(m >> s & self.limit - 1 for s in self._shifts)
+
+    def lcm(self, a, b):
+        """Packed lcm, taking each exponent field from whichever of a, b is
+        larger there; BudgetExceededError if a group degree does not fit."""
+        sel = ((a | self.guard) - b) & self._eguard   # guards where a >= b
+        take = sel - (sel >> _WIDTH - 1)
+        out = (a & take) | (b & (self.flip ^ take))    # degree fields zero
+        for lo, ones, top, at in self._groups:
+            d = ((out >> lo) * ones >> top) & (self.limit << 1) - 1
+            if d >= self.limit:
+                raise BudgetExceededError(f"an S-pair lcm overflows the {_WIDTH}-bit packed fields")
+            out |= d << at
+        return out
+
+    def degree(self, m):
+        return sum(m >> at & self.limit - 1 for *_, at in self._groups)
 
     # -- coefficient normalization ------------------------------------------
 
     def prepare(self, poly: MPoly):
         """MPoly -> int-coefficient dict (primitive over QQ, monic over Fp)."""
+        monos = map(self.pack, poly.terms)
         if self.modulus is None:
             nums, _ = numerators(list(poly.terms.values()))
-            return self.strip_content(dict(zip(poly.terms, nums)))
-        terms = {m: c % self.modulus for m, c in poly.terms.items()}
-        return self.make_monic(terms)
+            return self.strip_content(dict(zip(monos, nums)))
+        return self.make_monic({m: c % self.modulus for m, c in zip(monos, poly.terms.values())})
 
     def strip_content(self, terms):
         if not terms:
@@ -212,8 +232,7 @@ class _Engine:
             content = gcd(content, c)
             if content == 1:
                 break
-        lt = max(terms, key=self.key)
-        if terms[lt] < 0:
+        if terms[max(terms, key=self.flip.__xor__)] < 0:
             content = -content
         if content != 1:
             terms = {m: c // content for m, c in terms.items()}
@@ -222,14 +241,10 @@ class _Engine:
     def make_monic(self, terms):
         if not terms:
             return terms
-        lt = max(terms, key=self.key)
-        inv = pow(terms[lt], -1, self.modulus)
+        inv = pow(terms[max(terms, key=self.flip.__xor__)], -1, self.modulus)
         if inv != 1:
             terms = {m: c * inv % self.modulus for m, c in terms.items()}
         return terms
-
-    def normalize(self, terms):
-        return self.make_monic(terms) if self.modulus is not None else self.strip_content(terms)
 
     # -- reduction -----------------------------------------------------------
 
@@ -240,12 +255,11 @@ class _Engine:
         hit = self._reducers.get(m)
         if hit is not None and hit[1] is not None:
             return hit
-        lts = self.lts
+        lts, guard = self.lts, self.guard
         for i in range(hit[0] if hit is not None else 0, len(lts)):
-            lt = lts[i]
-            if _m_divides(lt, m):
-                shift = _m_div(m, lt)
-                multiple = [(_m_mul(gm, shift), gc) for gm, gc in self.polys[i].items()]
+            shift = m - lts[i]
+            if not shift & guard:
+                multiple = [(gm + shift, gc) for gm, gc in self.polys[i].items()]
                 hit = self._reducers[m] = (i, multiple)
                 return hit
         self._reducers[m] = (len(lts), None)
@@ -258,13 +272,13 @@ class _Engine:
         p = dict(terms)
         if not p:
             return p
-        modulus = self.modulus
+        modulus, rflip = self.modulus, self.rflip
         done = set() if keep is None else {keep}
-        heap = [(self.negkey(m), m) for m in p]
+        heap = [m ^ rflip for m in p]
         heapify(heap)
         steps = 0
         while heap:
-            _, m = heappop(heap)
+            m = heappop(heap) ^ rflip
             if m in done or m not in p:
                 continue
             hit = self._reducer(m)
@@ -290,61 +304,53 @@ class _Engine:
                     v %= modulus
                 if v:
                     if old is None and k not in done:
-                        heappush(heap, (self.negkey(k), k))
+                        heappush(heap, k ^ rflip)
                     p[k] = v
                 else:
                     p.pop(k, None)
             steps += 1
             if modulus is None and steps % 64 == 0 and p:
                 p = self.strip_content(p)
-        return p if raw else self.normalize(p)
+        return p if raw else self.strip_content(p) if modulus is None else self.make_monic(p)
 
     # -- pair management (Gebauer-Moeller) ------------------------------------
 
-    def _pair_meta(self, i, j):
-        lcm = _m_lcm(self.lts[i], self.lts[j])
-        tdeg = sum(lcm)
-        sugar = max(self.sugars[i] + tdeg - sum(self.lts[i]),
-                    self.sugars[j] + tdeg - sum(self.lts[j]))
-        return (sugar, self.key(lcm))
-
     def update_pairs(self, pairs, f_idx):
-        """Add basis element f_idx, pruning by the Gebauer-Moeller criteria."""
-        lts = self.lts
+        """Add basis element f_idx, pruning by the Gebauer-Moeller criteria.
+        A pair's value, its selection order, is its sugar and lcm's key."""
+        lts, guard, flip = self.lts, self.guard, self.flip
         lmf = lts[f_idx]
+        with_f = [self.lcm(lt, lmf) for lt in lts[:f_idx]]
         kept = {}
         for (i, j), meta in pairs.items():
-            l = _m_lcm(lts[i], lts[j])
-            if (not _m_divides(lmf, l)
-                    or l == _m_lcm(lts[i], lmf)
-                    or l == _m_lcm(lts[j], lmf)):
+            l = meta[1] ^ flip
+            if (l - lmf) & guard or l == with_f[i] or l == with_f[j]:
                 kept[(i, j)] = meta
         lcm_groups = {}
-        for i in range(f_idx):
-            lcm_groups.setdefault(_m_lcm(lts[i], lmf), []).append(i)
+        for i, l in enumerate(with_f):
+            lcm_groups.setdefault(l, []).append(i)
         minimal = []
-        for l in sorted(lcm_groups, key=self.key):
-            if all(not _m_divides(m, l) for m in minimal):
+        for l in sorted(lcm_groups, key=flip.__xor__):
+            if all((l - m) & guard for m in minimal):
                 minimal.append(l)
         for l in minimal:
-            if any(_m_lcm(lts[i], lmf) == _m_mul(lts[i], lmf) for i in lcm_groups[l]):
+            if any(l == lts[i] + lmf for i in lcm_groups[l]):
                 continue  # Buchberger's coprime criterion
             i = min(lcm_groups[l])
-            kept[(i, f_idx)] = self._pair_meta(i, f_idx)
+            kept[(i, f_idx)] = (max(self.sugars[i] + self.degree(l - lts[i]),
+                                    self.sugars[f_idx] + self.degree(l - lmf)), l ^ flip)
         return kept
 
     def add_poly(self, terms, sugar=None):
-        lt = max(terms, key=self.key)
+        lt = max(terms, key=self.flip.__xor__)
         self.polys.append(terms)
         self.lts.append(lt)
         self.lcs.append(terms[lt])
-        self.sugars.append(sum(lt) if sugar is None else sugar)
+        self.sugars.append(self.degree(lt) if sugar is None else sugar)
         return len(self.polys) - 1
 
-    def s_poly(self, i, j):
-        lcm = _m_lcm(self.lts[i], self.lts[j])
-        si = _m_div(lcm, self.lts[i])
-        sj = _m_div(lcm, self.lts[j])
+    def s_poly(self, i, j, lcm):
+        si, sj = lcm - self.lts[i], lcm - self.lts[j]
         gi, gj = self.polys[i], self.polys[j]
         if self.modulus is None:
             ci, cj = self.lcs[i], self.lcs[j]
@@ -354,9 +360,9 @@ class _Engine:
             mi = mj = 1
         out = {}
         for m, c in gi.items():
-            out[_m_mul(m, si)] = mi * c
+            out[m + si] = mi * c
         for m, c in gj.items():
-            k = _m_mul(m, sj)
+            k = m + sj
             v = out.get(k, 0) - mj * c
             if self.modulus is not None:
                 v %= self.modulus
@@ -369,35 +375,30 @@ class _Engine:
     def run(self, generators):
         """Compute a reduced Groebner basis of the generator dicts."""
         prepared = sorted((g for g in generators if g),
-                          key=lambda g: self.key(max(g, key=self.key)))
+                          key=lambda g: max(map(self.flip.__xor__, g)))
         pairs = {}
         for g in prepared:
             r = self.normal_form(g)
-            if not r:
-                continue
-            idx = self.add_poly(r)
-            pairs = self.update_pairs(pairs, idx)
+            if r:
+                pairs = self.update_pairs(pairs, self.add_poly(r))
         while pairs:
-            pair = min(pairs, key=lambda q: pairs[q])
-            sugar = pairs[pair][0]
-            del pairs[pair]
+            pair = min(pairs, key=pairs.__getitem__)
+            sugar, key = pairs.pop(pair)
             self.pairs_done += 1
             if self.pairs_done > self.budget:
                 raise BudgetExceededError(
                     f"S-pair budget of {self.budget} exhausted")
-            s = self.s_poly(*pair)
-            r = self.normal_form(s)
-            if not r:
-                continue
-            idx = self.add_poly(r, sugar)
-            pairs = self.update_pairs(pairs, idx)
+            r = self.normal_form(self.s_poly(*pair, key ^ self.flip))
+            if r:
+                pairs = self.update_pairs(pairs, self.add_poly(r, sugar))
         return self._interreduce()
 
     def _interreduce(self):
-        order = sorted(range(len(self.polys)), key=lambda i: self.key(self.lts[i]))
+        lts, guard = self.lts, self.guard
+        order = sorted(range(len(self.polys)), key=lambda i: lts[i] ^ self.flip)
         kept = []
         for i in order:
-            if not any(_m_divides(self.lts[k], self.lts[i]) for k in kept):
+            if all((lts[i] - lts[k]) & guard for k in kept):
                 kept.append(i)
         self.polys = [self.polys[i] for i in kept]
         self.lts = [self.lts[i] for i in kept]
@@ -442,17 +443,17 @@ def buchberger(ideal: Ideal, budget=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal; may raise BudgetExceededError."""
     engine = _Engine(ideal.space, ideal.field, budget)
     dicts = engine.run([engine.prepare(g) for g in ideal.generators])
-    field = ideal.field
+    field, unpack = ideal.field, engine.unpack
     polys = []
     for terms, lt in zip(dicts, engine.lts):
         lc = terms[lt]
         if field.modulus is None:
-            coeffs = {m: Fraction(c, lc) for m, c in terms.items()}
+            coeffs = {unpack(m): Fraction(c, lc) for m, c in terms.items()}
         else:
             inv = pow(lc, -1, field.modulus)
-            coeffs = {m: c * inv % field.modulus for m, c in terms.items()}
+            coeffs = {unpack(m): c * inv % field.modulus for m, c in terms.items()}
         polys.append(MPoly(ideal.space, coeffs, field, _clean=True))
-    return GroebnerBasis(ideal.space, field, polys, engine.lts)
+    return GroebnerBasis(ideal.space, field, polys, map(unpack, engine.lts))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +463,7 @@ def buchberger(ideal: Ideal, budget=None) -> GroebnerBasis:
 def _minimalize(monos):
     out = []
     for m in sorted(monos, key=sum):
-        if not any(_m_divides(g, m) for g in out):
+        if not any(all(map(int.__le__, g, m)) for g in out):
             out.append(m)
     return out
 
@@ -727,19 +728,18 @@ def rational_points(gb: GroebnerBasis, h: int):
 
     engine = _Engine(space, field, None)
     for g in gb:
-        engine.add_poly(dict(g.terms))
-    source = standard(degrees(t)[0])
+        engine.add_poly(engine.prepare(g))
+    source = [engine.pack(m) for m in standard(degrees(t)[0])]
     v = [rng.randrange(p) for _ in range(h)]
     M = [[0] * h for _ in range(h)]
     images = []                 # A_x v, group by group
     for g, d in enumerate(degrees(t)[1:]):
-        index = {m: i for i, m in enumerate(standard(d))}
+        index = {engine.pack(m): i for i, m in enumerate(standard(d))}
         X = []                  # X[j][i][k]: x_j * source[k] at standard monomial i
         for var in range(space.group_slices[g].start, space.group_slices[g].stop):
             X.append([[0] * h for _ in range(h)])
-            for k, m in enumerate(source):
-                moved = m[:var] + (m[var] + 1,) + m[var + 1:]
-                for mono, c in engine.normal_form({moved: 1}, raw=True).items():
+            for k, m in enumerate(source):  # x * m has multidegree d: it fits
+                for mono, c in engine.normal_form({m + engine._units[var]: 1}, raw=True).items():
                     X[-1][index[mono]][k] = c
         forms = [[rng.randrange(1, p) for _ in X] for _ in range(2)]
         rows = []               # [X_(l_g) | X_(r_g) | X_x v]

@@ -314,8 +314,9 @@ def test_buchberger_matches_textbook_reference(field, monkeypatch):
 
     def normal_form(self, terms, keep=None):
         out = real_nf(self, terms, keep)
+        lts = [self.unpack(lt) for lt in self.lts]
         unreduced.extend(m for m in out if m != keep and any(
-            all(a <= b for a, b in zip(lt, m)) for lt in self.lts))
+            all(a <= b for a, b in zip(lt, self.unpack(m))) for lt in lts))
         return out
 
     def reducer(self, m):
@@ -348,37 +349,134 @@ def test_buchberger_matches_textbook_reference(field, monkeypatch):
 def test_reducer_search_tests_each_pair_once_per_phase(monkeypatch):
     # Within run() and within _interreduce() the basis does not shrink, so a
     # (leading term, monomial) divisibility test need never be repeated.
+    # The reducer search reads each leading term it tests out of the list
+    # ``lts``, so a list that records those reads sees every test.
     from tensorcert import ideals
-    real_divides = ideals._m_divides
-    real_nf, real_interreduce = ideals._Engine.normal_form, ideals._Engine._interreduce
-    state = {"in_nf": False, "seen": set(), "repeats": 0, "tests": 0}
+    real_reducer, real_interreduce = ideals._Engine._reducer, ideals._Engine._interreduce
+    state = {"m": None, "seen": set(), "repeats": 0, "tests": 0}
 
-    def divides(a, b):
-        if state["in_nf"]:
-            state["tests"] += 1
-            state["repeats"] += (a, b) in state["seen"]
-            state["seen"].add((a, b))
-        return real_divides(a, b)
+    class RecordedReads(list):
+        def __getitem__(self, i):
+            lt = super().__getitem__(i)
+            if state["m"] is not None:
+                state["tests"] += 1
+                state["repeats"] += (lt, state["m"]) in state["seen"]
+                state["seen"].add((lt, state["m"]))
+            return lt
 
-    def normal_form(self, *args, **kwargs):
-        state["in_nf"] = True
+    def reducer(self, m):
+        if type(self.lts) is not RecordedReads:
+            self.lts = RecordedReads(self.lts)
+        state["m"] = m
         try:
-            return real_nf(self, *args, **kwargs)
+            return real_reducer(self, m)
         finally:
-            state["in_nf"] = False
+            state["m"] = None
 
     def interreduce(self):
         state["seen"] = set()
         return real_interreduce(self)
 
-    monkeypatch.setattr(ideals, "_m_divides", divides)
-    monkeypatch.setattr(ideals._Engine, "normal_form", normal_form)
+    monkeypatch.setattr(ideals._Engine, "_reducer", reducer)
     monkeypatch.setattr(ideals._Engine, "_interreduce", interreduce)
     for space, gens in _differential_ideals():
         state["seen"] = set()
         buchberger(Ideal(space, gens))
     assert state["tests"] > 0
     assert state["repeats"] == 0
+
+
+def _packed_draw(rng, sizes, limit):
+    """An exponent vector whose group degrees stay below ``limit``: per group
+    zero, small, or split from a degree of limit - 1 or just under."""
+    mono = []
+    for size in sizes:
+        kind = rng.randrange(4)
+        block = [0] * size
+        if kind == 1:
+            block = [rng.randrange(3) for _ in range(size)]
+            while sum(block) >= limit:
+                block[block.index(max(block))] -= 1
+        elif kind == 2:
+            block[rng.randrange(size)] = limit - 1
+        elif kind == 3:
+            degree = limit - 1 - rng.randrange(2)
+            cuts = sorted(rng.randint(0, degree) for _ in range(size - 1))
+            block = [b - a for a, b in zip([0] + cuts, cuts + [degree])]
+        mono += block
+    return tuple(mono)
+
+
+@pytest.mark.parametrize("width", [3, 5, 16])
+def test_packed_monomials_match_tuples(width, monkeypatch):
+    # product, divisibility and lcm of packed monomials against the tuple
+    # versions, and the int key's order against monomial_key's, with every
+    # group degree from 0 up to the largest the field width allows
+    from tensorcert import ideals
+    monkeypatch.setattr(ideals, "_WIDTH", width)
+    rng = random.Random(1998 + width)
+    for trial in range(60):
+        sizes = tuple(rng.randint(2, 4) for _ in range(rng.randint(1, 3)))
+        space = TensorSpace(sizes, (1,) * len(sizes))
+        engine = ideals._Engine(space, QQ, None)
+        limit = engine.limit
+        assert limit == 1 << (width - 1)
+        monos = list({_packed_draw(rng, sizes, limit) for _ in range(12)})
+        packed = [engine.pack(m) for m in monos]
+        assert [engine.unpack(m) for m in packed] == monos
+        for a, pa in zip(monos, packed):
+            for b, pb in zip(monos, packed):
+                assert (not (pb - pa) & engine.guard) == all(map(int.__le__, a, b))
+                product = tuple(map(int.__add__, a, b))
+                if max(space.multidegree_of(product)) < limit:
+                    assert engine.unpack(pa + pb) == product
+                    assert engine.degree(pa + pb) == sum(product)
+                lcm = tuple(map(max, a, b))
+                if max(space.multidegree_of(lcm)) < limit:
+                    assert engine.lcm(pa, pb) == engine.pack(lcm), (trial, a, b)
+                else:
+                    with pytest.raises(BudgetExceededError):
+                        engine.lcm(pa, pb)
+        by_key = sorted(monos, key=space.monomial_key)
+        assert [engine.unpack(m) for m in sorted(packed, key=engine.flip.__xor__)] == by_key
+        assert [engine.unpack(m) for m in sorted(packed, key=engine.rflip.__xor__)] == by_key[::-1]
+        too_big = list(monos[0])
+        too_big[0] += limit - sum(too_big[:sizes[0]])
+        with pytest.raises(ValueError, match="overflows"):
+            engine.pack(tuple(too_big))
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+def test_narrow_packed_fields_refuse_and_never_wrap(field, monkeypatch):
+    # With 4-bit fields a group degree must stay below 8.  Every run either
+    # returns the textbook basis or is refused: a generator of degree 8 or
+    # more at ``prepare``, an S-pair lcm past 7 as an exhausted budget, which
+    # the classifier reports as Inconclusive.
+    from tensorcert import ideals
+    monkeypatch.setattr(ideals, "_WIDTH", 4)
+    rng = random.Random(44)
+    cases = _differential_ideals()
+    space = ternary(8)
+    cases.append((space, [random_form(space, 8, rng, bound=6) for _ in range(2)]))
+    outcomes = []
+    for trial, (space, gens) in enumerate(cases):
+        ideal = Ideal(space, [MPoly(space, g.terms, field) for g in gens], field)
+        try:
+            gb = buchberger(ideal)
+        except ValueError:
+            outcomes.append("input")
+            assert max(ideal.generators[0].multidegree()) >= 8, trial
+            continue
+        except BudgetExceededError:
+            outcomes.append("lcm")
+            assert classify_linear_section(ideal).status == "Inconclusive", trial
+            continue
+        outcomes.append("basis")
+        got = {lt: dict(g.terms) for lt, g in zip(gb.lead_terms, gb.polys)}
+        want = oracles.reference_groebner(space.sizes, [g.terms for g in ideal.generators],
+                                          field.modulus)
+        assert got == want, trial
+    assert {"input", "lcm", "basis"} <= set(outcomes), outcomes
 
 
 # ---------------------------------------------------------------------------
