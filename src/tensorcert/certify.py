@@ -330,21 +330,24 @@ def _section_checks(ideal, section, length=None, *, budget, prove=None):
 _POINTS_FIELD = PrimeField(2 ** 61 - 1)
 
 
-def _section_proof(rank, nrows, report, *, h, space, b, rows, points=None):
+def _section_proof(rank, nrows, report, *, h, space, b, rows=None, points=None):
     """The detail that makes a section classified mod p exact, or None.
 
-    S is an exact integer span, ``rows()``: a tensor's flattening over its
-    common denominator, or a decomposition's term vectors.  The section was
-    cut by S mod p = ``_POINTS_FIELD``, of rank ``rank`` with ``nrows`` rows.
-    The candidate points, one integer vector per group each, are ``points``,
-    or else those ``rational_points`` recovers from the section, and then
-    the detail lists them, sorted.
+    S is an exact integer span: a tensor's flattening over its common
+    denominator, ``rows()``, or, with no ``rows``, the degree-b rank-one
+    vectors of ``points`` themselves (a decomposition's terms).  The section
+    was cut by S mod p = ``_POINTS_FIELD``, of rank ``rank`` with ``nrows``
+    rows.  The candidate points, one integer vector per group each, are
+    ``points``, or else those ``rational_points`` recovers from the section,
+    and then the detail lists them, sorted.
 
     (a) rank = nrows and the section is Empty mod p gives the rank and Empty
         exactly, by the argument of ``_thm37_witness``.
     (b) rank = h, ZeroDim(h) mod p, and h points whose degree-b rank-one
         vectors v_i are independent mod p and span every row of S over QQ
-        (``spans_rows``) give the rank h and ZeroDim(h) exactly:
+        (``spans_rows``) give the rank h and ZeroDim(h) exactly.  When S's
+        rows are the v_i, both conditions hold by construction: rank = h is
+        their independence mod p.  The proof:
 
     * The span check gives rank_QQ <= h, and the mod-p rank gives >= h.
     * So the row space over QQ is span(v_i).  A generator over QQ is a form
@@ -362,11 +365,14 @@ def _section_proof(rank, nrows, report, *, h, space, b, rows, points=None):
     if rank != h or report.describe() != f"ZeroDim({h})":
         return None
     found = points or (report.basis and rational_points(report.basis, h)) or ()
-    basis = monomial_basis(space, b)
-    vectors = [[nums.get(m, 0) for m in basis]
-               for nums, _ in (rank_one_numerators(space, point, b) for point in found)]
-    if len(found) != h or not spans_rows(vectors, rows(), _POINTS_FIELD):
+    if len(found) != h:
         return None
+    if rows is not None:
+        basis = monomial_basis(space, b)
+        vectors = [[nums.get(m, 0) for m in basis] for nums, _ in
+                   (rank_one_numerators(space, point, b) for point in found)]
+        if not spans_rows(vectors, rows(), _POINTS_FIELD):
+            return None
     if points is None:
         proof["points"] = sorted([list(form) for form in point] for point in found)
     return proof
@@ -585,8 +591,7 @@ def _term_span_checks(dec: Decomposition, budget):
             budget=budget, prove=prove and partial(prove, span.nrows, h))
 
     decided = dec.field == QQ and checks(_POINTS_FIELD, partial(
-        _section_proof, h=h, space=space, b=space.degrees, rows=lambda: vectors,
-        points=dec.terms))
+        _section_proof, h=h, space=space, b=space.degrees, points=dec.terms))
     return decided or checks(dec.field)
 
 

@@ -5,15 +5,15 @@ a tensor T at a split is the matrix whose row for a differentiation monomial
 m of multidegree a holds the coefficients of the iterated partial derivative
 of T by m, written in the multidegree-b monomial basis.  For a single group
 this is the s-th catalecticant matrix of the form.  Entries are built by
-coefficient lookup (see ``flattening_matrix``); no derivative is ever
-expanded.
+coefficient lookup into one set of integer cells for every field (see
+``flattening_numerators``); no derivative is ever expanded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm, prod
+from math import comb, factorial, prod
 
 from .fields import numerators
 from .linalg import DenseMatrix, rref
@@ -92,8 +92,9 @@ def flattening_matrix(T, split: Split) -> DenseMatrix:
         T[m + m'] * prod_v (m + m')_v! / m'_v!,
 
     one falling factorial per variable: the coefficient of x^m' in the
-    iterated partial derivative of T by m.  Over QQ each entry is made once,
-    from the integer cells of ``flattening_numerators``.
+    iterated partial derivative of T by m.  Every field reads it from the
+    integer cells N and the denominator D of ``flattening_numerators``: the
+    entry is N / D over QQ, and N mod p over F_p, where D = 1.
     """
     space = T.space
     deg = T.multidegree()
@@ -103,39 +104,24 @@ def flattening_matrix(T, split: Split) -> DenseMatrix:
         raise ValueError("split does not match the space multidegree")
     f = T.field
     p = f.modulus
-    if p is None:
-        rows, den = flattening_numerators(T, split)
-        return DenseMatrix(f, [[Fraction(x, den) if x else f.zero for x in row]
-                               for row in rows])
-    if p <= max(space.degrees):
+    if p is not None and p <= max(space.degrees):
         raise ValueError(
             f"prime modulus {p} <= max degree {max(space.degrees)}: derivative "
             "coefficients may vanish; choose a larger prime")
-    col_monos = monomial_basis(space, split.b)
-    terms = T.terms
-    zero = f.zero
-    rows = []
-    for m in monomial_basis(space, split.a):
-        row = []
-        for mc in col_monos:
-            c = terms.get(tuple(x + y for x, y in zip(m, mc)))
-            if c is None:
-                row.append(zero)
-                continue
-            factor = 1
-            for x, y in zip(m, mc):
-                if x:
-                    factor *= perm(x + y, x)
-            row.append(f.mul_int(c, factor))
-        rows.append(row)
-    return DenseMatrix(f, rows, len(col_monos))
+    rows, den = flattening_numerators(T, split)
+    if p is None:
+        return DenseMatrix(f, [[Fraction(x, den) if x else f.zero for x in row]
+                               for row in rows])
+    return DenseMatrix(f, [[x % p for x in row] for row in rows])
 
 
 def flattening_numerators(T, split: Split):
-    """Integer cells N and the common denominator D of T over QQ, with
-    ``flattening_matrix(T, split)`` equal to N / D: with m! the product of
-    the factorials of m's exponents, N at (m, m') is the numerator of
-    T[m + m'] times (m + m')! / m'!, the falling factorials above."""
+    """Integer cells N and the common denominator D of T, with
+    ``flattening_matrix(T, split)`` equal to N / D over QQ and to N mod p
+    over F_p, whose residues are their own numerators (D = 1): with m! the
+    product of the factorials of m's exponents, N at (m, m') is the
+    numerator of T[m + m'] times (m + m')! / m'!, the falling factorials
+    above."""
     nums, den = numerators(list(T.terms.values()))
     scaled = {m: n * prod(map(factorial, m)) for m, n in zip(T.terms, nums)}
     cols = [(mc, prod(map(factorial, mc))) for mc in monomial_basis(T.space, split.b)]

@@ -446,12 +446,11 @@ def buchberger(ideal: Ideal, budget=None) -> GroebnerBasis:
     field, unpack = ideal.field, engine.unpack
     polys = []
     for terms, lt in zip(dicts, engine.lts):
-        lc = terms[lt]
         if field.modulus is None:
+            lc = terms[lt]
             coeffs = {unpack(m): Fraction(c, lc) for m, c in terms.items()}
-        else:
-            inv = pow(lc, -1, field.modulus)
-            coeffs = {unpack(m): c * inv % field.modulus for m, c in terms.items()}
+        else:                   # ``_interreduce`` left each element monic
+            coeffs = {unpack(m): c for m, c in terms.items()}
         polys.append(MPoly(ideal.space, coeffs, field, _clean=True))
     return GroebnerBasis(ideal.space, field, polys, map(unpack, engine.lts))
 

@@ -138,7 +138,10 @@ def _rational_form(space, rng, field):
     return MPoly(space, terms, field)
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(1073741789)], ids=["QQ", "Fp"])
+# the primes of `--field fp` and the Theorem 3.7 witness, and of the
+# Proposition 3.1 route, 2^61 - 1
+@pytest.mark.parametrize("field", [QQ, PrimeField(1073741789), PrimeField(2 ** 61 - 1)],
+                         ids=["QQ", "Fp", "Fp61"])
 @pytest.mark.parametrize("sizes,degrees,splits", [
     ((3,), (5,), [(0,), (1,), (2,), (3,), (5,)]),
     ((2, 5, 4), (3, 2, 3), [(2, 1, 2), (1, 1, 1), (3, 0, 0)]),

@@ -86,6 +86,33 @@ def test_route_matches_exact_path(monkeypatch, build, seeds, witnessed):
         assert _view(cert) == _view(_exact(monkeypatch, target, h))
 
 
+@pytest.mark.parametrize("build", [
+    _decomposition((4,), (4,), 7), _decomposition((3,), (6,), 8),
+], ids=["1d", "1e"])
+def test_term_span_is_proven_without_a_span_check(monkeypatch, build):
+    # check v's span is the terms' own vectors, independent mod p as its rank
+    # is h, so rule (b) holds by construction: no span check, and no second
+    # expansion of the terms (one for the tensor, one for check v's span)
+    dec, _ = build(1)
+    expanded = []
+
+    def counted(*args, **kwargs):
+        expanded.append(args[1])
+        return real(*args, **kwargs)
+
+    def refused(*args):
+        raise AssertionError("spans_rows ran on a span built from its own points")
+
+    real = CERTIFY.rank_one_numerators
+    with monkeypatch.context() as m:
+        m.setattr(CERTIFY, "spans_rows", refused)
+        m.setattr(CERTIFY, "rank_one_numerators", counted)
+        cert = certify(dec)
+    assert cert.certified and _witnessed(cert) == ["v_span_section_dimension"]
+    assert expanded == 2 * list(dec.terms)
+    assert _view(cert) == _view(_exact(monkeypatch, dec))
+
+
 @pytest.mark.parametrize("sizes,degrees,h", [
     ((3,), (5,), 6), ((2, 5, 4), (3, 2, 3), 5), ((6,), (4,), 13),
 ], ids=["3-5-h6", "1c", "6-4-h13"])
