@@ -31,7 +31,7 @@ from .flatten import (Split, SplitError, default_split, flatten, flattening_nume
                       image_span)
 from .ideals import (classify_linear_section, pullback_linear_section, rational_points,
                      section_ideal)
-from .linalg import DenseMatrix, lifted_kernel, row_space_basis, spans_rows
+from .linalg import DenseMatrix, _rref_mod_p, lifted_kernel, row_space_basis
 from .poly import (MPoly, TensorSpace, monomial_basis, poly_from_numerators,
                    rank_one_numerators)
 
@@ -330,31 +330,33 @@ def _section_checks(ideal, section, length=None, *, budget, prove=None):
 _POINTS_FIELD = PrimeField(2 ** 61 - 1)
 
 
-def _section_proof(rank, nrows, report, *, h, space, b, rows=None, points=None):
+def _section_proof(rank, nrows, report, *, h, tensor=None, points=None):
     """The detail that makes a section classified mod p exact, or None.
 
-    S is an exact integer span: a tensor's flattening over its common
-    denominator, ``rows()``, or, with no ``rows``, the degree-b rank-one
-    vectors of ``points`` themselves (a decomposition's terms).  The section
-    was cut by S mod p = ``_POINTS_FIELD``, of rank ``rank`` with ``nrows``
-    rows.  The candidate points, one integer vector per group each, are
-    ``points``, or else those ``rational_points`` recovers from the section,
-    and then the detail lists them, sorted.
+    The section was cut by an exact span S reduced mod p = ``_POINTS_FIELD``,
+    of rank ``rank`` with ``nrows`` rows: the flattening of ``tensor``, or,
+    with no ``tensor``, the degree-b rank-one vectors of ``points``
+    themselves (a decomposition's terms).  The candidate points, one integer
+    vector per group each, are ``points``, or else those ``rational_points``
+    recovers from the section, and then the detail lists them, sorted.
 
     (a) rank = nrows and the section is Empty mod p gives the rank and Empty
         exactly, by the argument of ``_thm37_witness``.
-    (b) rank = h, ZeroDim(h) mod p, and h points whose degree-b rank-one
-        vectors v_i are independent mod p and span every row of S over QQ
-        (``spans_rows``) give the rank h and ZeroDim(h) exactly.  When S's
-        rows are the v_i, both conditions hold by construction: rank = h is
-        their independence mod p.  The proof:
+    (b) rank = h, ZeroDim(h) mod p, and h points l_i whose degree-b rank-one
+        vectors v_i span every row of S over QQ give the rank h and
+        ZeroDim(h) exactly.  When S's rows are the v_i, that holds by
+        construction.  For a tensor T it holds when T = sum_i lambda_i l_i^d
+        exactly (``_rebuilds``): every order-a derivative of that sum is a
+        combination of the l_i^b.  The proof is one-sided:
 
-    * The span check gives rank_QQ <= h, and the mod-p rank gives >= h.
-    * So the row space over QQ is span(v_i).  A generator over QQ is a form
-      whose coefficients, scaled by the multinomials, are orthogonal to it,
-      and its value at a point is their product with the point's v_i: every
-      generator vanishes at the h points, distinct as the v_i are
-      independent.  Hence the length is >= h.
+    * S's rows lie in span(v_i), so rank_QQ <= h, and the mod-p rank gives
+      >= h.
+    * So the row space over QQ is span(v_i), and the v_i are independent.
+      A generator over QQ is a form whose coefficients, scaled by the
+      multinomials, are orthogonal to it, and its value at a point is their
+      product with the point's v_i: every generator vanishes at the h
+      points, distinct as the v_i are independent.  Hence the length is
+      >= h.
     * rank_p = rank_QQ makes the mod-p kernel the reduction of the saturated
       kernel lattice, and the multinomials are units mod p.  So HF_QQ(t) <=
       HF_p(t) for every t (``_thm37_witness``), and the length is <= h.
@@ -365,17 +367,37 @@ def _section_proof(rank, nrows, report, *, h, space, b, rows=None, points=None):
     if rank != h or report.describe() != f"ZeroDim({h})":
         return None
     found = points or (report.basis and rational_points(report.basis, h)) or ()
-    if len(found) != h:
+    if len(found) != h or (tensor is not None and not _rebuilds(tensor, found)):
         return None
-    if rows is not None:
-        basis = monomial_basis(space, b)
-        vectors = [[nums.get(m, 0) for m in basis] for nums, _ in
-                   (rank_one_numerators(space, point, b) for point in found)]
-        if not spans_rows(vectors, rows(), _POINTS_FIELD):
-            return None
     if points is None:
         proof["points"] = sorted([list(form) for form in point] for point in found)
     return proof
+
+
+def _rebuilds(T: MPoly, points) -> bool:
+    """Whether T = sum_i lambda_i l_i^d exactly, for some lambda over QQ and
+    the points l_i, one integer vector per group each.
+
+    One ``_rref_mod_p`` of the points' degree-d rank-one vectors V picks a
+    pivot monomial per point.  On those monomials the square system
+    V lambda = T is invertible, and ``lifted_kernel`` solves it exactly
+    whatever the size of lambda: a term whose form has content g gets
+    lambda = g^d.  The identity is then checked on every monomial.
+    """
+    space = T.space
+    basis = monomial_basis(space, space.degrees)
+    vectors = [[nums.get(m, 0) for m in basis]
+               for nums, _ in (rank_one_numerators(space, point) for point in points)]
+    rank, pivots = _rref_mod_p(DenseMatrix(_POINTS_FIELD, vectors))[1:]
+    if rank < len(points):
+        return False
+    system = [[v[c] for v in vectors] + [-T.terms.get(basis[c], 0)] for c in pivots]
+    del vectors                 # freed before the expansion, the largest allocation here
+    kernel = lifted_kernel(DenseMatrix(QQ, system))
+    if kernel is None:
+        return False
+    lambdas = kernel.rows[0][:-1]     # Decomposition refuses a zero lambda
+    return all(lambdas) and Decomposition(space, points, lambdas).expand() == T
 
 
 def certify_prop31(T: MPoly, h: int, split: Split = None, *,
@@ -399,9 +421,7 @@ def certify_prop31(T: MPoly, h: int, split: Split = None, *,
     except ZeroDivisionError:           # p divides a denominator of T
         Tp = None
     decided = Tp is not None and _flattening_checks(
-        Tp, split, *required, budget=budget, prove=partial(
-            _section_proof, h=h, space=space, b=split.b,
-            rows=lambda: flattening_numerators(T, split)[0]))
+        Tp, split, *required, budget=budget, prove=partial(_section_proof, h=h, tensor=T))
     return _finish(cert, start,
                    decided or _flattening_checks(T, split, *required, budget=budget))
 
@@ -591,7 +611,7 @@ def _term_span_checks(dec: Decomposition, budget):
             budget=budget, prove=prove and partial(prove, span.nrows, h))
 
     decided = dec.field == QQ and checks(_POINTS_FIELD, partial(
-        _section_proof, h=h, space=space, b=space.degrees, points=dec.terms))
+        _section_proof, h=h, points=dec.terms))
     return decided or checks(dec.field)
 
 

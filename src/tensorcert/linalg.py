@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 
-from .fields import DEFAULT_PRIME, QQ, PrimeField, numerators, primitive
+from .fields import DEFAULT_PRIME, PrimeField, numerators, primitive
 
 
 class DenseMatrix:
@@ -174,29 +174,6 @@ def _rref_rational(matrix: DenseMatrix):
                for i, c in enumerate(pivots)]
     reduced.extend([zero] * ncols for _ in range(nrows - r))
     return DenseMatrix(f, reduced, ncols), r, tuple(pivots)
-
-
-def spans_rows(vectors, rows, field) -> bool:
-    """Whether the integer vectors are independent in the prime field and
-    span every integer row over QQ, fraction-free: the reduced echelon rows
-    of the vectors, as integer rows E_k with pivots c_k and L the lcm of the
-    E_k[c_k], span a row a exactly when L a = sum_k a[c_k] (L / E_k[c_k]) E_k.
-    """
-    residues = DenseMatrix(field, [list(map(field, v)) for v in vectors])
-    if _rref_mod_p(residues)[1] < len(vectors):
-        return False
-    reduced, _, pivots = _rref_rational(DenseMatrix(QQ, vectors))
-    basis = [(c, numerators(row)) for c, row in zip(pivots, reduced.rows)]
-    lead = lcm(*(den for _, (_, den) in basis))
-    for a in rows:
-        rest = [lead * x for x in a]
-        for c, (e, den) in basis:
-            q = a[c] * (lead // den)
-            if q:
-                rest = [x - q * y for x, y in zip(rest, e)]
-        if any(rest):
-            return False
-    return True
 
 
 def kernel_basis(matrix: DenseMatrix) -> DenseMatrix:

@@ -17,7 +17,7 @@ from tensorcert import (Decomposition, MPoly, RandomConfig, SchemeReport, Split,
                         pullback_linear_section, random_tensor)
 from tensorcert.fields import primitive
 from tensorcert.flatten import flattening_matrix, flattening_numerators
-from tensorcert.linalg import spans_rows
+from tensorcert.linalg import DenseMatrix
 
 import oracles
 
@@ -101,11 +101,11 @@ def test_term_span_is_proven_without_a_span_check(monkeypatch, build):
         return real(*args, **kwargs)
 
     def refused(*args):
-        raise AssertionError("spans_rows ran on a span built from its own points")
+        raise AssertionError("the identity was checked on a span built from its own points")
 
     real = CERTIFY.rank_one_numerators
     with monkeypatch.context() as m:
-        m.setattr(CERTIFY, "spans_rows", refused)
+        m.setattr(CERTIFY, "_rebuilds", refused)
         m.setattr(CERTIFY, "rank_one_numerators", counted)
         cert = certify(dec)
     assert cert.certified and _witnessed(cert) == ["v_span_section_dimension"]
@@ -229,30 +229,90 @@ def test_perturbed_point_is_rejected(monkeypatch):
     assert _view(cert) == _view(_exact(monkeypatch, T, h))
 
 
+@pytest.mark.parametrize("build", [
+    _first_six, _tensor((2, 5, 4), (3, 2, 3), 5, 5),
+], ids=["1b", "1c"])
+def test_wrong_lambda_is_rejected(monkeypatch, build):
+    # lambda with one entry changed fails the identity T = sum lambda_i l_i^d
+    T, h = build(1)
+    real = CERTIFY.lifted_kernel
+
+    def changed(matrix):
+        kernel = real(matrix)
+        row = list(kernel.rows[0])
+        row[0] *= 2
+        return DenseMatrix(kernel.field, [row])
+
+    with monkeypatch.context() as m:
+        m.setattr(CERTIFY, "lifted_kernel", changed)
+        cert = certify(T, h)
+    assert cert.certified and not _witnessed(cert)
+    assert _view(cert) == _view(_exact(monkeypatch, T, h))
+
+
+@pytest.mark.parametrize("build", [
+    _first_six, _tensor((2, 5, 4), (3, 2, 3), 5, 5),
+], ids=["1b", "1c"])
+def test_route_builds_no_integer_cells(monkeypatch, build):
+    # the points prove rule (b) from T itself, with no flattening over QQ
+    def refused(*args):
+        raise AssertionError("the flattening's integer cells were built over QQ")
+
+    T, h = build(1)
+    monkeypatch.setattr(CERTIFY, "flattening_numerators", refused)
+    cert = certify(T, h)
+    assert cert.certified and _witnessed(cert) == ["ii_section_dimension"]
+
+
+def _content_heavy(seed):
+    # 3-5-h6 with each form times g_i near 2^20: the recovered points are
+    # primitive, so lambda_i = g_i^5 near 2^100, far past 2^30, the bound of
+    # Wang's reconstruction mod 2^61 - 1
+    space = _space((3,), (5,))
+    _, dec = random_tensor(space, 6, RandomConfig(seed=seed))
+    rng = random.Random(seed)
+    terms = []
+    for term in dec.terms:
+        g = 2 ** 20 + rng.randrange(2 ** 10)
+        terms.append(tuple(tuple(g * x for x in form) for form in term))
+    return Decomposition(space, terms).expand(), 6
+
+
+def _first_six_scaled(seed):
+    T, h = _first_six(seed)
+    return T.scale(Fraction(3, 7)), h
+
+
+@pytest.mark.parametrize("build", [_content_heavy, _first_six_scaled],
+                         ids=["content-2^20", "1b-times-3/7"])
+def test_large_lambda_is_solved_exactly(monkeypatch, build):
+    T, h = build(1)
+    cert = certify(T, h)
+    assert cert.certified and _witnessed(cert) == ["ii_section_dimension"]
+    assert _view(cert) == _view(_exact(monkeypatch, T, h))
+
+
 @pytest.mark.parametrize("length,extra,proven", [
     (6, False, True), (7, False, False), (7, True, False), (5, False, False),
 ], ids=["ZeroDim(h)", "ZeroDim(h+1)", "ZeroDim(h+1)-with-h+1-points", "ZeroDim(h-1)"])
 def test_section_proof_needs_length_h(length, extra, proven):
-    # the rule itself, on 3-5-h6's exact rows and its own terms: a mod-p
-    # length other than h proves nothing, even with verified points, h + 1
-    # of them included (the extra one is off the section)
+    # the rule itself, on 3-5-h6's tensor and its own terms: a mod-p length
+    # other than h proves nothing, even with verified points, h + 1 of them
+    # included (the extra one is off the section)
     T, dec = random_tensor(_space((3,), (5,)), 6, RandomConfig(seed=1))
-    split = Split.of(T.space, (2,))
     points = list(dec.terms) + ([((1, 2, 3),)] if extra else [])
     report = SchemeReport("ZeroDim", length=length)
-    proof = CERTIFY._section_proof(
-        6, 6, report, h=6, space=T.space, b=split.b, points=points,
-        rows=lambda: flattening_numerators(T, split)[0])
+    proof = CERTIFY._section_proof(6, 6, report, h=6, tensor=T, points=points)
     assert proof == ({"witness_prime": ROUTE_PRIME} if proven else None)
 
 
-def test_spans_rows():
-    field = CERTIFY._POINTS_FIELD
-    vectors = [[1, 2, 3], [0, 1, 4]]
-    assert spans_rows(vectors, [[2, 5, 10], [3, 7, 13], [0, 0, 0]], field)
-    assert not spans_rows(vectors, [[2, 5, 11]], field)
-    # dependent mod p, though independent over QQ
-    assert not spans_rows([[1, 2, 3], [1, 2, 3 + ROUTE_PRIME]], [[1, 2, 3]], field)
+def test_rebuilds():
+    T, dec = random_tensor(_space((3,), (5,)), 6, RandomConfig(seed=1))
+    terms = list(dec.terms)
+    assert CERTIFY._rebuilds(T, terms)
+    first = (tuple(x + (i == 0) for i, x in enumerate(terms[0][0])),)
+    assert not CERTIFY._rebuilds(T, [first] + terms[1:])
+    assert not CERTIFY._rebuilds(T, terms[1:])
 
 
 def test_flattening_numerators_over_the_common_denominator():
