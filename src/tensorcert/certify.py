@@ -31,7 +31,7 @@ from .flatten import (Split, SplitError, default_split, flatten, flattening_nume
                       image_span)
 from .ideals import (classify_linear_section, pullback_linear_section, rational_points,
                      section_ideal)
-from .linalg import DenseMatrix, _rref_mod_p, lifted_kernel, row_space_basis
+from .linalg import DenseMatrix, lifted_kernel, row_space_basis
 from .poly import (MPoly, TensorSpace, monomial_basis, poly_from_numerators,
                    rank_one_numerators)
 
@@ -375,29 +375,24 @@ def _section_proof(rank, nrows, report, *, h, tensor=None, points=None):
 
 
 def _rebuilds(T: MPoly, points) -> bool:
-    """Whether T = sum_i lambda_i l_i^d exactly, for some lambda over QQ and
-    the points l_i, one integer vector per group each.
+    """Whether T = sum_i lambda_i l_i^d exactly, with every lambda_i != 0 in
+    QQ, for the points l_i, one integer vector per group each.
 
-    One ``_rref_mod_p`` of the points' degree-d rank-one vectors V picks a
-    pivot monomial per point.  On those monomials the square system
-    V lambda = T is invertible, and ``lifted_kernel`` solves it exactly
-    whatever the size of lambda: a term whose form has content g gets
-    lambda = g^d.  The identity is then checked on every monomial.
+    The matrix [V | T] has a row per degree-d monomial m: the coefficients
+    of l_1^d, ..., l_h^d at m, then T's.  ``lifted_kernel`` checks its
+    kernel over ZZ on every row, and the identity holds exactly when that
+    kernel is one row with no zero entry: (-lambda, 1), as its free column
+    is then T's.  The lift works whatever the size of lambda: a term whose
+    form has content g gets lambda = g^d.
     """
     space = T.space
     basis = monomial_basis(space, space.degrees)
-    vectors = [[nums.get(m, 0) for m in basis]
+    # one point's rank-one dict at a time, read into a column
+    columns = [[nums.get(m, 0) for m in basis]
                for nums, _ in (rank_one_numerators(space, point) for point in points)]
-    rank, pivots = _rref_mod_p(DenseMatrix(_POINTS_FIELD, vectors))[1:]
-    if rank < len(points):
-        return False
-    system = [[v[c] for v in vectors] + [-T.terms.get(basis[c], 0)] for c in pivots]
-    del vectors                 # freed before the expansion, the largest allocation here
-    kernel = lifted_kernel(DenseMatrix(QQ, system))
-    if kernel is None:
-        return False
-    lambdas = kernel.rows[0][:-1]     # Decomposition refuses a zero lambda
-    return all(lambdas) and Decomposition(space, points, lambdas).expand() == T
+    columns.append([T.terms.get(m, 0) for m in basis])
+    kernel = lifted_kernel(DenseMatrix(QQ, zip(*columns), len(columns)))
+    return kernel is not None and kernel.nrows == 1 and all(kernel.rows[0])
 
 
 def certify_prop31(T: MPoly, h: int, split: Split = None, *,

@@ -173,8 +173,11 @@ def numerators(values):
     """Integers N_i and the lcm D of the denominators, with values[i] = N_i / D.
 
     The one conversion of rationals to integers; an int is its own numerator.
+    With D = 1 the numerators are returned as they are, not multiplied by 1.
     """
     den = lcm(*(x.denominator for x in values))
+    if den == 1:
+        return [x.numerator for x in values], den
     return [x.numerator * (den // x.denominator) for x in values], den
 
 

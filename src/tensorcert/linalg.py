@@ -280,9 +280,10 @@ def lifted_kernel(matrix: DenseMatrix):
     entries may be ints, such as a flattening's integer cells.
 
     Method.  Denominators are cleared row by row, which keeps the right
-    kernel, giving an integer matrix A.  One Gauss-Jordan pass of A mod
-    p = ``DEFAULT_PRIME`` gives the rank r, pivot rows R and pivot columns P
-    mod p, and the inverse C of the r x r pivot minor A_RP mod p.  For each
+    kernel, giving an integer matrix A.  Mod p = ``DEFAULT_PRIME``, one
+    Gauss-Jordan pass of A's transpose gives the rank r and r independent
+    rows R, and one of [A_R | identity_r] the pivot columns P and the inverse
+    C of the r x r pivot minor A_RP (``_pivot_inverse_mod_p``).  For each
     free column j the system A_RP x = -A_Rj is solved p-adically: the digit
     y = C b mod p of the residual b is taken out, and b becomes
     (b - A_RP y) / p, exactly.  At checkpoints where the modulus p^k has
@@ -362,22 +363,19 @@ def lifted_kernel(matrix: DenseMatrix):
 
 def _pivot_inverse_mod_p(rows, ncols):
     """Pivot rows and columns of integer rows mod p, and the inverse mod p of
-    the minor on them, in pivot order, from one ``rref`` of [rows | identity].
+    the minor on them, in pivot order.
 
-    The pivots in the rows' own columns are their pivots mod p, r of them.
-    Each of the other m - r pivots lies in the identity block, at a row that
-    the reduced form writes as a combination of later rows, so the r rows
-    left over are independent.  The first r reduced rows are [G A | G] with
-    G A the identity on the pivot columns, and G is zero at every other
-    pivot, so G on the rows left over is the inverse of their minor.
+    The pivot rows R are the pivot columns of one ``rref`` of the transpose
+    with the rows taken last first: a row is kept unless it is a combination
+    of the rows after it, so the r rows kept are independent and span the
+    others.  Then one ``rref`` of [A_R | identity_r] is [G A_R | G], with G A_R
+    the reduced form of A, whose pivots are those of A; G A_RP is the
+    identity, so G is the inverse of the minor A_RP.
     """
-    p = _LIFT_FIELD.modulus
     m = len(rows)
-    augmented = [[x % p for x in row] + [int(i == k) for k in range(m)]
-                 for i, row in enumerate(rows)]
-    reduced, _, pivots = _rref_mod_p(DenseMatrix(_LIFT_FIELD, augmented, ncols + m))
-    r = sum(c < ncols for c in pivots)
-    dependent = {c - ncols for c in pivots[r:]}
-    prows = [i for i in range(m) if i not in dependent]
-    return prows, pivots[:r], [[reduced.rows[k][ncols + i] for i in prows]
-                               for k in range(r)]
+    prows = sorted(m - 1 - k for k in _rref_mod_p(
+        DenseMatrix(_LIFT_FIELD, list(zip(*reversed(rows))), m))[2])
+    r = len(prows)
+    augmented = [list(rows[i]) + [int(i == k) for k in prows] for i in prows]
+    reduced, _, pivots = _rref_mod_p(DenseMatrix(_LIFT_FIELD, augmented, ncols + r))
+    return prows, pivots, [row[ncols:] for row in reduced.rows]

@@ -312,6 +312,70 @@ def test_lifted_kernel_rejects_mod_p_pivots_that_differ_from_qq():
     assert lifted_kernel(m) is None
 
 
+def _pivot_cases():
+    """Tall, wide and square integer matrices, most of them rank-deficient
+    mod p, with some rows that vanish mod p and some entries shifted by p."""
+    p = DEFAULT_PRIME
+    rng = random.Random(41)
+    cases = []
+    for nr, nc in [(9, 3), (12, 5), (3, 9), (4, 11), (6, 6), (7, 7), (1, 4), (5, 1)]:
+        for _ in range(4):
+            k = rng.randint(1, min(nr, nc))
+            left = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(nr)]
+            right = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(k)]
+            rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                    for row in left]
+            for row in rows:
+                if rng.random() < 0.2:
+                    row[:] = [p * rng.randint(-2, 2) for _ in row]
+                elif rng.random() < 0.3:
+                    row[rng.randrange(nc)] += p * rng.choice([-1, 1, 3])
+            cases.append((rows, nc))
+    return cases
+
+
+def _rank_mod_p(rows, ncols):
+    return linalg._rref_mod_p(DenseMatrix(linalg._LIFT_FIELD, rows, ncols))[1]
+
+
+def test_pivot_inverse_mod_p():
+    # the rows kept are those independent mod p of every row after them, the
+    # pivots are A's own mod p, and G inverts the minor A_RP mod p
+    p = DEFAULT_PRIME
+    for rows, ncols in _pivot_cases():
+        prows, pivots, inverse = linalg._pivot_inverse_mod_p(rows, ncols)
+        assert prows == [i for i in range(len(rows)) if _rank_mod_p(rows[i:], ncols)
+                         > _rank_mod_p(rows[i + 1:], ncols)]
+        assert pivots == linalg._rref_mod_p(DenseMatrix(linalg._LIFT_FIELD, rows, ncols))[2]
+        minor = [[rows[i][c] for c in pivots] for i in prows]
+        assert [[sum(g * minor[k][c] for k, g in enumerate(grow)) % p
+                 for c in range(len(pivots))] for grow in inverse] == \
+            [[int(i == c) for c in range(len(pivots))] for i in range(len(pivots))]
+
+
+def test_pivot_inverse_mod_p_builds_no_identity_of_the_row_count(monkeypatch):
+    # a tall 1000 x 6 matrix of rank 4: the eliminations hold at most
+    # m n + r (n + r) cells, not the m (n + m) of [A | identity_m]
+    rng = random.Random(43)
+    basis = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(4)]
+    rows = []
+    for _ in range(1000):
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        rows.append([sum(c * x for c, x in zip(coeffs, col)) for col in zip(*basis)])
+    cells = []
+    real = linalg._rref_mod_p
+
+    def counted(matrix):
+        cells.append(matrix.nrows * matrix.ncols)
+        return real(matrix)
+
+    monkeypatch.setattr(linalg, "_rref_mod_p", counted)
+    prows, pivots, _ = linalg._pivot_inverse_mod_p(rows, 6)
+    r = len(prows)
+    assert r == len(pivots) == 4
+    assert sum(cells) <= 1000 * 6 + r * (6 + r)
+
+
 def test_lifted_left_kernel_needs_a_rational_matrix():
     with pytest.raises(ValueError):
         lifted_kernel(DenseMatrix.identity(PrimeField(7), 2))

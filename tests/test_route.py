@@ -15,7 +15,7 @@ import pytest
 from tensorcert import (Decomposition, MPoly, RandomConfig, SchemeReport, Split,
                         TensorSpace, certify, flatten, monomial_basis,
                         pullback_linear_section, random_tensor)
-from tensorcert.fields import primitive
+from tensorcert.fields import DEFAULT_PRIME, primitive
 from tensorcert.flatten import flattening_matrix, flattening_numerators
 from tensorcert.linalg import DenseMatrix
 
@@ -233,15 +233,17 @@ def test_perturbed_point_is_rejected(monkeypatch):
     _first_six, _tensor((2, 5, 4), (3, 2, 3), 5, 5),
 ], ids=["1b", "1c"])
 def test_wrong_lambda_is_rejected(monkeypatch, build):
-    # lambda with one entry changed fails the identity T = sum lambda_i l_i^d
+    # [V | T] with T's entry on the first monomial changed by the lift's
+    # prime: the same matrix mod p, so the lift runs, and the lambda that
+    # solves the pivot rows fails T = sum lambda_i l_i^d on some row; only
+    # the lift's check over ZZ on every row rejects it
     T, h = build(1)
     real = CERTIFY.lifted_kernel
 
     def changed(matrix):
-        kernel = real(matrix)
-        row = list(kernel.rows[0])
-        row[0] *= 2
-        return DenseMatrix(kernel.field, [row])
+        rows = [list(row) for row in matrix.rows]
+        rows[0][-1] += DEFAULT_PRIME
+        return real(DenseMatrix(matrix.field, rows))
 
     with monkeypatch.context() as m:
         m.setattr(CERTIFY, "lifted_kernel", changed)
@@ -313,6 +315,12 @@ def test_rebuilds():
     first = (tuple(x + (i == 0) for i, x in enumerate(terms[0][0])),)
     assert not CERTIFY._rebuilds(T, [first] + terms[1:])
     assert not CERTIFY._rebuilds(T, terms[1:])
+    # a change by the lift's prime leaves [V | T] the same mod p, so only the
+    # check over ZZ rejects it, wherever the changed monomial is
+    for m in monomial_basis(T.space, T.space.degrees):
+        changed = dict(T.terms)
+        changed[m] = changed.get(m, 0) + DEFAULT_PRIME
+        assert not CERTIFY._rebuilds(MPoly(T.space, changed), terms)
 
 
 def test_flattening_numerators_over_the_common_denominator():
