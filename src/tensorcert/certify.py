@@ -283,22 +283,21 @@ def _certificate(criterion, h, space, field, label="", **fields):
                        prime=field.modulus, **fields)
 
 
-def _flattening_checks(T: MPoly, split: Split, rank, section, length=None, *, budget,
-                       prove=None):
+def _flattening_checks(fl, rank, section, length=None, *, budget, prove=None):
     """The checks shared by Propositions 3.1 and 3.3 and Theorem 3.7.
 
-    The flattening of T at the split must have the required rank; then the
-    span of its rows must cut the multidegree-b variety in a scheme of the
-    required status and, when asked, length.  ``rank``, ``section`` and
-    ``length`` are (check name, required value) pairs.  With ``prove``, T is
-    a tensor over QQ mod p: None unless ``_section_proof`` makes them exact.
+    The flattening ``fl`` must have the required rank; then the span of its
+    rows must cut the multidegree-b variety in a scheme of the required
+    status and, when asked, length.  ``rank``, ``section`` and ``length`` are
+    (check name, required value) pairs.  With ``prove``, ``fl`` flattens a
+    tensor over QQ reduced mod p (``_reduced``): None unless
+    ``_section_proof`` makes the checks exact.
     """
-    fl = flatten(T, split)
     name, required = rank
     checks = [Check(name, fl.rank, required, fl.rank == required)]
     if not checks[0].passed:
         return None if prove else checks
-    ideal = pullback_linear_section(image_span(fl), T.space, split.b)
+    ideal = pullback_linear_section(image_span(fl), fl.tensor.space, fl.split.b)
     tail = _section_checks(ideal, section, length, budget=budget,
                            prove=prove and partial(prove, fl.rank, fl.matrix.nrows))
     return tail and checks + tail
@@ -328,20 +327,52 @@ def _section_checks(ideal, section, length=None, *, budget, prove=None):
 
 #: 2^61 - 1: Wang's bound sqrt(p/2) > 2^30 passes 16-bit coordinate ratios
 _POINTS_FIELD = PrimeField(2 ** 61 - 1)
+#: Theorem 3.7's prime, the one ``lifted_kernel`` lifts from
+_WITNESS_FIELD = PrimeField(DEFAULT_PRIME)
 
 
-def _section_proof(rank, nrows, report, *, h, tensor=None, points=None):
+def _reduced(T: MPoly, field):
+    """T over QQ reduced mod the prime of ``field``; None when T is not over
+    QQ or the prime divides a denominator of T."""
+    if T.field != QQ:
+        return None
+    try:
+        return MPoly(T.space, T.terms, field)
+    except ZeroDivisionError:
+        return None
+
+
+def _section_proof(rank, nrows, report, *, field, h, tensor=None, points=None):
     """The detail that makes a section classified mod p exact, or None.
 
-    The section was cut by an exact span S reduced mod p = ``_POINTS_FIELD``,
-    of rank ``rank`` with ``nrows`` rows: the flattening of ``tensor``, or,
-    with no ``tensor``, the degree-b rank-one vectors of ``points``
-    themselves (a decomposition's terms).  The candidate points, one integer
-    vector per group each, are ``points``, or else those ``rational_points``
+    The section was cut by an exact span S over QQ reduced mod the prime p
+    of ``field``, of rank ``rank`` with ``nrows`` rows: a flattening (of
+    ``tensor`` for Proposition 3.1, of the form for Theorem 3.7), or, with
+    neither, the degree-b rank-one vectors of ``points`` themselves (a
+    decomposition's terms, Proposition 3.3's check v).  The detail records p
+    as ``witness_prime``.  The candidate points of (b), one integer vector
+    per group each, are ``points``, or else those ``rational_points``
     recovers from the section, and then the detail lists them, sorted.
 
-    (a) rank = nrows and the section is Empty mod p gives the rank and Empty
-        exactly, by the argument of ``_thm37_witness``.
+    (a) rank = nrows and the section is Empty mod p give the rank and Empty
+        exactly.  This is Theorem 3.7's rule: its span has nrows < h rows,
+        so (b) never applies to it.  Let Z_(p) be the rationals whose
+        denominator is prime to p; S reduces mod p, so its entries lie in
+        Z_(p).
+
+    * rank_p <= rank_QQ <= nrows, so rank_p = nrows is the full rank over
+      QQ.
+    * rank_p = nrows makes the Z_(p)-lattice spanned by the rows of S
+      saturated (a maximal minor is a unit of Z_(p)).  So the mod-p kernel,
+      whose rows are the generators of I_p in degree b, is the reduction of
+      the kernel lattice over QQ: both have dimension N - nrows.  The
+      pullback's column scaling multiplies by multinomials of degree b < p,
+      which are units mod p, so it keeps this true.
+    * So (I_p)_t lies in the reduction of the lattice (I_QQ)_t, whose rank
+      is dim (I_QQ)_t, for every t.  That gives HF_QQ(t) <= HF_p(t), and a
+      section that is Empty mod p (HF_p(t) = 0 for large t; for binary
+      forms, no common root of the generators mod p) is Empty over QQ.
+
     (b) rank = h, ZeroDim(h) mod p, and h points l_i whose degree-b rank-one
         vectors v_i span every row of S over QQ give the rank h and
         ZeroDim(h) exactly.  When S's rows are the v_i, that holds by
@@ -358,10 +389,10 @@ def _section_proof(rank, nrows, report, *, h, tensor=None, points=None):
       points, distinct as the v_i are independent.  Hence the length is
       >= h.
     * rank_p = rank_QQ makes the mod-p kernel the reduction of the saturated
-      kernel lattice, and the multinomials are units mod p.  So HF_QQ(t) <=
-      HF_p(t) for every t (``_thm37_witness``), and the length is <= h.
+      kernel lattice, as in (a), so HF_QQ(t) <= HF_p(t) for every t, and the
+      length is <= h.
     """
-    proof = {"witness_prime": _POINTS_FIELD.modulus}
+    proof = {"witness_prime": field.modulus}
     if report.status == "Empty" and rank == nrows:
         return proof
     if rank != h or report.describe() != f"ZeroDim({h})":
@@ -411,22 +442,21 @@ def certify_prop31(T: MPoly, h: int, split: Split = None, *,
                         effective=effective_range(space, split, h))
     required = (("i_flattening_rank", h), ("ii_section_dimension", "ZeroDim"),
                 ("iii_section_length", h))
-    try:
-        Tp = MPoly(space, T.terms, _POINTS_FIELD) if T.field == QQ else None
-    except ZeroDivisionError:           # p divides a denominator of T
-        Tp = None
+    Tp = _reduced(T, _POINTS_FIELD)
     decided = Tp is not None and _flattening_checks(
-        Tp, split, *required, budget=budget, prove=partial(_section_proof, h=h, tensor=T))
-    return _finish(cert, start,
-                   decided or _flattening_checks(T, split, *required, budget=budget))
+        flatten(Tp, split), *required, budget=budget,
+        prove=partial(_section_proof, field=_POINTS_FIELD, h=h, tensor=T))
+    return _finish(cert, start, decided or _flattening_checks(
+        flatten(T, split), *required, budget=budget))
 
 
 def certify_thm37(F: MPoly, h: int, *, budget=None) -> Certificate:
     """Exceptional-family criterion: full catalecticant rank + empty section.
 
-    Over QQ both checks run mod p first (``_thm37_witness``); whatever that
-    leaves open is settled from one lifted kernel where it can be.  The
-    exact rational path runs only when neither settles the checks.
+    Over QQ both checks run mod p = ``DEFAULT_PRIME`` first, and a pass is
+    kept by ``_section_proof``'s rule (a).  Whatever that leaves open is
+    settled from one lifted kernel where it can be (``_thm37_lifted``).
+    The exact rational path runs only when neither settles the checks.
     """
     start = time.perf_counter()
     space = F.space
@@ -444,84 +474,44 @@ def certify_thm37(F: MPoly, h: int, *, budget=None) -> Certificate:
                         label=(f"Theorem 3.7 ({h}-identifiability for "
                                f"{n + 1}-forms of degree {d})"))
     full = comb(n + s, n)
-    decided = _thm37_witness(F, split, full, budget) if F.field == QQ else None
-    if decided is None:
-        decided = _thm37_checks(F, split, full, budget)
-    return _finish(cert, start, decided)
+    required = (("a_derivative_span_rank", full), ("b_section_empty", "Empty"))
+    Fp = _reduced(F, _WITNESS_FIELD)
+    decided = None
+    if Fp is not None:
+        fl = flatten(Fp, split)
+        decided = _flattening_checks(
+            fl, *required, budget=budget,
+            prove=partial(_section_proof, field=_WITNESS_FIELD, h=h)
+        ) or _thm37_lifted(F, split, full, fl.rank == full, budget)
+    return _finish(cert, start, decided or _flattening_checks(
+        flatten(F, split), *required, budget=budget))
 
 
-def _thm37_checks(F: MPoly, split: Split, full: int, budget):
-    """Theorem 3.7's two checks over the field of F."""
-    return _flattening_checks(F, split, ("a_derivative_span_rank", full),
-                              ("b_section_empty", "Empty"), budget=budget)
+def _thm37_lifted(F: MPoly, split: Split, full: int, full_mod_p: bool, budget):
+    """Theorem 3.7's checks for F over QQ from one kernel of its
+    catalecticant M lifted from p = ``DEFAULT_PRIME``, or None when the lift
+    gives up and the exact path decides.  ``lifted_kernel`` proves the
+    kernel, its rank and its pivots exact; no rational echelon form runs.
 
-
-_WITNESS_FIELD = PrimeField(DEFAULT_PRIME)
-
-
-def _thm37_witness(F: MPoly, split: Split, full: int, budget):
-    """Theorem 3.7's checks for F over QQ, settled from residues mod one prime.
-
-    Returns the checks when they are decided this way, the same checks as
-    the exact path; returns None otherwise, and the exact path decides.  M
-    is the catalecticant of F, and ``lifted_kernel`` lifts a kernel mod
-    p = ``DEFAULT_PRIME`` to QQ.  Three outcomes are exact:
-
-    * Both checks pass mod p, which certifies F over QQ.
-    * The rank is below full mod p, and the lifted left kernel of M proves
-      the rank over QQ: the single failed rank check is returned, with that
-      rank.
-    * The rank is full mod p and the section check fails there.  The lifted
-      right kernel of M is ``kernel_basis`` of its QQ span, so its section
-      ideal is the exact path's pullback, generator for generator, and the
+    * Below full rank mod p (``full_mod_p`` false), the lifted left kernel
+      of M proves the rank over QQ: the single failed rank check is
+      returned, with that rank.
+    * At full rank mod p, which is full rank over QQ (``_section_proof``'s
+      rule (a)), the section was not proven Empty mod p.  The lifted right
+      kernel of M is ``kernel_basis`` of its QQ span, so its section ideal
+      is the exact path's pullback, generator for generator, and the
       section is classified over QQ from it.
-
-    No rational echelon form runs on any of these routes.
-
-    Let Z_(p) be the rationals whose denominator is prime to p.  F reduces
-    mod p when its coefficients lie in Z_(p), and then the flattening M_p of
-    F_p is the reduction of M.
-
-    * rank_p <= rank_QQ <= #rows, so rank_p = #rows is the full rank over QQ.
-    * rank_p = #rows makes the Z_(p)-lattice spanned by the rows of M
-      saturated (a maximal minor is a unit of Z_(p)).  So the mod-p kernel,
-      whose rows are the generators of I_p in degree b, is the reduction of
-      the kernel lattice over QQ: both have dimension N - #rows.  The
-      pullback's column scaling multiplies by multinomials of degree b < p,
-      which are units mod p, so it keeps this true.
-    * So (I_p)_t lies in the reduction of the lattice (I_QQ)_t, whose rank
-      is dim (I_QQ)_t, for every t.  That gives HF_QQ(t) <= HF_p(t), and a
-      section that is Empty mod p (HF_p(t) = 0 for large t; for binary forms,
-      no common root of the generators mod p) is Empty over QQ.
-    * A lifted kernel is checked to vanish under M over ZZ, and its vectors
-      are independent, so they bound rank_QQ from above by the rank mod p;
-      the mod-p rank bounds it from below.  A lifted kernel is also checked
-      to be zero at every pivot right of its free column, which makes the
-      pivots mod p the pivots over QQ (see ``lifted_kernel``).
-
-    A denominator divisible by p, or a lift that gives up, proves nothing:
-    None.
     """
-    try:
-        Fp = MPoly(F.space, F.terms, _WITNESS_FIELD)
-    except ZeroDivisionError:
-        return None
-    checks = _thm37_checks(Fp, split, full, budget)
-    if checks[-1].passed:
-        checks[1].detail["witness_prime"] = DEFAULT_PRIME
-        return checks
     M = DenseMatrix(QQ, flattening_numerators(F, split)[0])
-    if len(checks) == 1:
+    if not full_mod_p:
         left = lifted_kernel(M.transpose())
-        if left is None:
-            return None
-        return [Check("a_derivative_span_rank", M.nrows - left.nrows, full, False)]
+        return None if left is None else [
+            Check("a_derivative_span_rank", M.nrows - left.nrows, full, False)]
     kernel = lifted_kernel(M)
-    if kernel is None:
-        return None
-    # the rank check passed mod p, and full rank mod p is full rank over QQ
-    return checks[:1] + _section_checks(section_ideal(kernel, F.space, split.b),
-                                        ("b_section_empty", "Empty"), budget=budget)
+    return None if kernel is None else [
+        Check("a_derivative_span_rank", full, full, True)] + _section_checks(
+            section_ideal(kernel, F.space, split.b), ("b_section_empty", "Empty"),
+            budget=budget)
 
 
 def thm37_family(space: TensorSpace, h: int):
@@ -583,7 +573,7 @@ def certify_prop33(dec: Decomposition, *, budget=None) -> Certificate:
     ]
     if iv_ok:
         checks += _flattening_checks(
-            dec.expand(), split, ("i_flattening_rank", h),
+            flatten(dec.expand(), split), ("i_flattening_rank", h),
             ("ii_section_dimension", "ZeroDim"), budget=budget)
         if checks[-1].passed:
             checks += _term_span_checks(dec, budget)
@@ -606,7 +596,7 @@ def _term_span_checks(dec: Decomposition, budget):
             budget=budget, prove=prove and partial(prove, span.nrows, h))
 
     decided = dec.field == QQ and checks(_POINTS_FIELD, partial(
-        _section_proof, h=h, points=dec.terms))
+        _section_proof, field=_POINTS_FIELD, h=h, points=dec.terms))
     return decided or checks(dec.field)
 
 

@@ -273,9 +273,9 @@ def test_thm37_matches_sylvester_on_random_binary_forms():
 
 
 def _exact_thm37(monkeypatch, F, h):
-    """The certificate of the exact rational path, with the witness disabled."""
+    """The certificate of the exact rational path: F is never reduced mod p."""
     with monkeypatch.context() as m:
-        m.setattr(importlib.import_module("tensorcert.certify"), "_thm37_witness",
+        m.setattr(importlib.import_module("tensorcert.certify"), "_reduced",
                   lambda *args: None)
         return certify_thm37(F, h)
 
@@ -304,6 +304,23 @@ def test_thm37_witness_agrees_with_exact_path(monkeypatch, sizes, degrees, h):
         assert fast.checks[1].detail["witness_prime"] == DEFAULT_PRIME
         assert "witness_prime" not in exact.checks[1].detail
         assert (fast.field_mode, fast.prime) == ("exact", None)
+
+
+@pytest.mark.parametrize("sizes,degrees,h", [
+    ((2,), (9,), 5), ((3,), (5,), 7),
+], ids=["binary-9", "ternary-quintic"])
+def test_thm37_witness_is_kept_only_by_section_proof(monkeypatch, sizes, degrees, h):
+    # a pass mod p proves nothing unless _section_proof keeps it: without
+    # the rule the lifted kernel classifies the section over QQ
+    for seed in (21, 22):
+        T, _ = random_tensor(TensorSpace(sizes, degrees), h, RandomConfig(seed=seed))
+        with monkeypatch.context() as m:
+            m.setattr(importlib.import_module("tensorcert.certify"), "_section_proof",
+                      lambda *args, **kwargs: None)
+            cert = certify_thm37(T, h)
+        assert cert.certified
+        assert "witness_prime" not in cert.checks[1].detail
+        assert _full_view(cert) == _full_view(_exact_thm37(monkeypatch, T, h))
 
 
 @pytest.mark.parametrize("sizes,degrees,h,rank,failed", [
@@ -396,6 +413,27 @@ def test_thm37_lifted_section_matches_exact_path(monkeypatch, sizes, degrees, h,
             cert = certify_thm37(T, h)
         assert cert.reason == "failed checks: b_section_empty"
         assert _full_view(cert) == _full_view(exact)
+
+
+@pytest.mark.parametrize("sizes,degrees,rank,h,shapes", [
+    ((2,), (31,), 14, 16, [(18, 15)]), ((2,), (9,), 4, 5, [(4, 7)]),
+    ((3,), (5,), 6, 7, [(6, 10)]),
+], ids=["swell-control", "binary-9-rank-4", "ternary-quintic-rank-6"])
+def test_thm37_lifts_the_kernel_the_mod_p_rank_picks(monkeypatch, sizes, degrees, rank,
+                                                     h, shapes):
+    # below full rank mod p only the left kernel is lifted (the transpose),
+    # at full rank only the right kernel (M itself): one lift either way
+    T, _ = random_tensor(TensorSpace(sizes, degrees), rank, RandomConfig(seed=1))
+    calls = []
+
+    def counted(matrix):
+        calls.append((matrix.nrows, matrix.ncols))
+        return lifted_kernel(matrix)
+
+    monkeypatch.setattr(importlib.import_module("tensorcert.certify"), "lifted_kernel",
+                        counted)
+    assert certify_thm37(T, h).verdict == "Inconclusive"
+    assert calls == shapes
 
 
 def test_thm37_conjugate_irrational_points_match_exact_path(monkeypatch):

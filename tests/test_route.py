@@ -304,7 +304,8 @@ def test_section_proof_needs_length_h(length, extra, proven):
     T, dec = random_tensor(_space((3,), (5,)), 6, RandomConfig(seed=1))
     points = list(dec.terms) + ([((1, 2, 3),)] if extra else [])
     report = SchemeReport("ZeroDim", length=length)
-    proof = CERTIFY._section_proof(6, 6, report, h=6, tensor=T, points=points)
+    proof = CERTIFY._section_proof(6, 6, report, field=CERTIFY._POINTS_FIELD, h=6,
+                                   tensor=T, points=points)
     assert proof == ({"witness_prime": ROUTE_PRIME} if proven else None)
 
 
