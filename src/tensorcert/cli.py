@@ -29,6 +29,8 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import cache
+from operator import add
 
 from .certify import Certificate, Decomposition, certify, corollary35_bound
 from .fields import QQ, field_from_spec
@@ -52,183 +54,210 @@ class ParseError(ValueError):
 # polynomial expressions
 
 #: Deepest nesting of parentheses a document may use; each level costs the
-#: recursive parser two stack frames.
+#: recursive parser one stack frame.
 _MAX_NESTING = 200
 
 #: Largest bit size of a power of a number over QQ; a larger one is refused
 #: before it is computed (over F_p, powers are reduced as they are taken).
 _MAX_POWER_BITS = 1 << 16
 
-_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<var>x(\d+)_(\d+))|(?P<op>[-+*^()/])"
-                       r"|(?P<bad>.)", re.S)
+#: One token: a number, a variable x<group>_<index> or an operator.  Any
+#: other character that is not white space is a token of its own, and
+#: refused: it is the only token of one character that is neither a digit
+#: nor an operator.
+_TOKEN_RE = re.compile(r"\d+|x\d+_\d+|[-+*^()/]|\S")
 
 
-def _tokenize(text):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind, pos = m.lastgroup, m.start()
-        if kind == "num":
-            tokens.append(("num", int(m.group("num")), pos))
-        elif kind == "var":
-            tokens.append(("var", (int(m.group(4)), int(m.group(5))), pos))
-        elif kind == "op":
-            tokens.append((m.group("op"), None, pos))
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", pos)
-    return tokens
-
-
-def _check_power_bits(value, k, caret):
-    """Refuse a rational number to the power k whose result would pass
-    ``_MAX_POWER_BITS`` bits, before computing it: a numerator or
-    denominator of bit length L >= 2 makes one of at least (L - 1) k + 1 bits."""
-    length = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
-    if k > 1 and (length - 1) * k >= _MAX_POWER_BITS:
-        raise ParseError(f"power has more than {_MAX_POWER_BITS} bits", caret[2])
-
-
-def _check_term_degree(degree, declared, star):
-    """Refuse a product whose total degree passes the declared one, at the
-    '*' that took it past."""
-    if star is not None and degree > declared:
-        raise ParseError(f"product has total degree {degree}, more than the "
-                         f"declared {declared}", star[2])
+def _kind(tok):
+    """A token's name in messages: 'num', 'var', or the operator itself."""
+    return "num" if tok.isdecimal() else "var" if tok[:1] == "x" else tok
 
 
 class _ExprParser:
+    """Recursive descent over one flat list of token strings.
+
+    ``_expr`` scans a sum in one loop.  The number and variable factors of
+    a term fold into one coefficient and one exponent list: an int, a
+    ``Fraction`` only after a '/' over QQ, a residue over F_p.  Each term
+    goes straight into the sum's dict; only a parenthesised factor builds a
+    polynomial, by recursion.  Tokens carry no positions: an error finds
+    its position by scanning the text again (``_error``).
+    """
+
     def __init__(self, text, space, field):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append("")  # the end of the expression
         self.i = 0
         self.depth = 0
         self.space = space
         self.field = field
-        self.text = text
+        self.slots = {f"x{g + 1}_{j}": sl.start + j
+                      for g, sl in enumerate(space.group_slices)
+                      for j in range(sl.stop - sl.start)}
 
-    def _peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def _error(self, message, index) -> ParseError:
+        """The error at token ``index``.  As when tokens were read before
+        parsing, the first refused character anywhere in the text comes
+        first, and an error at the end token is the end of the expression."""
+        spans = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(self.text)]
+        for tok, pos in spans:
+            if len(tok) == 1 and not tok.isdecimal() and tok not in "-+*^()/":
+                return ParseError(f"unexpected character {tok!r}", pos)
+        if index == len(spans):
+            return ParseError("unexpected end of expression", len(self.text))
+        return ParseError(message, spans[index][1])
 
-    def _take(self):
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", len(self.text))
-        self.i += 1
-        return tok
+    def _var_slot(self, index):
+        """The variable index of a token not spelled x<g>_<j>, such as
+        x01_0; a token that names no variable is an error."""
+        group, _, j = self.tokens[index][1:].partition("_")
+        try:
+            return self.space.var_index(int(group), int(j))
+        except ValueError as exc:
+            raise self._error(str(exc), index) from None
+
+    def _exponent(self, i):
+        """The exponent at token i and the index after it: 1 with no '^'."""
+        if self.tokens[i] != "^":
+            return 1, i
+        tok = self.tokens[i + 1]
+        if not tok.isdecimal():
+            raise self._error("exponent must be a nonnegative integer", i + 1)
+        return int(tok), i + 2
+
+    def _check_power_bits(self, value, k, caret):
+        """Refuse a rational number to the power k whose result would pass
+        ``_MAX_POWER_BITS`` bits, before computing it: a numerator or
+        denominator of bit length L >= 2 makes one of at least (L - 1) k + 1
+        bits."""
+        length = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+        if k > 1 and (length - 1) * k >= _MAX_POWER_BITS:
+            raise self._error(f"power has more than {_MAX_POWER_BITS} bits", caret)
 
     def parse(self) -> MPoly:
         poly = self._expr()
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok[0]!r}", tok[2])
+        tok = self.tokens[self.i]
+        if tok:
+            raise self._error(f"unexpected token {_kind(tok)!r}", self.i)
         return poly
 
     def _expr(self) -> MPoly:
-        # one dict for the whole sum: an MPoly per partial sum would copy it
-        # once per term
-        f = self.field
-        acc = {}
-        sign = "+"
-        tok = self._peek()
-        if tok is not None and tok[0] in "+-":
-            self._take()
-            sign = tok[0]
-        while True:
-            add = f.add if sign == "+" else f.sub
-            for m, c in self._term().terms.items():
-                v = add(acc.get(m, f.zero), c)
-                if f.is_zero(v):
-                    acc.pop(m, None)
-                else:
-                    acc[m] = v
-            tok = self._peek()
-            if tok is None or tok[0] not in "+-":
-                return MPoly(self.space, acc, f, _clean=True)
-            self._take()
-            sign = tok[0]
-
-    def _term(self) -> MPoly:
-        # number and variable factors fold into one coefficient and one
-        # exponent vector; only parenthesised factors multiply polynomials.
-        # The term's total degree is the sum of its factors' degrees, and a
+        # A term's total degree is the sum of its factors' degrees, and a
         # term that passes the declared degree is refused at the '*' that
         # joins the factor taking it past, before any product is expanded
-        f, space = self.field, self.space
-        declared = sum(space.degrees)
-        coeff = f.one
-        mono = [0] * space.nvars
-        poly = None
-        degree, star = 0, None
+        tokens, slots, space = self.tokens, self.slots, self.space
+        p = self.field.modulus
+        nvars, declared = space.nvars, sum(space.degrees)
+        acc = {}
+        i = self.i
+        sign = -1 if tokens[i] == "-" else 1
+        if tokens[i] in ("+", "-"):
+            i += 1
         while True:
-            tok = self._take()
-            if tok[0] == "num":
-                value = tok[1]
-                nxt = self._peek()
-                if nxt is not None and nxt[0] == "/":
-                    self._take()
-                    dtok = self._take()
-                    if dtok[0] != "num" or dtok[1] == 0:
-                        raise ParseError("denominator must be a positive integer",
-                                         dtok[2])
-                    value = Fraction(value, dtok[1])
-                caret = self._peek()
-                c, k = f(value), self._exponent()
-                if f.modulus is None:
-                    _check_power_bits(value, k, caret)
-                    c = c ** k
+            coeff, mono, poly, degree, star = sign, [0] * nvars, None, 0, None
+            while True:
+                tok = tokens[i]
+                i += 1
+                slot = slots.get(tok)
+                if slot is None and tok[:1] == "x":
+                    slot = self._var_slot(i - 1)
+                if slot is not None:
+                    if tokens[i] == "^":  # a bare variable skips the call
+                        k, i = self._exponent(i)
+                    else:
+                        k = 1
+                    mono[slot] += k
+                    degree += k
+                    if star is not None and degree > declared:
+                        raise self._degree_error(degree, declared, star)
+                elif tok.isdecimal():
+                    value = int(tok)
+                    if tokens[i] == "/":
+                        den = tokens[i + 1]
+                        if not den.isdecimal() or not int(den):
+                            raise self._error("denominator must be a positive integer",
+                                              i + 1)
+                        value = Fraction(value, int(den))
+                        if p is not None:
+                            try:
+                                value = self.field(value)
+                            except ZeroDivisionError as exc:
+                                raise self._error(str(exc), i) from None
+                        i += 2
+                    caret = i
+                    k, i = self._exponent(i)
+                    if p is None:
+                        if k != 1:
+                            self._check_power_bits(value, k, caret)
+                            value **= k
+                        coeff *= value
+                    else:
+                        coeff = coeff * pow(value, k, p) % p
+                elif tok == "(":
+                    if self.depth == _MAX_NESTING:
+                        raise self._error(
+                            f"parentheses nested deeper than {_MAX_NESTING} levels", i - 1)
+                    self.depth += 1
+                    self.i = i
+                    inner = self._expr()
+                    i = self.i
+                    self.depth -= 1
+                    if tokens[i] != ")":
+                        raise self._error("expected ')'", i)
+                    caret = i + 1
+                    k, i = self._exponent(caret)
+                    inner_degree = max(map(sum, inner.terms), default=0)
+                    if k > 1 and k * inner_degree > declared:
+                        # refuse before expanding: the power could only be rejected
+                        raise self._error(f"power has total degree {k * inner_degree}, "
+                                          f"more than the declared {declared}", caret)
+                    if inner_degree == 0 and p is None and inner:
+                        self._check_power_bits(inner.terms[(0,) * nvars], k, caret)
+                    degree += k * inner_degree
+                    if star is not None and degree > declared:
+                        raise self._degree_error(degree, declared, star)
+                    inner = inner ** k
+                    poly = inner if poly is None else poly * inner
                 else:
-                    c = pow(c, k, f.modulus)
-                coeff = f.mul(coeff, c)
-            elif tok[0] == "var":
-                try:
-                    index = space.var_index(*tok[1])
-                except ValueError as exc:
-                    raise ParseError(str(exc), tok[2]) from None
-                k = self._exponent()
-                mono[index] += k
-                degree += k
-                _check_term_degree(degree, declared, star)
-            elif tok[0] == "(":
-                if self.depth == _MAX_NESTING:
-                    raise ParseError(
-                        f"parentheses nested deeper than {_MAX_NESTING} levels", tok[2])
-                self.depth += 1
-                inner = self._expr()
-                self.depth -= 1
-                close = self._take()
-                if close[0] != ")":
-                    raise ParseError("expected ')'", close[2])
-                caret = self._peek()
-                k = self._exponent()
-                inner_degree = max(map(sum, inner.terms), default=0)
-                if k > 1 and k * inner_degree > declared:
-                    # refuse before expanding: the power could only be rejected
-                    raise ParseError(f"power has total degree {k * inner_degree}, more "
-                                     f"than the declared {declared}", caret[2])
-                if inner_degree == 0 and f.modulus is None and inner:
-                    _check_power_bits(inner.terms[(0,) * space.nvars], k, caret)
-                degree += k * inner_degree
-                _check_term_degree(degree, declared, star)
-                inner = inner ** k
-                poly = inner if poly is None else poly * inner
-            else:
-                raise ParseError(f"unexpected token {tok[0]!r}", tok[2])
-            tok = self._peek()
-            if tok is None or tok[0] != "*":
+                    raise self._error(f"unexpected token {_kind(tok)!r}", i - 1)
+                if tokens[i] != "*":
+                    break
+                star = i
+                i += 1
+            if coeff:
+                if poly is None:
+                    _add_term(acc, tuple(mono), coeff, p)
+                else:
+                    for m, c in poly.terms.items():
+                        _add_term(acc, tuple(map(add, m, mono)), coeff * c, p)
+            tok = tokens[i]
+            if tok != "+" and tok != "-":
                 break
-            star = self._take()
-        if f.is_zero(coeff):
-            return MPoly.zero(space, f)
-        term = MPoly(space, {tuple(mono): coeff}, f, _clean=True)
-        return term if poly is None else term * poly
+            sign = -1 if tok == "-" else 1
+            i += 1
+        self.i = i
+        if p is None:
+            acc = {m: Fraction(c) for m, c in acc.items()}
+        return MPoly(space, acc, self.field, _clean=True)
 
-    def _exponent(self) -> int:
-        tok = self._peek()
-        if tok is None or tok[0] != "^":
-            return 1
-        self._take()
-        etok = self._take()
-        if etok[0] != "num":
-            raise ParseError("exponent must be a nonnegative integer", etok[2])
-        return etok[1]
+    def _degree_error(self, degree, declared, star):
+        """Refuse a product whose total degree passes the declared one, at
+        the '*' that took it past."""
+        return self._error(f"product has total degree {degree}, more than the "
+                           f"declared {declared}", star)
+
+
+def _add_term(acc, mono, c, p):
+    """Add c x^mono into the sum ``acc``, reduced mod p over F_p, dropping
+    a coefficient that cancels."""
+    v = acc.get(mono, 0) + c
+    if p is not None:
+        v %= p
+    if v:
+        acc[mono] = v
+    else:
+        acc.pop(mono, None)
 
 
 def parse_polynomial(text: str, space: TensorSpace, field=QQ) -> MPoly:
@@ -327,7 +356,8 @@ def parse_document(text: str, field_override=None) -> InputDocument:
             terms.append(tuple(term))
         try:
             payload = Decomposition(space, terms, field=field)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
+            # a denominator that vanishes mod p is a ZeroDivisionError
             raise ParseError(str(exc)) from None
     else:
         raise ParseError("document must contain 'tensor:' or 'decomposition:'")
@@ -388,7 +418,10 @@ def _emit_certificate(cert: Certificate, report: str, out, trace=False) -> int:
 # ---------------------------------------------------------------------------
 # commands
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first run, not at import, and kept: parsing arguments
+    # leaves the parser as it was
     parser = argparse.ArgumentParser(
         prog="tensorcert",
         description="Certify specific h-identifiability of symmetric and "

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import mul
 
 from .fields import numerators
 from .linalg import DenseMatrix, rref
@@ -121,12 +122,22 @@ def flattening_numerators(T, split: Split):
     over F_p, whose residues are their own numerators (D = 1): with m! the
     product of the factorials of m's exponents, N at (m, m') is the
     numerator of T[m + m'] times (m + m')! / m'!, the falling factorials
-    above."""
+    above.  A monomial is keyed by one int, its exponents the digits in
+    radix max degree + 1, so m + m' is one addition: T has the space's
+    multidegree, so no exponent of m + m' passes its group's degree and no
+    digit carries."""
+    space = T.space
+    radix = max(space.degrees) + 1
+    weights = [radix ** v for v in range(space.nvars)]
+
+    def key(mono):
+        return sum(map(mul, mono, weights))
+
     nums, den = numerators(list(T.terms.values()))
-    scaled = {m: n * prod(map(factorial, m)) for m, n in zip(T.terms, nums)}
-    cols = [(mc, prod(map(factorial, mc))) for mc in monomial_basis(T.space, split.b)]
-    return [[scaled.get(tuple(map(int.__add__, m, mc)), 0) // below for mc, below in cols]
-            for m in monomial_basis(T.space, split.a)], den
+    scaled = {key(m): n * prod(map(factorial, m)) for m, n in zip(T.terms, nums)}
+    cols = [(key(mc), prod(map(factorial, mc))) for mc in monomial_basis(space, split.b)]
+    return [[scaled.get(k + kc, 0) // below for kc, below in cols]
+            for k in map(key, monomial_basis(space, split.a))], den
 
 
 def flatten(T, split: Split) -> Flattening:

@@ -1,12 +1,18 @@
 """Independent oracles for the test suite.
 
 Everything here is implemented from scratch on purpose: these routines
-cross-check the package without sharing any of its code paths.
+cross-check the package without sharing any of its code paths.  The one
+exception is ``reference_parse``, which builds its polynomials with
+``MPoly``'s generic arithmetic: that is the arithmetic the parser's folded
+terms must agree with.
 """
 
 import itertools
+import re
 from fractions import Fraction
 from math import factorial
+
+from tensorcert import MPoly
 
 
 def binom(n, k):
@@ -434,3 +440,164 @@ def evaluate(terms, point):
             value *= x ** e
         total += value
     return total
+
+
+# ---------------------------------------------------------------------------
+# expressions by generic polynomial arithmetic
+
+
+_REFERENCE_TOKEN = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<var>x(\d+)_(\d+))"
+                              r"|(?P<op>[-+*^()/])|(?P<bad>.)", re.S)
+
+
+class ExpressionError(ValueError):
+    """A refused expression: the message, and the offset of the refused token."""
+
+    def __init__(self, message, position):
+        super().__init__(message, position)
+        self.message = message
+        self.position = position
+
+
+def reference_parse(text, space, field, max_nesting=200, max_power_bits=1 << 16):
+    """The polynomial of an expression in x<group>_<index> variables before
+    its multidegree is checked, or ExpressionError with the parser's
+    message and position.
+
+    Tokens are read before parsing, so a bad character is refused first.
+    Every atom is its own ``MPoly``: a term is the ``__mul__`` of its
+    factors, a power is taken by squaring with ``__mul__``, and a sum is the
+    ``__add__`` of its terms.  The caps are those of the parser: nesting, the bit size of a
+    power of a number over QQ, a product passing the declared total degree
+    (at its '*'), and a power of a polynomial passing it (at its '^').
+    """
+    tokens = []
+    for m in _REFERENCE_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {m.group()!r}", m.start())
+        if kind == "num":
+            tokens.append(("num", int(m.group()), m.start()))
+        elif kind == "var":
+            tokens.append(("var", (int(m.group(4)), int(m.group(5))), m.start()))
+        elif kind == "op":
+            tokens.append((m.group(), None, m.start()))
+    nvars, declared = space.nvars, sum(space.degrees)
+    const = (0,) * nvars
+    state = {"i": 0, "depth": 0}
+
+    def peek():
+        return tokens[state["i"]] if state["i"] < len(tokens) else (None, None, len(text))
+
+    def take():
+        tok = peek()
+        if tok[0] is None:
+            raise ExpressionError("unexpected end of expression", len(text))
+        state["i"] += 1
+        return tok
+
+    def power(base, k):
+        # square and multiply with __mul__: a corrupted exponent may be huge
+        out = MPoly(space, {const: 1}, field)
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
+
+    def exponent():
+        if peek()[0] != "^":
+            return 1
+        take()
+        tok = take()
+        if tok[0] != "num":
+            raise ExpressionError("exponent must be a nonnegative integer", tok[2])
+        return tok[1]
+
+    def check_bits(value, k, caret):
+        value = Fraction(value)
+        length = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+        if k > 1 and (length - 1) * k >= max_power_bits:
+            raise ExpressionError(f"power has more than {max_power_bits} bits", caret)
+
+    def factor():
+        # (polynomial, degree) of one factor; a number has no degree and
+        # passes no degree check
+        tok = take()
+        if tok[0] == "num":
+            value = tok[1]
+            if peek()[0] == "/":
+                slash = take()
+                den = take()
+                if den[0] != "num" or den[1] == 0:
+                    raise ExpressionError("denominator must be a positive integer", den[2])
+                value = Fraction(value, den[1])
+                if field.modulus is not None and value.denominator % field.modulus == 0:
+                    raise ExpressionError(
+                        f"denominator of {value} vanishes mod {field.modulus}", slash[2])
+            atom = MPoly(space, {const: value}, field)
+            caret = peek()[2]
+            k = exponent()
+            if field.modulus is None:
+                check_bits(value, k, caret)
+            return power(atom, k), None
+        if tok[0] == "var":
+            group, j = tok[1]
+            if not (1 <= group <= space.p and 0 <= j < space.sizes[group - 1]):
+                raise ExpressionError(f"no variable x{group}_{j} in this space", tok[2])
+            mono = [0] * nvars
+            mono[sum(space.sizes[:group - 1]) + j] = 1
+            k = exponent()
+            return power(MPoly(space, {tuple(mono): 1}, field), k), k
+        if tok[0] == "(":
+            if state["depth"] == max_nesting:
+                raise ExpressionError(
+                    f"parentheses nested deeper than {max_nesting} levels", tok[2])
+            state["depth"] += 1
+            inner = expr()
+            state["depth"] -= 1
+            close = take()
+            if close[0] != ")":
+                raise ExpressionError("expected ')'", close[2])
+            caret = peek()[2]
+            k = exponent()
+            degree = max((sum(m) for m in inner.terms), default=0)
+            if k > 1 and k * degree > declared:
+                raise ExpressionError(f"power has total degree {k * degree}, more than "
+                                      f"the declared {declared}", caret)
+            if degree == 0 and field.modulus is None and inner:
+                check_bits(inner.terms[const], k, caret)
+            return power(inner, k), k * degree
+        raise ExpressionError(f"unexpected token {tok[0]!r}", tok[2])
+
+    def term():
+        poly, degree = factor()
+        degree = degree or 0
+        while peek()[0] == "*":
+            star = take()
+            right, right_degree = factor()
+            if right_degree is not None:
+                degree += right_degree
+                if degree > declared:
+                    raise ExpressionError(f"product has total degree {degree}, more "
+                                          f"than the declared {declared}", star[2])
+            poly = poly * right
+        return poly
+
+    def expr():
+        negative = peek()[0] == "-"
+        if peek()[0] in ("+", "-"):
+            take()
+        poly = -term() if negative else term()
+        while peek()[0] in ("+", "-"):
+            negative = take()[0] == "-"
+            poly = poly + (-term() if negative else term())
+        return poly
+
+    poly = expr()
+    tok = peek()
+    if tok[0] is not None:
+        raise ExpressionError(f"unexpected token {tok[0]!r}", tok[2])
+    return poly

@@ -1,21 +1,25 @@
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tensorcert.cli as cli_module
-from tensorcert import Decomposition, MPoly, QQ, TensorSpace
+from tensorcert import Decomposition, MPoly, PrimeField, QQ, TensorSpace
 from tensorcert.cli import (ParseError, parse_document, parse_polynomial,
                             render_decomposition_document, render_tensor_document,
                             run)
 from tensorcert.randgen import RandomConfig, random_tensor
+
+import oracles
 
 
 def run_cli(*args):
@@ -193,82 +197,143 @@ _CANCELLING = ["x1_0*x1_1 - x1_1*x1_0", "-(x1_0 + x1_1)^2 + x1_0^2 + x1_1^2 + 2*
                "x1_0^2 + x1_0^2 - 2*x1_0^2"]
 
 
-def test_parse_monomials_match_generic_arithmetic(monkeypatch):
-    # single-term powers take a shortcut, number and variable factors fold
-    # into one term, and sums accumulate into one dict; one polynomial per
-    # atom and repeated generic arithmetic must give the same polynomials
-    fast = [parse_document(text).payload for text in _MONOMIAL_DOCUMENTS]
+def _reference_payload(document):
+    # the tensor expression exactly as parse_document hands it to the parser
+    header, _, expr = document.partition("tensor:")
+    doc = parse_document(header + "tensor: 0\n")
+    expr = " ".join(line.strip() for line in expr.splitlines() if line.strip())
+    return oracles.reference_parse(expr, doc.space, doc.field)
 
-    def generic_pow(self, n):
-        out = MPoly(self.space, {(0,) * self.space.nvars: self.field.one},
-                    self.field)
-        for _ in range(n):
-            out = out * self
-        return out
 
-    def generic_expr(self):
-        # one MPoly per partial sum
-        sign = "+"
-        tok = self._peek()
-        if tok is not None and tok[0] in "+-":
-            sign = self._take()[0]
-        result = self._term()
-        if sign == "-":
-            result = -result
-        while True:
-            tok = self._peek()
-            if tok is None or tok[0] not in "+-":
-                return result
-            self._take()
-            term = self._term()
-            result = result + (-term if tok[0] == "-" else term)
-
-    def generic_atom(self):
-        tok = self._take()
-        if tok[0] == "num":
-            value = Fraction(tok[1])
-            nxt = self._peek()
-            if nxt is not None and nxt[0] == "/":
-                self._take()
-                value = Fraction(tok[1], self._take()[1])
-            return MPoly(self.space, {(0,) * self.space.nvars: value}, self.field)
-        if tok[0] == "var":
-            mono = [0] * self.space.nvars
-            mono[self.space.var_index(*tok[1])] = 1
-            return MPoly(self.space, {tuple(mono): 1}, self.field)
-        assert tok[0] == "("
-        inner = self._expr()
-        assert self._take()[0] == ")"
-        return inner
-
-    def generic_factor(self):
-        base = generic_atom(self)
-        tok = self._peek()
-        if tok is not None and tok[0] == "^":
-            self._take()
-            return base ** self._take()[1]
-        return base
-
-    def generic_term(self):
-        # one MPoly per atom, multiplied with MPoly.__mul__
-        result = generic_factor(self)
-        while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "*":
-                return result
-            self._take()
-            result = result * generic_factor(self)
-
+def test_parse_monomials_match_generic_arithmetic():
+    # number and variable factors fold into one term, single-term powers
+    # take a shortcut, and sums accumulate into one dict; one polynomial per
+    # atom and generic arithmetic must give the same polynomials
+    folded = [parse_document(text).payload for text in _MONOMIAL_DOCUMENTS]
+    assert folded == [_reference_payload(text) for text in _MONOMIAL_DOCUMENTS]
+    assert all(folded)
     space = TensorSpace((2,), (2,))
     zeros = [parse_polynomial(text, space) for text in _CANCELLING]
-    monkeypatch.setattr(MPoly, "__pow__", generic_pow)
-    monkeypatch.setattr(cli_module._ExprParser, "_term", generic_term)
-    monkeypatch.setattr(cli_module._ExprParser, "_expr", generic_expr)
-    generic = [parse_document(text).payload for text in _MONOMIAL_DOCUMENTS]
-    assert fast == generic
-    assert all(fast)
-    assert zeros == [parse_polynomial(text, space) for text in _CANCELLING]
+    assert zeros == [oracles.reference_parse(text, space, QQ) for text in _CANCELLING]
     assert zeros == [MPoly.zero(space)] * len(_CANCELLING)
+
+
+def _random_sum(rng, names, p, budget, depth=0):
+    # a signed sum of folded products: numbers (rationals with denominators
+    # prime to p), variables and parenthesised sums, each maybe to a power;
+    # one term in ten may pass the degree budget
+    terms = []
+    for t in range(rng.randint(1, 3)):
+        factors = []
+        left = budget if rng.random() < 0.9 else budget + 2
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.random()
+            if kind < 0.3:
+                num = str(rng.choice([0, 1, 2, 3, 7, 12, 101, rng.randint(0, 10 ** 30)]))
+                if rng.random() < 0.3:
+                    den = rng.randint(1, 12)
+                    while p is not None and den % p == 0:
+                        den = rng.randint(1, 12)
+                    num += f"/{den}"
+                if rng.random() < 0.3:
+                    num += f"^{rng.randint(0, 4)}"
+                factors.append(num)
+            elif kind < 0.8 or depth == 2 or left < 2:
+                k = rng.randint(0, left) if rng.random() < 0.5 else min(1, left)
+                factors.append(rng.choice(names) + (f"^{k}" if k != 1 else ""))
+                left = max(0, left - k)
+            else:
+                k = rng.choice([1, 1, 2, 3])
+                inner = _random_sum(rng, names, p, left // k, depth + 1)
+                factors.append(f"({inner})" + (f"^{k}" if k != 1 else ""))
+                left -= k * (left // k)
+        sign = rng.choice(["", "-", "+"]) if t == 0 else rng.choice([" + ", " - ", "-", "+"])
+        sep = rng.choice(["*", " * ", "*\n"])
+        terms.append(sign + sep.join(factors))
+    return "".join(terms)
+
+
+def _corrupted(rng, text):
+    # one random edit: a deleted, inserted or repeated character, or a cut
+    i = rng.randrange(len(text) + 1)
+    edit = rng.randrange(4)
+    if edit == 0 and i < len(text):
+        return text[:i] + text[i + 1:]
+    if edit == 1:
+        return text[:i] + rng.choice("+-*^()/x_0179 $y") + text[i:]
+    if edit == 2 and i < len(text):
+        return text[:i] + text[i] + text[i:]
+    return text[:i]
+
+
+def test_parser_matches_the_reference_on_random_expressions():
+    rng = random.Random(20170308)
+    cases = [(TensorSpace((2,), (3,)), QQ), (TensorSpace((3,), (2,)), PrimeField(7)),
+             (TensorSpace((2, 3), (2, 1)), QQ), (TensorSpace((2, 2), (1, 2)), PrimeField(101)),
+             (TensorSpace((2,), (4,)), PrimeField(1073741789))]
+    outcomes = Counter()
+    for n in range(600):
+        space, field = cases[n % len(cases)]
+        names = [f"x{g + 1}_{j}" for g, size in enumerate(space.sizes)
+                 for j in range(size)]
+        text = _random_sum(rng, names, field.modulus, sum(space.degrees))
+        for variant in (text, _corrupted(rng, text)):
+            try:
+                want = oracles.reference_parse(variant, space, field)
+            except oracles.ExpressionError as exc:
+                with pytest.raises(ParseError) as info:
+                    cli_module._ExprParser(variant, space, field).parse()
+                assert (str(info.value), info.value.position) == (
+                    f"{exc.message} (at position {exc.position})", exc.position), variant
+                outcomes[exc.message.split(" ")[0]] += 1
+            else:
+                got = cli_module._ExprParser(variant, space, field).parse()
+                assert got == want, variant
+                assert all(type(c) is (int if field.modulus else Fraction)
+                           for c in got.terms.values())
+                outcomes["parsed"] += 1
+    # the draw reaches sums that parse and every kind of refusal it can make
+    assert outcomes["parsed"] >= 500
+    assert {"unexpected", "product", "power", "expected", "exponent",
+            "denominator"} <= set(outcomes)
+
+
+def test_flat_document_builds_one_polynomial(monkeypatch):
+    # 1c's document: numbers and variables fold into terms of one dict, and
+    # the only MPoly built is the one the parser returns
+    space = TensorSpace((2, 5, 4), (3, 2, 3))
+    T, _ = random_tensor(space, 5, RandomConfig(seed=1))
+    text = render_tensor_document(T, seed=1)
+    built = Counter()
+    init = MPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        built["MPoly"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MPoly, "__init__", counted)
+    doc = parse_document(text)
+    assert built["MPoly"] == 1
+    assert doc.payload == T and len(T) == 1200
+
+
+def test_denominator_divisible_by_the_prime_is_a_parse_error(tmp_path, capsys):
+    text = "sizes: 2\ndegrees: 1\nfield: fp:7\ntensor: 1/7*x1_0\n"
+    with pytest.raises(ParseError, match="vanishes mod 7") as info:
+        parse_document(text)
+    assert info.value.position == 1
+    # the fraction is reduced first: 14/21 is 2/3, and 7/7 is 1
+    doc = parse_document(text.replace("1/7", "14/21*7/7"))
+    assert doc.payload.terms == {(1, 0): 2 * pow(3, -1, 7) % 7}
+    dec = "sizes: 2\ndegrees: 1\nfield: fp:7\ndecomposition:\n1/7,1\n"
+    with pytest.raises(ParseError, match="vanishes mod 7"):
+        parse_document(dec)
+    for name, document in (("tensor.txt", text), ("dec.txt", dec)):
+        path = tmp_path / name
+        path.write_text(document, encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("certify", "--input", str(path), "--h", "1") == (1, "")
+        assert "vanishes mod 7" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

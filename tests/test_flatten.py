@@ -146,7 +146,11 @@ def _rational_form(space, rng, field):
     ((3,), (5,), [(0,), (1,), (2,), (3,), (5,)]),
     ((2, 5, 4), (3, 2, 3), [(2, 1, 2), (1, 1, 1), (3, 0, 0)]),
     ((3, 3), (2, 2), [(1, 1), (2, 0), (0, 1), (2, 2)]),
-], ids=["3-5", "254-323", "33-22"])
+    # groups of unequal degree, some of degree 1: the packed keys of the
+    # cells need a radix above every exponent
+    ((2, 2), (1, 1), [(1, 0), (0, 1)]),
+    ((2, 3, 2), (1, 2, 1), [(1, 1, 0), (0, 1, 1), (1, 2, 0)]),
+], ids=["3-5", "254-323", "33-22", "22-11", "232-121"])
 def test_lookup_flattening_matches_derivatives(sizes, degrees, splits, field):
     space = TensorSpace(sizes, degrees)
     T = _rational_form(space, random.Random(sum(sizes) + len(splits)), field)
