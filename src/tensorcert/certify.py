@@ -309,6 +309,8 @@ def _section_checks(ideal, section, length=None, *, budget, prove=None):
     report = classify_linear_section(ideal, budget=budget)
     detail = {"status": report.describe(), "method": report.method,
               "trace": [list(pair) for pair in report.trace]}
+    if report.at_infinity:
+        detail["at_infinity"] = list(report.at_infinity)
     if report.note:
         detail["note"] = report.note
     proof = prove(report) if prove else {}
@@ -336,10 +338,13 @@ def _reduced(T: MPoly, field):
     QQ or the prime divides a denominator of T."""
     if T.field != QQ:
         return None
-    try:
-        return MPoly(T.space, T.terms, field)
-    except ZeroDivisionError:
+    p = field.modulus
+    nums, den = numerators(list(T.terms.values()))
+    if den % p == 0:
         return None
+    inv = pow(den, -1, p)
+    residues = ((m, n * inv % p) for m, n in zip(T.terms, nums))
+    return MPoly(T.space, {m: r for m, r in residues if r}, field, _clean=True)
 
 
 def _section_proof(rank, nrows, report, *, field, h, tensor=None, points=None):
@@ -352,7 +357,21 @@ def _section_proof(rank, nrows, report, *, field, h, tensor=None, points=None):
     decomposition's terms, Proposition 3.3's check v).  The detail records p
     as ``witness_prime``.  The candidate points of (b), one integer vector
     per group each, are ``points``, or else those ``rational_points``
-    recovers from the section, and then the detail lists them, sorted.
+    recovers from the section's chart, and then the detail lists them,
+    sorted.
+
+    Both rules read the status and length of Z_p, the scheme of the
+    section ideal I_p mod p, as the values of HF_p(t,..,t) for large t.
+    ``classify_linear_section`` reads them in the chart U = {x_{g,0} != 0
+    for every g}, isomorphic to A^n, when each of the p intersections
+    Z_p cap {x_{g,0} = 0} is Empty.  Then Z_p lies inside U and is the
+    chart's affine scheme, finite of length the number of standard
+    monomials of its basis; a finite scheme of length l has HF_p(t,..,t)
+    = l for large t, and l = 0 is Empty.  When an intersection is not
+    Empty, the classification is the projective one of HF_p itself.  The
+    chart, the checks at infinity and that fallback draw on one S-pair
+    budget, and an exhausted budget is Inconclusive, which neither rule
+    keeps.
 
     (a) rank = nrows and the section is Empty mod p give the rank and Empty
         exactly.  This is Theorem 3.7's rule: its span has nrows < h rows,
@@ -397,7 +416,7 @@ def _section_proof(rank, nrows, report, *, field, h, tensor=None, points=None):
         return proof
     if rank != h or report.describe() != f"ZeroDim({h})":
         return None
-    found = points or (report.basis and rational_points(report.basis, h)) or ()
+    found = points or rational_points(report.basis, h) or ()
     if len(found) != h or (tensor is not None and not _rebuilds(tensor, found)):
         return None
     if points is None:

@@ -410,6 +410,8 @@ def _emit_certificate(cert: Certificate, report: str, out, trace=False) -> int:
                     out.write(f"-- {check.name} profile --\n")
                     for t, v in check.detail["trace"]:
                         out.write(f"hilbert[{t}] = {v}\n")
+                    for g, status in enumerate(check.detail.get("at_infinity", ())):
+                        out.write(f"at x{g + 1}_0 = 0: {status}\n")
     if cert.certified:
         return 0
     return 1 if cert.budget_exhausted else 2

@@ -2,14 +2,20 @@
 
 The scheme cut on a (Segre-)Veronese variety by a linear subspace is pulled
 back to the source product of projective spaces as a multihomogeneous ideal.
-Its status is read off the Hilbert series numerator of the leading-term ideal
-of a reduced Groebner basis, whose diagonal Hilbert function is, past the
-numerator's largest exponent, the Hilbert polynomial of the scheme's Segre
-image: its degree and constant are the dimension and the length.  Ideals of
-binary forms skip Groebner bases: the scheme is the divisor of the gcd of
-the generators.  Only an exhausted S-pair budget leaves a scheme
-Inconclusive.  The points of a zero-dimensional scheme over F_p are
-recovered from its basis by ``rational_points``.
+It is decided first in the affine chart x_{g,0} = 1 of every group: one
+Groebner basis of the dehomogenized generators under grevlex gives the part
+of the scheme in the chart, positive dimensional or finite of length its
+count of standard monomials.  A finite part is the whole scheme when, for
+each group, the ideal restricted to x_{g,0} = 0 is Empty.  Those checks, and
+every ideal with a point at infinity, are decided on the product itself: the
+Hilbert series numerator of the leading-term ideal of a reduced Groebner
+basis gives the diagonal Hilbert function, which is, past the numerator's
+largest exponent, the Hilbert polynomial of the scheme's Segre image: its
+degree and constant are the dimension and the length.  Ideals of binary
+forms skip Groebner bases: the scheme is the divisor of the gcd of the
+generators.  Only an exhausted S-pair budget leaves a scheme Inconclusive.
+The points of a zero-dimensional scheme over F_p are recovered from its
+chart by ``rational_points``.
 
 Buchberger runs with Gebauer-Moeller pair elimination and sugar selection;
 over the rationals the reduction arithmetic is fraction free on primitive
@@ -25,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import comb, gcd
 from operator import mul
 
@@ -117,9 +124,10 @@ class SchemeReport:
 
     status: str                      # Empty | ZeroDim | PositiveDim | Inconclusive
     length: int = None               # set exactly when status == ZeroDim
-    trace: tuple = ()                # ((t, HF(t,..,t)), ...) as classified
+    trace: tuple = ()                # ((t, HF(t,..,t)), ...); see AffineChart.trace
     method: str = ""
     note: str = ""
+    at_infinity: tuple = ()          # affine-chart: each group's x_{g,0} = 0 status
     basis: object = field(default=None, compare=False, repr=False)  # classified
 
     def __post_init__(self):
@@ -151,8 +159,10 @@ class _Engine:
     ``TensorSpace.monomial_key``'s order, m ^ ``rflip`` of its reverse.  An
     exponent is at most its group degree and a product keeps the
     multidegree, so no field reaches its guard once ``pack`` has checked the
-    input monomials and ``lcm`` each S-pair.  Tuples enter by ``prepare``
-    and ``pack`` and leave by ``unpack``.
+    input monomials and ``lcm`` each S-pair.  (In an ``AffineChart`` the
+    polynomials are not homogeneous, but the one group's order is graded,
+    so no monomial of a reduction passes the degree of its S-pair's lcm.)
+    Tuples enter by ``prepare`` and ``pack`` and leave by ``unpack``.
 
     ``_reducers`` maps a monomial to its first reducer i and the multiple
     x^(m - lt_i) * g_i as a term list, or, when no leading term divided it,
@@ -421,11 +431,12 @@ class GroebnerBasis:
 
     order = "grevlex within each group, groups by index"
 
-    def __init__(self, space: TensorSpace, field, polys, lead_terms):
+    def __init__(self, space: TensorSpace, field, polys, lead_terms, pairs=0):
         self.space = space
         self.field = field
         self.polys = tuple(polys)
         self.lead_terms = tuple(lead_terms)
+        self.pairs = pairs      # S-pairs the run took
 
     def __len__(self):
         return len(self.polys)
@@ -452,7 +463,8 @@ def buchberger(ideal: Ideal, budget=None) -> GroebnerBasis:
         else:                   # ``_interreduce`` left each element monic
             coeffs = {unpack(m): c for m, c in terms.items()}
         polys.append(MPoly(ideal.space, coeffs, field, _clean=True))
-    return GroebnerBasis(ideal.space, field, polys, map(unpack, engine.lts))
+    return GroebnerBasis(ideal.space, field, polys, map(unpack, engine.lts),
+                         engine.pairs_done)
 
 
 # ---------------------------------------------------------------------------
@@ -555,19 +567,118 @@ def hilbert_value(gb: GroebnerBasis, deg) -> int:
 def classify_linear_section(ideal: Ideal, *, budget=None) -> SchemeReport:
     """Decide Empty / ZeroDim(length) / PositiveDim for the section scheme.
 
-    An exhausted S-pair budget yields Inconclusive, never a wrong verdict.
+    Binary forms are decided by ``binary_fast_path``.  Any other ideal is
+    decided in the chart x_{g,0} = 1 of every group first (``AffineChart``):
+    a chart variable with no pure power among the leading terms makes the
+    scheme PositiveDim.  Otherwise the part of the scheme in the chart is
+    finite, of length the count of standard monomials, and it is the whole
+    scheme when nothing lies on a hyperplane x_{g,0} = 0: for each group g,
+    the ideal at infinity (``_at_infinity``) must classify as Empty.  If one
+    does not, the ideal is classified projectively (``_projective``), and
+    the report is the one no chart would have changed.  All runs draw on
+    one S-pair budget; when it runs out the result is Inconclusive, never a
+    wrong verdict.
     """
     space = ideal.space
+    left = DEFAULT_PAIR_BUDGET if budget is None else budget
+    try:
+        if not ideal.generators or space.p == 1 and space.sizes[0] == 2:
+            return _projective(ideal, left)
+        chart = AffineChart(ideal, left)
+        if chart.standard is None:
+            return SchemeReport("PositiveDim", trace=chart.trace, method="affine-chart",
+                                basis=chart)
+        left -= chart.pairs
+        for g in range(space.p):
+            report = _projective(_at_infinity(ideal, g), left)
+            left -= getattr(report.basis, "pairs", 0)
+            if report.status != "Empty":
+                return _projective(ideal, left)
+    except BudgetExceededError as exc:
+        return SchemeReport("Inconclusive", method="groebner", note=str(exc))
+    length = len(chart.standard)
+    return SchemeReport("ZeroDim" if length else "Empty", length or None, chart.trace,
+                        "affine-chart", at_infinity=("Empty",) * space.p, basis=chart)
+
+
+def _projective(ideal: Ideal, budget) -> SchemeReport:
+    """The scheme classified on the whole product of projective spaces: by
+    the gcd for binary forms, else by ``_classify`` of its reduced basis;
+    may raise BudgetExceededError."""
     if not ideal.generators:
         # zero ideal: the whole variety, of dimension >= 1
         return SchemeReport("PositiveDim", method="empty-generators")
-    if space.p == 1 and space.sizes[0] == 2:
+    if ideal.space.p == 1 and ideal.space.sizes[0] == 2:
         return binary_fast_path(ideal)
-    try:
-        gb = buchberger(ideal, budget=budget)
-    except BudgetExceededError as exc:
-        return SchemeReport("Inconclusive", method="groebner", note=str(exc))
-    return _classify(gb)
+    return _classify(buchberger(ideal, budget=budget))
+
+
+def _at_infinity(ideal: Ideal, g: int) -> Ideal:
+    """The ideal restricted to x_{g,0} = 0: that variable leaves its group,
+    or, when the group is a P^1, the group leaves at its point [0 : 1]."""
+    space, field = ideal.space, ideal.field
+    start, sizes, degrees = space.group_slices[g].start, list(space.sizes), list(space.degrees)
+    if sizes[g] == 2:
+        del sizes[g], degrees[g]
+        stop = start + 2
+    else:
+        sizes[g] -= 1
+        stop = start + 1
+    sub = TensorSpace(sizes, degrees)
+    return Ideal(sub, [MPoly(sub, {m[:start] + m[stop:]: c for m, c in f.terms.items()
+                                   if not m[start]}, field, _clean=True)
+                       for f in ideal.generators], field)
+
+
+class AffineChart:
+    """A section's ideal in the chart x_{g,0} = 1 of every group.
+
+    The chart is affine n-space in the variables x_{g,1} .. x_{g,n_g} of
+    every group, in group order; each generator is dehomogenized into it
+    and ``engine`` holds their reduced basis under grevlex on all n
+    variables, one ``_Engine`` group.  The order is graded, so the standard
+    monomials of degree <= t count the chart's affine Hilbert function at
+    t.  When every variable has a pure power among the leading terms, the
+    quotient is finite, with the packed standard monomials, by degree, as
+    its basis: ``standard``, whose length is the length of the scheme in
+    the chart (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
+    ch. 5 §3).  Otherwise ``standard`` is None.  ``trace`` holds (t, count
+    of standard monomials of degree <= t) up to the last degree that has
+    one, or, when there is no end, to the largest leading term's degree.
+    ``pairs`` is the S-pairs the run took.
+    """
+
+    def __init__(self, ideal: Ideal, budget):
+        space, field = ideal.space, ideal.field
+        self.space, self.field = space, field
+        chart = [i for sl in space.group_slices for i in range(sl.start + 1, sl.stop)]
+        # the engine reads its space's groups, not its degrees
+        engine = self.engine = _Engine(TensorSpace((len(chart),), (sum(space.degrees),)),
+                                       field, budget)
+        engine.run([engine.prepare(MPoly(engine.space, {tuple(m[i] for i in chart): c
+                                                        for m, c in f.terms.items()},
+                                         field, _clean=True))
+                    for f in ideal.generators])
+        self.pairs = engine.pairs_done
+        lead = [engine.unpack(lt) for lt in engine.lts]
+        # a leading term e is a power of x_i, x_i^0 included, when e_i = |e|;
+        # with the least such power a_i of every x_i, no standard monomial
+        # has a degree past sum (a_i - 1)
+        powers = [min((e[i] for e in lead if e[i] == sum(e)), default=None)
+                  for i in range(len(chart))]
+        finite = None not in powers
+        cap = sum(powers) - len(powers) if finite else max(map(sum, lead))
+        layers, layer = [], [0]
+        while len(layers) <= cap:
+            # standard monomials are closed under division: each one of degree
+            # t + 1 is a variable times one of degree t
+            layer = [m for m in layer if all((m - lt) & engine.guard for lt in engine.lts)]
+            if not layer:
+                break
+            layers.append(layer)
+            layer = sorted({m + u for m in layer for u in engine._units})
+        self.standard = [m for layer in layers for m in layer] if finite else None
+        self.trace = tuple(enumerate(accumulate(map(len, layers)))) or ((0, 0),)
 
 
 def _classify(gb: GroebnerBasis) -> SchemeReport:
@@ -690,79 +801,54 @@ def binary_fast_path(ideal: Ideal) -> SchemeReport:
 # the points of a zero-dimensional section mod p
 
 
-def rational_points(gb: GroebnerBasis, h: int):
+def rational_points(chart, h: int):
     """Candidate rational points of a section that is ``ZeroDim(h)`` mod p,
-    from the reduced Groebner basis of its ideal over F_p: h points, each a
-    tuple of primitive integer vectors, one per group, or None.  Nothing
-    here is proven; ``certify._section_proof`` checks the points.
+    from the ``AffineChart`` its classification kept over F_p: h points,
+    each a tuple of primitive integer vectors, one per group, or None.  A
+    section not decided in the chart, whose report keeps a
+    ``GroebnerBasis``, gives None.  Nothing here is proven;
+    ``certify._section_proof`` checks the points.
 
     Method (Stickelberger; Cox, Little and O'Shea, *Using Algebraic
-    Geometry*, ch. 2 §4), with a fixed seed.  At a degree t where the
-    quotient and its shifts t + e_g have dimension h, X_x multiplies by a
-    variable x of group g, by normal forms.  With random linear forms l_g,
-    r_g, A_x = X_(l_g)^-1 X_x is multiplication by x / l_g, diagonal at h
-    distinct points, as is M = sum_g X_(l_g)^-1 X_(r_g).  The Krylov basis
-    of a random v gives the characteristic polynomial of M and each A_x as
-    q_x(M); at its roots mu, the q_x(mu) are the points in the charts
-    l_g = 1, whose ratios Wang's reconstruction lifts.
+    Geometry*, ch. 2 §4), with a fixed seed.  On the chart's quotient, with
+    its h standard monomials as basis, X_v multiplies by the chart variable
+    v, by normal forms; its eigenvalues are the points' v coordinates.  For
+    random r_v, M = sum_v r_v X_v is diagonal at h distinct points, and the
+    Krylov basis of a random w gives the characteristic polynomial of M and
+    each X_v as q_v(M).  At its roots mu, group g's (1, q_v(mu), ..) over
+    its chart variables v is a point in the chart, whose ratios Wang's
+    reconstruction lifts.
     """
     from random import Random
 
-    space, field, p = gb.space, gb.field, gb.field.modulus
-    rng, num = Random(1703026), gb.numerator
-
-    def degrees(t):             # (t, .., t), then its shift by each group
-        return [tuple(t + (k == g) for k in range(space.p)) for g in range(-1, space.p)]
-
-    t = next((t for t in range(1, max((max(e) for e in num), default=0) + 1)
-              if all(_standard_count(num, space, d) == h for d in degrees(t))), None)
-    if t is None:
+    if not isinstance(chart, AffineChart) or len(chart.standard or ()) != h:
         return None
-    lead = [(lt, space.multidegree_of(lt)) for lt in gb.lead_terms]
-
-    def standard(d):
-        lts = [lt for lt, e in lead if all(map(int.__le__, e, d))]
-        return [m for m in monomial_basis(space, d)
-                if not any(all(map(int.__le__, lt, m)) for lt in lts)]
-
-    engine = _Engine(space, field, None)
-    for g in gb:
-        engine.add_poly(engine.prepare(g))
-    source = [engine.pack(m) for m in standard(degrees(t)[0])]
-    v = [rng.randrange(p) for _ in range(h)]
-    M = [[0] * h for _ in range(h)]
-    images = []                 # A_x v, group by group
-    for g, d in enumerate(degrees(t)[1:]):
-        index = {engine.pack(m): i for i, m in enumerate(standard(d))}
-        X = []                  # X[j][i][k]: x_j * source[k] at standard monomial i
-        for var in range(space.group_slices[g].start, space.group_slices[g].stop):
-            X.append([[0] * h for _ in range(h)])
-            for k, m in enumerate(source):  # x * m has multidegree d: it fits
-                for mono, c in engine.normal_form({m + engine._units[var]: 1}, raw=True).items():
-                    X[-1][index[mono]][k] = c
-        forms = [[rng.randrange(1, p) for _ in X] for _ in range(2)]
-        rows = []               # [X_(l_g) | X_(r_g) | X_x v]
-        for i in range(h):
-            rows.append([sum(c * Xj[i][k] for c, Xj in zip(form, X)) % p
-                         for form in forms for k in range(h)]
-                        + [sum(map(mul, Xj[i], v)) % p for Xj in X])
-        solved = _solve(field, rows, h)
-        if solved is None:
-            return None
-        M = [[(a + b) % p for a, b in zip(mrow, row)] for mrow, row in zip(M, solved)]
-        images += zip(*(row[h:] for row in solved))
-    krylov = [v]
+    engine, field, p = chart.engine, chart.field, chart.field.modulus
+    rng = Random(1703026)
+    index = {m: i for i, m in enumerate(chart.standard)}
+    X = []                      # X[v][i][k]: x_v * standard[k] at standard monomial i
+    for unit in engine._units:
+        X.append([[0] * h for _ in range(h)])
+        for k, m in enumerate(chart.standard):
+            for mono, c in engine.normal_form({m + unit: 1}, raw=True).items():
+                X[-1][index[mono]][k] = c
+    r = [rng.randrange(1, p) for _ in X]
+    M = [[sum(c * Xv[i][k] for c, Xv in zip(r, X)) % p for k in range(h)] for i in range(h)]
+    w = [rng.randrange(p) for _ in range(h)]
+    krylov = [w]
     for _ in range(h):
         krylov.append([sum(map(mul, row, krylov[-1])) % p for row in M])
-    solved = _solve(field, [[w[i] for w in krylov + images] for i in range(h)], h)
+    images = [[sum(map(mul, row, w)) % p for row in Xv] for Xv in X]
+    solved = _solve(field, [[u[i] for u in krylov + images] for i in range(h)], h)
     if solved is None:
         return None
-    chi, *polys = zip(*solved)  # M^h v and each A_x v in the Krylov basis
+    chi, *polys = zip(*solved)  # M^h w and each X_v w in the Krylov basis
     points = []
     for mu in _roots_mod_p([-c % p for c in chi] + [1], p, rng) or ():
         powers = [pow(mu, k, p) for k in range(h)]
-        coords = [sum(map(mul, q, powers)) % p for q in polys]
-        points.append(tuple(_lift_form(coords[group], p) for group in space.group_slices))
+        coords = iter([sum(map(mul, q, powers)) % p for q in polys])
+        points.append(tuple(_lift_form([1] + [next(coords) for _ in range(n)], p)
+                            for n in chart.space.projective_dims))
     return points if points and all(None not in point for point in points) else None
 
 

@@ -365,16 +365,32 @@ def _pivot_inverse_mod_p(rows, ncols):
     """Pivot rows and columns of integer rows mod p, and the inverse mod p of
     the minor on them, in pivot order.
 
-    The pivot rows R are the pivot columns of one ``rref`` of the transpose
-    with the rows taken last first: a row is kept unless it is a combination
-    of the rows after it, so the r rows kept are independent and span the
-    others.  Then one ``rref`` of [A_R | identity_r] is [G A_R | G], with G A_R
-    the reduced form of A, whose pivots are those of A; G A_RP is the
+    The pivot rows R are the pivot columns of the transpose with the rows
+    taken last first: a row is kept unless it is a combination of the rows
+    after it, so the r rows kept are independent and span the others.  A
+    forward elimination finds those columns; nothing above a pivot is
+    cleared.  Then one ``rref`` of [A_R | identity_r] is [G A_R | G], with
+    G A_R the reduced form of A, whose pivots are those of A; G A_RP is the
     identity, so G is the inverse of the minor A_RP.
     """
-    m = len(rows)
-    prows = sorted(m - 1 - k for k in _rref_mod_p(
-        DenseMatrix(_LIFT_FIELD, list(zip(*reversed(rows))), m))[2])
+    m, p = len(rows), _LIFT_FIELD.modulus
+    left = [[x % p for x in col] for col in zip(*reversed(rows))]
+    kept = []
+    for c in range(m):
+        if not left:
+            break
+        pr = next((i for i, row in enumerate(left) if row[c]), None)
+        if pr is None:
+            continue
+        prow = left.pop(pr)
+        inv = pow(prow[c], -1, p)
+        tail = [x * inv % p for x in prow[c:]]
+        for row in left:
+            q = row[c]
+            if q:
+                row[c:] = [(x - q * y) % p for x, y in zip(row[c:], tail)]
+        kept.append(m - 1 - c)
+    prows = sorted(kept)
     r = len(prows)
     augmented = [list(rows[i]) + [int(i == k) for k in prows] for i in prows]
     reduced, _, pivots = _rref_mod_p(DenseMatrix(_LIFT_FIELD, augmented, ncols + r))

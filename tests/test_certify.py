@@ -758,31 +758,31 @@ def _unlucky(sizes, degrees, h, lost, seed):
 _PINNED_REPORTS = {
     "prop31-qq": (
         lambda: certify(_random((3,), (5,), 6, 1)[0], 6),
-        "603052197d287652f9ba9cf3f62696b0101db2c5b9f5d9c66044d429fcbaad74"),
+        "50281b7fb36f8ab5995307ae3e870556a3552d5844c0a51f98010a999fdeee77"),
     "prop31-fp": (
         lambda: certify(_random((3,), (5,), 6, 1, PrimeField(DEFAULT_PRIME))[0], 6),
-        "89fb25fec9217491dcfc717d30e92d0bf14a8da6060769f103fe618054a5572c"),
+        "4abe3140ff287a81bb9eb1f3d5bff52dea85d5fa22fbd94aff160df35f1ee9f7"),
     "prop31-multigraded-1c": (
         lambda: certify(_random((2, 5, 4), (3, 2, 3), 5, 1)[0], 5),
-        "2c60e5604b6a5844a3acca6bd3e22b80943a604640e03ad7322e4138cf136a66"),
+        "4b1245971c48ab98756f792393bcaf54bd68d4f88e128c48bc3a34afd06ff4da"),
     "prop33-1d": (
         lambda: certify(_random((4,), (4,), 7, 1)[1]),
-        "35d30c4a2444479a20ac38091eb338d0a6111b61e18ab2eeb74e0bc384bc37db"),
+        "ea3c150af8470b76de409ff26b80436752520bd97dd17565c3107bdf2038c2cc"),
     "prop33-no-split": (
         lambda: certify_prop33(_random((2,), (4,), 3, 6)[1]),
         "67487274e7197d449ae901eaa67b295a5103845e61e19c2312b5e1c31aa45bf8"),
     "thm37-witness": (
         lambda: certify(_random((3,), (5,), 7, 1)[0], 7),
-        "f4bf354672d6db58e591450f25fdabff0679219aae6de689675f04267c362f74"),
+        "4b82fad87071e0d17a4ec2414c84c747a46ae1c64db34fa9817c1b9bbf67c4f6"),
     "thm37-lifted-rank": (
         lambda: certify(_random((3,), (5,), 5, 1)[0], 7),
         "702bd6b44842799a6e66a7b9237e59a50d501345493471ff4b5f13fc2c21f4e6"),
     "thm37-lifted-section": (
         lambda: certify(_random((3,), (5,), 6, 1)[0], 7),
-        "7c1c7f2855a86ea04d51b386f727b4247ff209dbfd99d037cede8b85f7d70a5c"),
+        "dff6c8487861b6404d3a5b9b022fec0940bca3a07eb3230f6ca0d234c1a3f286"),
     "thm37-unlucky-prime": (
         lambda: certify(_unlucky((3,), (5,), 7, 2, 1), 7),
-        "b34d59b0e5fcb35eb027236a79643268ef0b3d6497d9c7d71f977e66d3e6d6b4"),
+        "36f18b1663c9729a58a2184c95724e8a05d86c80d72dcd705ab477e69de74786"),
     "out-of-range": (
         lambda: certify(_random((3,), (4,), 5, 15)[0], 5),
         "776bf266e910f2f7ccd84faa468e0df7246b23655b92268f6a635bbe2f998272"),

@@ -603,8 +603,11 @@ def test_trace_flag(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("sizes: 3\ndegrees: 2\ntensor: x1_0^2 + x1_1^2 + x1_2^2\n",
                     encoding="utf-8")
+    # the section is Empty, decided in the chart x1_0 = 1, whose ideal is the
+    # unit ideal: no standard monomial, and nothing on x1_0 = 0
     code, report = run_cli("certify", "--input", str(path), "--h", "1", "--trace")
-    assert "hilbert[0] = 1" in report
+    assert "hilbert[0] = 0" in report
+    assert "at x1_0 = 0: Empty" in report
 
 
 @pytest.fixture(scope="module")

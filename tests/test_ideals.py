@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from tensorcert import (BudgetExceededError, DenseMatrix, Ideal, MPoly, QQ,
+from tensorcert import (BudgetExceededError, Decomposition, DenseMatrix, Ideal, MPoly, QQ,
                         Split, TensorSpace, binary_fast_path, buchberger,
-                        classify_linear_section, coefficient_vector, flatten,
+                        classify_linear_section, coefficient_vector, default_split, flatten,
                         hilbert_value, image_span, monomial_basis, PrimeField,
                         pullback_linear_section, random_tensor, RandomConfig)
 
-from tensorcert.ideals import _classify
+from tensorcert.fields import primitive
+from tensorcert.ideals import _classify, rational_points
 from tensorcert.linalg import kernel_basis
 from tensorcert.poly import monomial_multinomial
 
@@ -450,14 +451,18 @@ def test_packed_monomials_match_tuples(width, monkeypatch):
 def test_narrow_packed_fields_refuse_and_never_wrap(field, monkeypatch):
     # With 4-bit fields a group degree must stay below 8.  Every run either
     # returns the textbook basis or is refused: a generator of degree 8 or
-    # more at ``prepare``, an S-pair lcm past 7 as an exhausted budget, which
-    # the classifier reports as Inconclusive.
+    # more at ``prepare``, an S-pair lcm past 7 as an exhausted budget.  The
+    # classifier reports such an ideal as Inconclusive, or, when its chart
+    # and at-infinity runs fit the narrow fields, with its full-width verdict.
     from tensorcert import ideals
-    monkeypatch.setattr(ideals, "_WIDTH", 4)
     rng = random.Random(44)
     cases = _differential_ideals()
     space = ternary(8)
     cases.append((space, [random_form(space, 8, rng, bound=6) for _ in range(2)]))
+    wide = [_verdict(classify_linear_section(Ideal(space, [MPoly(space, g.terms, field)
+                                                           for g in gens], field)))
+            for space, gens in cases]
+    monkeypatch.setattr(ideals, "_WIDTH", 4)
     outcomes = []
     for trial, (space, gens) in enumerate(cases):
         ideal = Ideal(space, [MPoly(space, g.terms, field) for g in gens], field)
@@ -469,7 +474,8 @@ def test_narrow_packed_fields_refuse_and_never_wrap(field, monkeypatch):
             continue
         except BudgetExceededError:
             outcomes.append("lcm")
-            assert classify_linear_section(ideal).status == "Inconclusive", trial
+            report = classify_linear_section(ideal)
+            assert report.status == "Inconclusive" or _verdict(report) == wide[trial], trial
             continue
         outcomes.append("basis")
         got = {lt: dict(g.terms) for lt, g in zip(gb.lead_terms, gb.polys)}
@@ -609,7 +615,8 @@ def test_classify_budget_inconclusive():
     rng = random.Random(20)
     space = TensorSpace((2, 2), (1, 1))
     gens = [random_form(space, (1, 1), rng) for _ in range(2)]
-    report = classify_linear_section(Ideal(space, gens), budget=1)
+    # the chart decides these two forms with one S-pair, so none is allowed
+    report = classify_linear_section(Ideal(space, gens), budget=0)
     assert report.status == "Inconclusive"
 
 
@@ -739,6 +746,83 @@ def test_classify_invariant_under_change_of_coordinates(sizes, degrees, expected
     moved = [MPoly(space, oracles.substitute(sizes, g.terms, matrices)) for g in gens]
     assert _verdict(classify_linear_section(Ideal(space, gens))) == expected
     assert _verdict(classify_linear_section(Ideal(space, moved))) == expected
+
+
+# ---------------------------------------------------------------------------
+# the affine chart against the projective classifier
+
+
+def _term_at_infinity(sizes, degrees, h, g, seed=1):
+    """A random h-term decomposition whose first term lies on x_{g,0} = 0."""
+    space = TensorSpace(sizes, degrees)
+    _, dec = random_tensor(space, h, RandomConfig(seed=seed))
+    first = list(dec.terms[0])
+    first[g] = (0,) + first[g][1:]
+    return Decomposition(space, [tuple(first)] + list(dec.terms[1:]))
+
+
+#: (sizes, degrees, h) of the Proposition 3.1 sections in the chart slice
+CHART_SECTIONS = [((3,), (5,), 6), ((2, 2, 2), (2, 2, 2), 3), ((3, 3), (2, 2), 4)]
+
+
+def _section(T, h):
+    split = default_split(T.space, h)
+    return pullback_linear_section(image_span(flatten(T, split)), T.space, split.b)
+
+
+def _chart_slice():
+    """(ideal, group of its section point on x_{g,0} = 0 or None), over QQ
+    and F_p: the sweep's ideals and Proposition 3.1 sections of random
+    tensors and of decompositions with a term on x_{g,0} = 0, for every g."""
+    cases = [(ideal, None) for ideal in _sweep_ideals(29, 40)]
+    for sizes, degrees, h in CHART_SECTIONS:
+        cases.append((_section(random_tensor(TensorSpace(sizes, degrees), h,
+                                             RandomConfig(seed=2))[0], h), None))
+        cases += [(_section(_term_at_infinity(sizes, degrees, h, g).expand(), h), g)
+                  for g in range(len(sizes))]
+    for ideal, g in list(cases):
+        space = ideal.space
+        cases.append((Ideal(space, [MPoly(space, f.terms, FP) for f in ideal.generators], FP), g))
+    return cases
+
+
+def test_chart_matches_the_projective_classifier():
+    # the chart's verdict is the projective one; a section point on
+    # x_{g,0} = 0 sends the ideal to the projective classifier itself, and
+    # its report keeps no chart to recover points from
+    seen = set()
+    for trial, (ideal, g) in enumerate(_chart_slice()):
+        report = classify_linear_section(ideal)
+        assert _verdict(report) == _verdict(_classify(buchberger(ideal))), trial
+        seen.add((report.status, report.method, g is None))
+        if g is not None:
+            assert report.method == "hilbert-polynomial", trial
+            assert rational_points(report.basis, report.length) is None
+            assert rational_points(report.basis, report.length - 1) is None
+        elif report.method == "affine-chart" and report.status != "PositiveDim":
+            assert report.at_infinity == ("Empty",) * ideal.space.p, trial
+            assert report.trace[-1][1] == (report.length or 0), trial
+    assert {("Empty", "affine-chart", True), ("PositiveDim", "affine-chart", True),
+            ("ZeroDim", "affine-chart", True), ("ZeroDim", "hilbert-polynomial", False),
+            ("ZeroDim", "hilbert-polynomial", True)} <= seen, seen
+
+
+def test_chart_points_are_the_section_points():
+    # the chart of 1c's section mod 2^61 - 1 has the 5 terms as its points
+    space, field = TensorSpace((2, 5, 4), (3, 2, 3)), PrimeField(2 ** 61 - 1)
+    T, dec = random_tensor(space, 5, RandomConfig(seed=1))
+    ideal = _section(MPoly(space, T.terms, field), 5)
+    report = classify_linear_section(ideal)
+    assert (report.describe(), report.method) == ("ZeroDim(5)", "affine-chart")
+    assert report.at_infinity == ("Empty",) * 3
+
+    def normalized(form):
+        form = primitive([int(x) for x in form])
+        return tuple(-x if next(y for y in form if y) < 0 else x for x in form)
+
+    assert sorted(rational_points(report.basis, 5)) == sorted(
+        tuple(map(normalized, term)) for term in dec.terms)
+    assert rational_points(report.basis, 4) is None
 
 
 # ---------------------------------------------------------------------------
