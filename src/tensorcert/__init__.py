@@ -8,7 +8,7 @@ from .poly import (MPoly, TensorSpace, coefficient_vector, dimension_of_multideg
 from .flatten import Flattening, Split, SplitError, default_split, flatten, image_span
 from .ideals import (BudgetExceededError, GroebnerBasis, Ideal, SchemeReport,
                      binary_fast_path, buchberger, classify_linear_section,
-                     hilbert_value, pullback_linear_section)
+                     pullback_linear_section)
 from .certify import (Certificate, Check, Decomposition, certify, certify_prop31,
                       certify_prop33, certify_thm37, corollary35_bound,
                       effective_range, segre_veronese_degree, thm37_family)
@@ -24,7 +24,7 @@ __all__ = [
     "Flattening", "Split", "SplitError", "default_split", "flatten", "image_span",
     "BudgetExceededError", "GroebnerBasis", "Ideal", "SchemeReport",
     "binary_fast_path", "buchberger", "classify_linear_section",
-    "hilbert_value", "pullback_linear_section",
+    "pullback_linear_section",
     "Certificate", "Check", "Decomposition", "certify", "certify_prop31",
     "certify_prop33", "certify_thm37", "corollary35_bound",
     "effective_range", "segre_veronese_degree", "thm37_family",

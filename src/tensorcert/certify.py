@@ -362,15 +362,20 @@ def _section_proof(rank, nrows, report, *, field, h, tensor=None, points=None):
 
     Both rules read the status and length of Z_p, the scheme of the
     section ideal I_p mod p, as the values of HF_p(t,..,t) for large t.
-    ``classify_linear_section`` reads them in the chart U = {x_{g,0} != 0
-    for every g}, isomorphic to A^n, when each of the p intersections
-    Z_p cap {x_{g,0} = 0} is Empty.  Then Z_p lies inside U and is the
-    chart's affine scheme, finite of length the number of standard
-    monomials of its basis; a finite scheme of length l has HF_p(t,..,t)
-    = l for large t, and l = 0 is Empty.  When an intersection is not
-    Empty, the classification is the projective one of HF_p itself.  The
-    chart, the checks at infinity and that fallback draw on one S-pair
-    budget, and an exhausted budget is Inconclusive, which neither rule
+    ``classify_linear_section`` reads them in a chart U = {l_g != 0 for
+    every g}, isomorphic to A^n, when each of the p intersections Z_p cap
+    {l_g = 0} is Empty.  Then Z_p lies inside U and is the chart's affine
+    scheme, finite of length the number of standard monomials of its basis;
+    a finite scheme of length l has HF_p(t,..,t) = l for large t, and l = 0
+    is Empty.  The first chart has l_g = x_{g,0}; a later one has l_g =
+    x_{g,0} + sum_j c_{g,j} x_{g,j} with integers c, reached by
+    substituting x_{g,0} - sum_j c_{g,j} x_{g,j} for x_{g,0}.  That change
+    of coordinates is unimodular over ZZ, so it commutes with reduction mod
+    p and moves Z_p by an automorphism of the product of projective
+    spaces, which keeps its status and length; the points recovered in it
+    are moved back before they are checked.  The charts and their checks
+    at infinity draw on one S-pair budget, and an exhausted budget, or a
+    point at infinity in every chart, is Inconclusive, which neither rule
     keeps.
 
     (a) rank = nrows and the section is Empty mod p give the rank and Empty

@@ -2,20 +2,19 @@
 
 The scheme cut on a (Segre-)Veronese variety by a linear subspace is pulled
 back to the source product of projective spaces as a multihomogeneous ideal.
-It is decided first in the affine chart x_{g,0} = 1 of every group: one
-Groebner basis of the dehomogenized generators under grevlex gives the part
-of the scheme in the chart, positive dimensional or finite of length its
-count of standard monomials.  A finite part is the whole scheme when, for
-each group, the ideal restricted to x_{g,0} = 0 is Empty.  Those checks, and
-every ideal with a point at infinity, are decided on the product itself: the
-Hilbert series numerator of the leading-term ideal of a reduced Groebner
-basis gives the diagonal Hilbert function, which is, past the numerator's
-largest exponent, the Hilbert polynomial of the scheme's Segre image: its
-degree and constant are the dimension and the length.  Ideals of binary
-forms skip Groebner bases: the scheme is the divisor of the gcd of the
-generators.  Only an exhausted S-pair budget leaves a scheme Inconclusive.
-The points of a zero-dimensional scheme over F_p are recovered from its
-chart by ``rational_points``.
+It is decided in an affine chart: x_{g,0} = 1 of every group first, then a
+few seeded random charts l_g = x_{g,0} + sum_j c_{g,j} x_{g,j} = 1, each
+reached by a unimodular change of coordinates.  One Groebner basis of the
+dehomogenized generators under grevlex gives the part of the scheme in the
+chart, positive dimensional or finite of length its count of standard
+monomials.  A finite part is the whole scheme when, for each group, the
+ideal restricted to the chart's hyperplane at infinity is Empty, which the
+leading terms of its reduced Groebner basis decide on the product itself;
+otherwise the next chart is tried.  Ideals of binary forms skip Groebner
+bases: the scheme is the divisor of the gcd of the generators.  Only an
+exhausted S-pair budget, or a point at infinity in every chart, leaves a
+scheme Inconclusive.  The points of a zero-dimensional scheme over F_p are
+recovered from its chart by ``rational_points``.
 
 Buchberger runs with Gebauer-Moeller pair elimination and sugar selection;
 over the rationals the reduction arithmetic is fraction free on primitive
@@ -29,11 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
-from math import comb, gcd
-from operator import mul
+from itertools import accumulate, product
+from math import gcd
+from operator import add, mul
+from random import Random
 
 from .fields import QQ, numerators, primitive
 from .linalg import DenseMatrix, _reconstruct, _rref_mod_p, kernel_basis
@@ -444,11 +443,6 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.polys)
 
-    @cached_property
-    def numerator(self):
-        """Hilbert series numerator of the leading-term ideal (per-group grading)."""
-        return _series_numerator(self.lead_terms, self.space)
-
 
 def buchberger(ideal: Ideal, budget=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal; may raise BudgetExceededError."""
@@ -468,149 +462,110 @@ def buchberger(ideal: Ideal, budget=None) -> GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# Hilbert series numerator of a monomial ideal
-
-
-def _minimalize(monos):
-    out = []
-    for m in sorted(monos, key=sum):
-        if not any(all(map(int.__le__, g, m)) for g in out):
-            out.append(m)
-    return out
-
-
-def _poly_mul_one_minus(num, v):
-    # num * (1 - T^v) on multidegree dicts
-    out = dict(num)
-    for e, c in num.items():
-        k = tuple(x + y for x, y in zip(e, v))
-        w = out.get(k, 0) - c
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _series_numerator(lead_terms, space: TensorSpace):
-    """Numerator K with HS(R/I) = K(T_1..T_p) / prod (1-T_i)^{sizes[i]}."""
-    p = space.p
-    zero_deg = (0,) * p
-    group_of = [space.group_of_var(i) for i in range(space.nvars)]
-
-    def mdeg(mono):
-        return space.multidegree_of(mono)
-
-    def recurse(gens):
-        if not gens:
-            return {zero_deg: 1}
-        non_simple = [m for m in gens if sum(1 for e in m if e) > 1]
-        if not non_simple:
-            num = {zero_deg: 1}
-            for m in gens:
-                num = _poly_mul_one_minus(num, mdeg(m))
-            return num
-        counts = [0] * space.nvars
-        for m in non_simple:
-            for i, e in enumerate(m):
-                if e:
-                    counts[i] += 1
-        pivot = max(range(space.nvars), key=lambda i: counts[i])
-        pivot_mono = tuple(1 if i == pivot else 0 for i in range(space.nvars))
-        added = _minimalize([m for m in gens if m[pivot] == 0] + [pivot_mono])
-        colon = _minimalize([
-            m[:pivot] + (m[pivot] - 1,) + m[pivot + 1:] if m[pivot] else m
-            for m in gens])
-        num = recurse(added)
-        shift = tuple(1 if g == group_of[pivot] else 0 for g in range(p))
-        for e, c in recurse(colon).items():
-            k = tuple(x + y for x, y in zip(e, shift))
-            w = num.get(k, 0) + c
-            if w:
-                num[k] = w
-            else:
-                num.pop(k, None)
-        return num
-
-    return recurse(_minimalize(list(lead_terms)))
-
-
-def _standard_count(num, space: TensorSpace, deg):
-    """Monomials of the multidegree not divisible by any leading term."""
-    dims = space.projective_dims
-    total = 0
-    for e, c in num.items():
-        prod = 1
-        for t, ei, n in zip(deg, e, dims):
-            m = t - ei
-            if m < 0:
-                prod = 0
-                break
-            prod *= comb(m + n, n)
-        if prod:
-            total += c * prod
-    return total
-
-
-def hilbert_value(gb: GroebnerBasis, deg) -> int:
-    """Dimension of the degree-deg graded piece of the quotient ring."""
-    deg = tuple(int(d) for d in deg)
-    if len(deg) != gb.space.p or any(d < 0 for d in deg):
-        raise ValueError(f"bad multidegree {deg}")
-    return _standard_count(gb.numerator, gb.space, deg)
-
-
-# ---------------------------------------------------------------------------
 # classification
+
+
+#: Random charts l_g = x_{g,0} + sum_j c_{g,j} x_{g,j} tried after x_{g,0} = 1,
+#: with every c_{g,j} drawn from 1 .. ``_SHIFT_TOP`` by one fixed seed
+_CHARTS, _SHIFT_TOP = 3, 16
 
 
 def classify_linear_section(ideal: Ideal, *, budget=None) -> SchemeReport:
     """Decide Empty / ZeroDim(length) / PositiveDim for the section scheme.
 
     Binary forms are decided by ``binary_fast_path``.  Any other ideal is
-    decided in the chart x_{g,0} = 1 of every group first (``AffineChart``):
-    a chart variable with no pure power among the leading terms makes the
-    scheme PositiveDim.  Otherwise the part of the scheme in the chart is
-    finite, of length the count of standard monomials, and it is the whole
-    scheme when nothing lies on a hyperplane x_{g,0} = 0: for each group g,
-    the ideal at infinity (``_at_infinity``) must classify as Empty.  If one
-    does not, the ideal is classified projectively (``_projective``), and
-    the report is the one no chart would have changed.  All runs draw on
-    one S-pair budget; when it runs out the result is Inconclusive, never a
-    wrong verdict.
+    decided in an affine chart (``AffineChart``), x_{g,0} = 1 of every group
+    first, then ``_CHARTS`` seeded random ones, each on the ideal ``_moved``
+    into its coordinates.  A chart variable with no pure power among the
+    leading terms makes the scheme PositiveDim.  Otherwise the part of the
+    scheme in the chart is finite, of length the count of standard
+    monomials, and it is the whole scheme when nothing lies at infinity:
+    for each group g, the moved ideal at x_{g,0} = 0 (``_at_infinity``) must
+    be ``_empty``.  If one is not, the next chart is tried.  A report from a
+    chart past the first names it in its note.  All runs draw on one S-pair
+    budget; when it runs out, or every chart has a point at infinity, the
+    result is Inconclusive, never a wrong verdict.
     """
     space = ideal.space
-    left = DEFAULT_PAIR_BUDGET if budget is None else budget
-    try:
-        if not ideal.generators or space.p == 1 and space.sizes[0] == 2:
-            return _projective(ideal, left)
-        chart = AffineChart(ideal, left)
-        if chart.standard is None:
-            return SchemeReport("PositiveDim", trace=chart.trace, method="affine-chart",
-                                basis=chart)
-        left -= chart.pairs
-        for g in range(space.p):
-            report = _projective(_at_infinity(ideal, g), left)
-            left -= getattr(report.basis, "pairs", 0)
-            if report.status != "Empty":
-                return _projective(ideal, left)
-    except BudgetExceededError as exc:
-        return SchemeReport("Inconclusive", method="groebner", note=str(exc))
-    length = len(chart.standard)
-    return SchemeReport("ZeroDim" if length else "Empty", length or None, chart.trace,
-                        "affine-chart", at_infinity=("Empty",) * space.p, basis=chart)
-
-
-def _projective(ideal: Ideal, budget) -> SchemeReport:
-    """The scheme classified on the whole product of projective spaces: by
-    the gcd for binary forms, else by ``_classify`` of its reduced basis;
-    may raise BudgetExceededError."""
     if not ideal.generators:
         # zero ideal: the whole variety, of dimension >= 1
         return SchemeReport("PositiveDim", method="empty-generators")
-    if ideal.space.p == 1 and ideal.space.sizes[0] == 2:
+    if space.p == 1 and space.sizes[0] == 2:
         return binary_fast_path(ideal)
-    return _classify(buchberger(ideal, budget=budget))
+    left = DEFAULT_PAIR_BUDGET if budget is None else budget
+    rng, shift = Random(1703027), None
+    try:
+        for index in range(_CHARTS + 1):
+            if index:
+                shift = tuple(tuple(rng.randint(1, _SHIFT_TOP) for _ in range(n))
+                              for n in space.projective_dims)
+            moved = _moved(ideal, shift) if shift else ideal
+            chart = AffineChart(moved, left, shift)
+            left -= chart.pairs
+            note = f"chart {index}: l_g = x_g0 + sum_j c_gj x_gj, c = {shift}" if index else ""
+            if chart.standard is None:
+                return SchemeReport("PositiveDim", trace=chart.trace, method="affine-chart",
+                                    note=note, basis=chart)
+            for g in range(space.p):
+                empty, pairs = _empty(_at_infinity(moved, g), left)
+                left -= pairs
+                if not empty:
+                    break
+            else:
+                length = len(chart.standard)
+                return SchemeReport("ZeroDim" if length else "Empty", length or None,
+                                    chart.trace, "affine-chart", note,
+                                    at_infinity=("Empty",) * space.p, basis=chart)
+    except BudgetExceededError as exc:
+        return SchemeReport("Inconclusive", method="groebner", note=str(exc))
+    return SchemeReport("Inconclusive", method="affine-chart",
+                        note=f"each of {_CHARTS + 1} charts has a point at infinity")
+
+
+def _moved(ideal: Ideal, shift) -> Ideal:
+    """The ideal in the coordinates of the chart l_g = x_{g,0} + sum_j
+    c_{g,j} x_{g,j}, c_g = shift[g]: x_{g,0} -> x_{g,0} - sum_j c_{g,j}
+    x_{g,j} in every generator.  The change is unimodular over ZZ, so it
+    commutes with reduction mod p, and it keeps status and length."""
+    space, field = ideal.space, ideal.field
+    gens = ideal.generators
+    for sl, c in zip(space.group_slices, shift):
+        units = [tuple(int(k == i) for k in range(space.nvars)) for i in range(sl.start, sl.stop)]
+        form = MPoly(space, dict(zip(units, (1, *(-a for a in c)))), field)
+        powers, moved = {}, []
+        for f in gens:
+            terms = {}
+            for m, a in f.terms.items():
+                e = m[sl.start]
+                if e not in powers:
+                    powers[e] = form ** e
+                rest = m[:sl.start] + (0,) + m[sl.start + 1:]
+                for k, b in powers[e].terms.items():
+                    mono = tuple(map(add, rest, k))
+                    terms[mono] = field.add(terms.get(mono, field.zero), field.mul(a, b))
+            moved.append(MPoly(space, {m: a for m, a in terms.items() if not field.is_zero(a)},
+                               field, _clean=True))
+        gens = moved
+    return Ideal(space, gens, field)
+
+
+def _empty(ideal: Ideal, budget):
+    """(whether the scheme is Empty, S-pairs taken); may raise
+    BudgetExceededError.
+
+    R/I and R/in(I) have the same multigraded Hilbert function, so the
+    scheme is Empty exactly when the leading terms' is.  A monomial
+    scheme holds a point exactly when it holds a coordinate point, one
+    variable per group nonzero; a leading term vanishes there unless it is
+    a monomial in those variables alone.  Binary forms use their gcd.
+    """
+    space = ideal.space
+    if space.p == 1 and space.sizes[0] == 2:
+        return binary_fast_path(ideal).status == "Empty", 0
+    gb = buchberger(ideal, budget=budget)
+    supports = [{i for i, e in enumerate(lt) if e} for lt in gb.lead_terms]
+    points = product(*(range(sl.start, sl.stop) for sl in space.group_slices))
+    return all(any(s <= set(point) for s in supports) for point in points), gb.pairs
 
 
 def _at_infinity(ideal: Ideal, g: int) -> Ideal:
@@ -645,12 +600,13 @@ class AffineChart:
     ch. 5 §3).  Otherwise ``standard`` is None.  ``trace`` holds (t, count
     of standard monomials of degree <= t) up to the last degree that has
     one, or, when there is no end, to the largest leading term's degree.
-    ``pairs`` is the S-pairs the run took.
+    ``pairs`` is the S-pairs the run took.  ``shift`` is the one the ideal
+    was ``_moved`` by, or None.
     """
 
-    def __init__(self, ideal: Ideal, budget):
+    def __init__(self, ideal: Ideal, budget, shift=None):
         space, field = ideal.space, ideal.field
-        self.space, self.field = space, field
+        self.space, self.field, self.shift = space, field, shift
         chart = [i for sl in space.group_slices for i in range(sl.start + 1, sl.stop)]
         # the engine reads its space's groups, not its degrees
         engine = self.engine = _Engine(TensorSpace((len(chart),), (sum(space.degrees),)),
@@ -679,29 +635,6 @@ class AffineChart:
             layer = sorted({m + u for m in layer for u in engine._units})
         self.standard = [m for layer in layers for m in layer] if finite else None
         self.trace = tuple(enumerate(accumulate(map(len, layers)))) or ((0, 0),)
-
-
-def _classify(gb: GroebnerBasis) -> SchemeReport:
-    """Read the scheme off its diagonal Hilbert polynomial.
-
-    With ``top`` the largest exponent of the series numerator K = sum c_e
-    T^e and n = n_1 + .. + n_p, HF(t,..,t) = sum_e c_e prod_i C(t - e_i +
-    n_i, n_i) for t >= top: a polynomial of degree <= n, the Hilbert
-    polynomial of the scheme's Segre image, whose degree is the dimension
-    and, in dimension 0, whose constant is the length (Bayer-Stillman, JSC
-    14, 1992).  Its n + 1 samples at t = top .. top + n all 0 mean Empty,
-    all c != 0 ZeroDim(c), anything else PositiveDim.  The trace holds
-    (t, HF(t,..,t)) for t = 0 .. top + n; the unit ideal has K = 0, top = 0.
-    """
-    space = gb.space
-    num = gb.numerator
-    top = max((max(e) for e in num), default=0)
-    trace = tuple((t, _standard_count(num, space, (t,) * space.p))
-                  for t in range(top + space.total_projective_dim + 1))
-    tail = {v for _, v in trace[top:]}
-    status = "Empty" if tail == {0} else "ZeroDim" if len(tail) == 1 else "PositiveDim"
-    return SchemeReport(status, tail.pop() if status == "ZeroDim" else None, trace,
-                        "hilbert-polynomial", basis=gb)
 
 
 # ---------------------------------------------------------------------------
@@ -805,9 +738,9 @@ def rational_points(chart, h: int):
     """Candidate rational points of a section that is ``ZeroDim(h)`` mod p,
     from the ``AffineChart`` its classification kept over F_p: h points,
     each a tuple of primitive integer vectors, one per group, or None.  A
-    section not decided in the chart, whose report keeps a
-    ``GroebnerBasis``, gives None.  Nothing here is proven;
-    ``certify._section_proof`` checks the points.
+    section not decided in a chart, such as one of binary forms, gives
+    None.  Nothing here is proven; ``certify._section_proof`` checks the
+    points.
 
     Method (Stickelberger; Cox, Little and O'Shea, *Using Algebraic
     Geometry*, ch. 2 §4), with a fixed seed.  On the chart's quotient, with
@@ -815,15 +748,15 @@ def rational_points(chart, h: int):
     v, by normal forms; its eigenvalues are the points' v coordinates.  For
     random r_v, M = sum_v r_v X_v is diagonal at h distinct points, and the
     Krylov basis of a random w gives the characteristic polynomial of M and
-    each X_v as q_v(M).  At its roots mu, group g's (1, q_v(mu), ..) over
-    its chart variables v is a point in the chart, whose ratios Wang's
-    reconstruction lifts.
+    each X_v as q_v(M).  At its roots mu, group g's y = (q_v(mu), ..) over
+    its chart variables v is a point in the chart; with the chart's shift
+    c_g, x_{g,0} = 1 - c_g . y moves it back, and Wang's reconstruction
+    lifts the ratios of (x_{g,0}, y).
     """
-    from random import Random
-
     if not isinstance(chart, AffineChart) or len(chart.standard or ()) != h:
         return None
     engine, field, p = chart.engine, chart.field, chart.field.modulus
+    shift = chart.shift or [(0,) * n for n in chart.space.projective_dims]
     rng = Random(1703026)
     index = {m: i for i, m in enumerate(chart.standard)}
     X = []                      # X[v][i][k]: x_v * standard[k] at standard monomial i
@@ -847,8 +780,11 @@ def rational_points(chart, h: int):
     for mu in _roots_mod_p([-c % p for c in chi] + [1], p, rng) or ():
         powers = [pow(mu, k, p) for k in range(h)]
         coords = iter([sum(map(mul, q, powers)) % p for q in polys])
-        points.append(tuple(_lift_form([1] + [next(coords) for _ in range(n)], p)
-                            for n in chart.space.projective_dims))
+        point = []
+        for c in shift:
+            y = [next(coords) for _ in c]
+            point.append(_lift_form([(1 - sum(map(mul, c, y))) % p] + y, p))
+        points.append(tuple(point))
     return points if points and all(None not in point for point in points) else None
 
 

@@ -10,6 +10,7 @@ terms must agree with.
 import itertools
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from tensorcert import MPoly
@@ -222,8 +223,9 @@ def reference_groebner(sizes, generators, modulus=None):
     Fractions, or residues mod ``modulus``.  Plain Buchberger: every pair is
     reduced (no criteria), smallest lcm first, reducers are found by a
     linear scan, and the final basis is minimalized and fully interreduced.
+    Only the lead terms, and each pair's lcm key, are kept, not recomputed.
     """
-    key = block_grevlex_key(sizes)
+    key = lru_cache(maxsize=None)(block_grevlex_key(sizes))
 
     def norm(c):
         return Fraction(c) if modulus is None else c % modulus
@@ -254,13 +256,14 @@ def reference_groebner(sizes, generators, modulus=None):
         return f
 
     def reduce(f, basis):
-        # repeatedly cancel the largest term divisible by some lead term
+        # repeatedly cancel the largest term divisible by some lead term;
+        # basis holds (lead term, polynomial) pairs
         while True:
             for m in sorted(f, key=key, reverse=True):
-                g = next((g for g in basis if divides(lead(g), m)), None)
-                if g is not None:
-                    shift = tuple(x - y for x, y in zip(m, lead(g)))
-                    f = sub_multiple(f, f[m], shift, g)
+                hit = next(((lt, g) for lt, g in basis if divides(lt, m)), None)
+                if hit is not None:
+                    shift = tuple(x - y for x, y in zip(m, hit[0]))
+                    f = sub_multiple(f, f[m], shift, hit[1])
                     break
             else:
                 return f
@@ -269,34 +272,36 @@ def reference_groebner(sizes, generators, modulus=None):
     for g in generators:
         g = {m: norm(c) for m, c in g.items() if norm(c)}
         if g:
-            basis.append(monic(g))
+            basis.append((lead(g), monic(g)))
 
-    def lcm(pair):
-        return tuple(map(max, lead(basis[pair[0]]), lead(basis[pair[1]])))
+    def lcm(i, j):
+        return tuple(map(max, basis[i][0], basis[j][0]))
 
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    # pair -> the order key of its lcm, in the order the pairs arose
+    pairs = {(i, j): key(lcm(i, j)) for j in range(len(basis)) for i in range(j)}
     while pairs:
         # the pair of smallest lcm first (the normal strategy)
-        i, j = min(pairs, key=lambda q: key(lcm(q)))
-        pairs.remove((i, j))
-        lcm_ij = lcm((i, j))
-        si = tuple(x - y for x, y in zip(lcm_ij, lead(basis[i])))
-        sj = tuple(x - y for x, y in zip(lcm_ij, lead(basis[j])))
+        i, j = min(pairs, key=pairs.get)
+        del pairs[i, j]
+        lcm_ij = lcm(i, j)
+        si = tuple(x - y for x, y in zip(lcm_ij, basis[i][0]))
+        sj = tuple(x - y for x, y in zip(lcm_ij, basis[j][0]))
         s = sub_multiple({tuple(x + y for x, y in zip(m, si)): c
-                          for m, c in basis[i].items()}, 1, sj, basis[j])
+                          for m, c in basis[i][1].items()}, 1, sj, basis[j][1])
         r = reduce(s, basis)
         if r:
-            basis.append(monic(r))
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+            basis.append((lead(r), monic(r)))
+            pairs.update(((k, len(basis) - 1), key(lcm(k, len(basis) - 1)))
+                         for k in range(len(basis) - 1))
     minimal = []
-    for g in sorted(basis, key=lambda g: key(lead(g))):
-        if not any(divides(lead(h), lead(g)) for h in minimal):
-            minimal.append(g)
+    for lt, g in sorted(basis, key=lambda e: key(e[0])):
+        if not any(divides(h, lt) for h, _ in minimal):
+            minimal.append((lt, g))
     out = {}
-    for g in minimal:
-        others = [h for h in minimal if h is not g]
-        tail = reduce({m: c for m, c in g.items() if m != lead(g)}, others)
-        out[lead(g)] = {lead(g): norm(1), **tail}
+    for lt, g in minimal:
+        others = [e for e in minimal if e[1] is not g]
+        tail = reduce({m: c for m, c in g.items() if m != lt}, others)
+        out[lt] = {lt: norm(1), **tail}
     return out
 
 
@@ -346,35 +351,32 @@ def repeated_product_expansion(sizes, forms, exponents, modulus=None):
 
 
 # ---------------------------------------------------------------------------
-# scheme classification from the Hilbert series of one group
+# scheme classification from the diagonal Hilbert function
 
 
-def series_classify(gb):
-    """(status, length) of a one-group scheme from its Hilbert series.
+def reference_classify(sizes, generators, modulus=None):
+    """(status, length) of the scheme the multihomogeneous generators cut on
+    the product of the P^(s - 1), read off its diagonal Hilbert function.
 
-    HS(R/I) = K(T) / (1 - T)^v with K the numerator of the leading-term
-    ideal.  Dividing out the full power (1 - T)^k leaves K' with K'(1) != 0;
-    the Krull dimension is v - k, and in Krull dimension 1 the length is
-    K'(1).  K is the package's ``gb.numerator``: what this checks on its own
-    is how the verdict is read off it.
+    HF(t,..,t) counts the monomials of multidegree (t,..,t) that no leading
+    term of ``reference_groebner`` divides (``brute_standard_count``).  The
+    Hilbert series numerator of the leading-term ideal has no exponent past
+    L, the largest group degree of the lcm of the leading terms (Taylor's
+    resolution), so from t = L on HF(t,..,t) is a polynomial of degree at
+    most n = sum (s - 1).  Its n + 1 values at t = L .. L + n are all 0 for
+    Empty, all c for ZeroDim(c), and anything else is PositiveDim.
     """
-    num = gb.numerator
-    (v,) = gb.space.sizes
-    if not num:
-        return "Empty", None     # unit ideal: the quotient ring is zero
-    coeffs = [0] * (max(e for (e,) in num) + 1)
-    for (e,), c in num.items():
-        coeffs[e] = c
-    drops = 0
-    while sum(coeffs) == 0:
-        coeffs = list(itertools.accumulate(coeffs[:-1]))   # K / (1 - T)
-        drops += 1
-    krull = v - drops
-    if krull <= 0:
+    lead = list(reference_groebner(sizes, generators, modulus))
+    lcm = [max(column) for column in zip(*lead)] or [0] * sum(sizes)
+    top, start = 0, 0
+    for s in sizes:
+        top = max(top, sum(lcm[start:start + s]))
+        start += s
+    values = {brute_standard_count(sizes, lead, (t,) * len(sizes))
+              for t in range(top, top + sum(sizes) - len(sizes) + 1)}
+    if values == {0}:
         return "Empty", None
-    if krull == 1:
-        return "ZeroDim", sum(coeffs)
-    return "PositiveDim", None
+    return ("ZeroDim", values.pop()) if len(values) == 1 else ("PositiveDim", None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ import pytest
 from tensorcert import (BudgetExceededError, Decomposition, DenseMatrix, Ideal, MPoly, QQ,
                         Split, TensorSpace, binary_fast_path, buchberger,
                         classify_linear_section, coefficient_vector, default_split, flatten,
-                        hilbert_value, image_span, monomial_basis, PrimeField,
+                        image_span, monomial_basis, PrimeField,
                         pullback_linear_section, random_tensor, RandomConfig)
 
 from tensorcert.fields import primitive
-from tensorcert.ideals import _classify, rational_points
+from tensorcert.ideals import _at_infinity, _empty, _moved, rational_points
 from tensorcert.linalg import kernel_basis
 from tensorcert.poly import monomial_multinomial
 
@@ -486,51 +486,6 @@ def test_narrow_packed_fields_refuse_and_never_wrap(field, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# hilbert function
-
-
-def test_hilbert_zero_ideal():
-    gb = buchberger(Ideal(ternary(2), []))
-    assert hilbert_value(gb, (2,)) == 6
-
-
-def test_hilbert_maximal_ideal():
-    space = ternary(1)
-    gens = mono_poly(space, (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    gb = buchberger(Ideal(space, gens))
-    assert hilbert_value(gb, (1,)) == 0
-    assert hilbert_value(gb, (3,)) == 0
-    assert hilbert_value(gb, (0,)) == 1
-
-
-def test_hilbert_principal_variable():
-    space = TensorSpace((2,), (1,))
-    gb = buchberger(Ideal(space, mono_poly(space, (0, 1))))
-    for d in range(5):
-        assert hilbert_value(gb, (d,)) == 1
-
-
-def test_hilbert_matches_bruteforce():
-    rng = random.Random(15)
-    for _ in range(10):
-        p = rng.randint(1, 2)
-        sizes = tuple(rng.randint(2, 3) for _ in range(p))
-        space = TensorSpace(sizes, (1,) * p)
-        monos = []
-        for _ in range(rng.randint(1, 4)):
-            mono = tuple(rng.randint(0, 2) for _ in range(space.nvars))
-            if any(mono):
-                monos.append(mono)
-        if not monos:
-            continue
-        gb = buchberger(Ideal(space, [MPoly(space, {m: 1}) for m in monos]))
-        for _ in range(4):
-            deg = tuple(rng.randint(0, 4) for _ in range(p))
-            assert hilbert_value(gb, deg) == oracles.brute_standard_count(
-                sizes, gb.lead_terms, deg)
-
-
-# ---------------------------------------------------------------------------
 # classification
 
 
@@ -641,17 +596,6 @@ def test_mixed_pullback_vanishes_on_decomposition_points():
             assert value == 0
 
 
-def test_hilbert_matches_bruteforce_on_real_pullback():
-    space = TensorSpace((2, 2), (2, 2))
-    T, _ = random_tensor(space, 2, RandomConfig(seed=27))
-    ideal = pullback_linear_section(
-        image_span(flatten(T, Split.of(space, (1, 1)))), space, (1, 1))
-    gb = buchberger(ideal)
-    for deg in [(0, 0), (1, 1), (2, 1), (2, 2), (3, 3), (4, 2)]:
-        assert hilbert_value(gb, deg) == oracles.brute_standard_count(
-            space.sizes, gb.lead_terms, deg)
-
-
 def test_classify_mixed_segre_veronese_points():
     # 2 generic points on the (1,1) re-embedding of P1 x P1 inside P3
     space = TensorSpace((2, 2), (2, 2))
@@ -678,15 +622,16 @@ def test_classify_multigraded_known_answers():
     assert _verdict(classify_linear_section(Ideal(space, gens))) == ("Empty", None)
 
 
-def test_classify_reads_past_the_numerator_top():
-    # (x0, x1^5) on P2 is the point [0:0:1] with multiplicity 5; its profile
-    # 1, 2, 3, 4, 5, 5, .. still rises at t = 0 .. 3, and the samples from
-    # the numerator's top exponent 6 on read the constant 5
+def test_classify_moves_a_fat_point_at_infinity_into_a_chart():
+    # (x0, x1^5) on P2 is the point [0:0:1] with multiplicity 5, on x0 = 0:
+    # the first chart sees nothing and its check at infinity the point, so a
+    # random chart decides, with 1, 2, .., 5 standard monomials by degree
     space = ternary(5)
     ideal = Ideal(space, [MPoly(space, {(1, 0, 0): 1}), MPoly(space, {(0, 5, 0): 1})])
     report = classify_linear_section(ideal)
     assert _verdict(report) == ("ZeroDim", 5)
-    assert [v for _, v in report.trace] == [1, 2, 3, 4, 5, 5, 5, 5, 5]
+    assert [v for _, v in report.trace] == [1, 2, 3, 4, 5]
+    assert report.note.startswith("chart 1:") and report.basis.shift is not None
 
 
 # (sizes, generator multidegrees) of the seeded sweep below
@@ -749,7 +694,7 @@ def test_classify_invariant_under_change_of_coordinates(sizes, degrees, expected
 
 
 # ---------------------------------------------------------------------------
-# the affine chart against the projective classifier
+# the affine charts against the reference classifier
 
 
 def _term_at_infinity(sizes, degrees, h, g, seed=1):
@@ -786,25 +731,71 @@ def _chart_slice():
     return cases
 
 
-def test_chart_matches_the_projective_classifier():
-    # the chart's verdict is the projective one; a section point on
-    # x_{g,0} = 0 sends the ideal to the projective classifier itself, and
-    # its report keeps no chart to recover points from
+def _reference(ideal):
+    return oracles.reference_classify(ideal.space.sizes, [f.terms for f in ideal.generators],
+                                      ideal.field.modulus)
+
+
+def test_chart_matches_the_reference_classifier():
+    # the charts' verdict is the diagonal Hilbert function's; a section point
+    # on x_{g,0} = 0 sends the ideal on to a random chart, named in the note
     seen = set()
     for trial, (ideal, g) in enumerate(_chart_slice()):
         report = classify_linear_section(ideal)
-        assert _verdict(report) == _verdict(_classify(buchberger(ideal))), trial
-        seen.add((report.status, report.method, g is None))
-        if g is not None:
-            assert report.method == "hilbert-polynomial", trial
-            assert rational_points(report.basis, report.length) is None
-            assert rational_points(report.basis, report.length - 1) is None
-        elif report.method == "affine-chart" and report.status != "PositiveDim":
+        assert _verdict(report) == _reference(ideal), trial
+        assert report.method == "affine-chart", trial
+        retried = report.basis.shift is not None
+        assert bool(report.note) == retried and (g is None or retried), trial
+        seen.add((report.status, g is None, retried))
+        if report.status != "PositiveDim":
             assert report.at_infinity == ("Empty",) * ideal.space.p, trial
             assert report.trace[-1][1] == (report.length or 0), trial
-    assert {("Empty", "affine-chart", True), ("PositiveDim", "affine-chart", True),
-            ("ZeroDim", "affine-chart", True), ("ZeroDim", "hilbert-polynomial", False),
-            ("ZeroDim", "hilbert-polynomial", True)} <= seen, seen
+    assert {("Empty", True, False), ("PositiveDim", True, False), ("ZeroDim", True, False),
+            ("ZeroDim", False, True), ("ZeroDim", True, True)} <= seen, seen
+
+
+def test_empty_matches_the_reference_classifier():
+    # every ideal at infinity of the slice, in the first chart and in a
+    # moved one, and hand cases: (x0 x1, x2) on P2 holds [1:0:0] though a
+    # leading term has the variable x0, and on P1 x P1 a term in x_{1,0} and
+    # x_{2,1} alone rules out one coordinate point only
+    ideals = []
+    for ideal, _ in _chart_slice():
+        moved = _moved(ideal, [(2,) * (s - 1) for s in ideal.space.sizes])
+        ideals += [_at_infinity(i, g) for i in (ideal, moved) for g in range(ideal.space.p)]
+    p2, p1p1 = ternary(2), TensorSpace((2, 2), (1, 1))
+    hand = [([(1, 1, 0), (0, 0, 1)], False), ([(2, 0, 0), (0, 1, 0), (0, 0, 3)], True),
+            ([(1, 1, 0), (0, 1, 1), (1, 0, 1)], False), ([(1, 1, 0), (0, 2, 0), (0, 0, 1)], False)]
+    ideals += [Ideal(p2, mono_poly(p2, *monos)) for monos, _ in hand]
+    mixed = [([(1, 0, 0, 1)], False), ([(1, 0, 1, 0), (0, 1, 0, 1)], False),
+             ([(1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1)], True)]
+    ideals += [Ideal(p1p1, mono_poly(p1p1, *monos)) for monos, _ in mixed]
+    seen = set()
+    for trial, ideal in enumerate(ideals):
+        empty, _ = _empty(ideal, None)
+        assert empty == (_reference(ideal)[0] == "Empty"), trial
+        seen.add(empty)
+    assert [_empty(ideal, None)[0] for ideal in ideals[-7:]] == [e for _, e in hand + mixed]
+    assert seen == {True, False}
+
+
+def test_moved_chart_points_are_the_section_points():
+    # 1c's decomposition with its first term on x_{2,0} = 0: a random chart
+    # decides its section mod 2^61 - 1, and the points it recovers, moved
+    # back, are the decomposition's terms, the one at infinity included
+    field = PrimeField(2 ** 61 - 1)
+    dec = _term_at_infinity((2, 5, 4), (3, 2, 3), 5, 1)
+    T = dec.expand()
+    report = classify_linear_section(_section(MPoly(T.space, T.terms, field), 5))
+    assert (report.describe(), report.method) == ("ZeroDim(5)", "affine-chart")
+    assert report.basis.shift is not None and report.note.startswith("chart 1:")
+    assert sorted(rational_points(report.basis, 5)) == sorted(
+        tuple(map(_normalized, term)) for term in dec.terms)
+
+
+def _normalized(form):
+    form = primitive([int(x) for x in form])
+    return tuple(-x if next(y for y in form if y) < 0 else x for x in form)
 
 
 def test_chart_points_are_the_section_points():
@@ -815,31 +806,13 @@ def test_chart_points_are_the_section_points():
     report = classify_linear_section(ideal)
     assert (report.describe(), report.method) == ("ZeroDim(5)", "affine-chart")
     assert report.at_infinity == ("Empty",) * 3
-
-    def normalized(form):
-        form = primitive([int(x) for x in form])
-        return tuple(-x if next(y for y in form if y) < 0 else x for x in form)
-
     assert sorted(rational_points(report.basis, 5)) == sorted(
-        tuple(map(normalized, term)) for term in dec.terms)
+        tuple(map(_normalized, term)) for term in dec.terms)
     assert rational_points(report.basis, 4) is None
 
 
 # ---------------------------------------------------------------------------
 # binary fast path
-
-
-def test_hilbert_polynomial_and_series_classifiers_agree():
-    # the package reads the diagonal Hilbert polynomial; the oracle divides
-    # the Hilbert series by (1 - T): independent readings of one numerator
-    rng = random.Random(28)
-    for trial in range(12):
-        space = TensorSpace((3,), (3,))
-        degs = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
-        gens = [random_form(space, d, rng, bound=8) for d in degs]
-        gb = buchberger(Ideal(space, gens))
-        report = _classify(gb)
-        assert (report.status, report.length) == oracles.series_classify(gb), (trial, degs)
 
 
 def test_classify_unit_ideal_empty():
@@ -887,10 +860,7 @@ def test_binary_fast_path_agrees_with_general_classifier():
                 f = random_form(space, d, rng, bound=6)
             gens.append(f)
         fast = binary_fast_path(Ideal(space, gens))
-        general = _classify(buchberger(Ideal(space, gens)))
-        assert fast.status == general.status
-        if fast.status == "ZeroDim":
-            assert fast.length == general.length
+        assert _verdict(fast) == _reference(Ideal(space, gens))
 
 
 def test_binary_fast_path_prime_field():

@@ -217,17 +217,19 @@ def test_empty_section_below_full_row_rank_runs_the_exact_path(monkeypatch):
     ((3,), (5,), 6, 0), ((2, 2, 2), (2, 2, 2), 3, 0), ((2, 2, 2), (2, 2, 2), 3, 2),
 ], ids=["3-5-h6", "2-2-2-h3-group1", "2-2-2-h3-group3"])
 def test_term_at_infinity_keeps_its_verdict(monkeypatch, sizes, degrees, h, g):
-    # one term on x_{g,0} = 0 puts a section point outside the chart, so the
-    # section is classified projectively mod p, with no chart to recover the
-    # points from; the exact path certifies, and its section falls back too
+    # one term on x_{g,0} = 0 puts a section point outside the first chart,
+    # so the section is decided in a random chart mod p, whose points the
+    # route recovers and moves back; the exact path gives the same report
     space = _space(sizes, degrees)
     _, dec = random_tensor(space, h, RandomConfig(seed=1))
     first = list(dec.terms[0])
     first[g] = (0,) + first[g][1:]
     dec = Decomposition(space, [tuple(first)] + list(dec.terms[1:]))
     cert = certify(dec)
-    assert cert.certified and cert.criterion == "Prop31" and not _witnessed(cert)
-    assert cert.checks[1].detail["method"] == "hilbert-polynomial"
+    assert cert.certified and cert.criterion == "Prop31"
+    assert _witnessed(cert) == ["ii_section_dimension"]
+    assert cert.checks[1].detail["method"] == "affine-chart"
+    assert cert.checks[1].detail["note"].startswith("chart 1:")
     assert _view(cert) == _view(_exact(monkeypatch, dec))
 
 
