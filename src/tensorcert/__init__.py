@@ -12,7 +12,7 @@ from .ideals import (BudgetExceededError, GroebnerBasis, Ideal, SchemeReport,
 from .certify import (Certificate, Check, Decomposition, certify, certify_prop31,
                       certify_prop33, certify_thm37, corollary35_bound,
                       effective_range, segre_veronese_degree, thm37_family)
-from .randgen import RandomConfig, random_rank_one, random_tensor
+from .randgen import RandomConfig, random_tensor
 
 __version__ = "0.1.0"
 
@@ -28,6 +28,6 @@ __all__ = [
     "Certificate", "Check", "Decomposition", "certify", "certify_prop31",
     "certify_prop33", "certify_thm37", "corollary35_bound",
     "effective_range", "segre_veronese_degree", "thm37_family",
-    "RandomConfig", "random_rank_one", "random_tensor",
+    "RandomConfig", "random_tensor",
     "__version__",
 ]

@@ -26,12 +26,12 @@ from fractions import Fraction
 from functools import partial
 from math import comb, factorial
 
-from .fields import DEFAULT_PRIME, QQ, PrimeField, numerators
+from .fields import QQ, PrimeField, numerators
 from .flatten import (Split, SplitError, default_split, flatten, flattening_numerators,
                       image_span)
 from .ideals import (classify_linear_section, pullback_linear_section, rational_points,
                      section_ideal)
-from .linalg import DenseMatrix, lifted_kernel, row_space_basis
+from .linalg import _LIFT_FIELD, DenseMatrix, lifted_kernel, row_space_basis
 from .poly import (MPoly, TensorSpace, monomial_basis, poly_from_numerators,
                    rank_one_numerators)
 
@@ -329,8 +329,6 @@ def _section_checks(ideal, section, length=None, *, budget, prove=None):
 
 #: 2^61 - 1: Wang's bound sqrt(p/2) > 2^30 passes 16-bit coordinate ratios
 _POINTS_FIELD = PrimeField(2 ** 61 - 1)
-#: Theorem 3.7's prime, the one ``lifted_kernel`` lifts from
-_WITNESS_FIELD = PrimeField(DEFAULT_PRIME)
 
 
 def _reduced(T: MPoly, field):
@@ -499,13 +497,13 @@ def certify_thm37(F: MPoly, h: int, *, budget=None) -> Certificate:
                                f"{n + 1}-forms of degree {d})"))
     full = comb(n + s, n)
     required = (("a_derivative_span_rank", full), ("b_section_empty", "Empty"))
-    Fp = _reduced(F, _WITNESS_FIELD)
+    Fp = _reduced(F, _LIFT_FIELD)
     decided = None
     if Fp is not None:
         fl = flatten(Fp, split)
         decided = _flattening_checks(
             fl, *required, budget=budget,
-            prove=partial(_section_proof, field=_WITNESS_FIELD, h=h)
+            prove=partial(_section_proof, field=_LIFT_FIELD, h=h)
         ) or _thm37_lifted(F, split, full, fl.rank == full, budget)
     return _finish(cert, start, decided or _flattening_checks(
         flatten(F, split), *required, budget=budget))
@@ -628,12 +626,15 @@ def _finish(cert: Certificate, start: float, checks):
     """The certificate with its checks, time and verdict: Certified exactly
     when there are checks and all of them pass.
 
-    The budget ran out exactly when some check computed ``Inconclusive``: a
-    section check computes that only when its S-pair budget is exhausted
-    (``classify_linear_section``), and no other check ever does.
+    The budget ran out exactly when a section check has method "groebner":
+    ``classify_linear_section`` reports that, Inconclusive, only when a
+    Groebner run raised ``BudgetExceededError``.  Its other Inconclusive, a
+    point at infinity in every chart, has method "affine-chart" and is a
+    failed check like any other.
     """
     cert.checks = tuple(checks)
-    cert.budget_exhausted = any(c.computed == "Inconclusive" for c in cert.checks)
+    cert.budget_exhausted = any((c.detail or {}).get("method") == "groebner"
+                                for c in cert.checks)
     cert.seconds = time.perf_counter() - start
     if cert.checks and all(c.passed for c in cert.checks):
         cert.verdict = "Certified"

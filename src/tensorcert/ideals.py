@@ -123,7 +123,8 @@ class SchemeReport:
 
     status: str                      # Empty | ZeroDim | PositiveDim | Inconclusive
     length: int = None               # set exactly when status == ZeroDim
-    trace: tuple = ()                # ((t, HF(t,..,t)), ...); see AffineChart.trace
+    trace: tuple = ()                # ((t, the chart's count of standard monomials
+                                     # of degree <= t), ...): AffineChart.trace
     method: str = ""
     note: str = ""
     at_infinity: tuple = ()          # affine-chart: each group's x_{g,0} = 0 status
@@ -427,8 +428,6 @@ class _Engine:
 
 class GroebnerBasis:
     """Reduced Groebner basis under the blockwise graded reverse lex order."""
-
-    order = "grevlex within each group, groups by index"
 
     def __init__(self, space: TensorSpace, field, polys, lead_terms, pairs=0):
         self.space = space

@@ -39,36 +39,8 @@ class DenseMatrix:
         return cls(field, [[field.one if i == j else field.zero for j in range(n)]
                            for i in range(n)])
 
-    @classmethod
-    def zeros(cls, field, nrows, ncols):
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
-
     def transpose(self):
         return DenseMatrix(self.field, list(zip(*self.rows)), self.nrows)
-
-    def add(self, other):
-        f = self.field
-        if other.field != f or (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape or field mismatch")
-        return DenseMatrix(f, [[f.add(a, b) for a, b in zip(r, s)]
-                               for r, s in zip(self.rows, other.rows)], self.ncols)
-
-    def scale(self, c):
-        f = self.field
-        c = f(c)
-        return DenseMatrix(f, [[f.mul(c, x) for x in r] for r in self.rows], self.ncols)
-
-    def mul_vector(self, v):
-        f = self.field
-        if len(v) != self.ncols:
-            raise ValueError("length mismatch")
-        out = []
-        for row in self.rows:
-            acc = f.zero
-            for a, x in zip(row, v):
-                acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, DenseMatrix) and self.field == other.field
@@ -281,7 +253,7 @@ def lifted_kernel(matrix: DenseMatrix):
 
     Method.  Denominators are cleared row by row, which keeps the right
     kernel, giving an integer matrix A.  Mod p = ``DEFAULT_PRIME``, one
-    Gauss-Jordan pass of A's transpose gives the rank r and r independent
+    forward elimination of A's transpose gives the rank r and r independent
     rows R, and one of [A_R | identity_r] the pivot columns P and the inverse
     C of the r x r pivot minor A_RP (``_pivot_inverse_mod_p``).  For each
     free column j the system A_RP x = -A_Rj is solved p-adically: the digit

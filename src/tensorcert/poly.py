@@ -65,11 +65,6 @@ class TensorSpace:
     def total_projective_dim(self) -> int:
         return sum(self.projective_dims)
 
-    @cached_property
-    def ambient_dim(self) -> int:
-        """Number of coordinates of the ambient tensor space."""
-        return dimension_of_multidegree(self.sizes, self.degrees)
-
     def multidegree_of(self, mono: Mono):
         return tuple(sum(mono[sl]) for sl in self.group_slices)
 
@@ -92,12 +87,6 @@ class TensorSpace:
         for g, sl in enumerate(self.group_slices):
             if sl.start <= index < sl.stop:
                 return f"x{g + 1}_{index - sl.start}"
-        raise ValueError(f"variable index {index} out of range")
-
-    def group_of_var(self, index: int) -> int:
-        for g, sl in enumerate(self.group_slices):
-            if sl.start <= index < sl.stop:
-                return g
         raise ValueError(f"variable index {index} out of range")
 
 
@@ -232,15 +221,11 @@ class MPoly:
 
     def __pow__(self, n: int):
         """The n-th power: a linear form in one group by the multinomial
-        theorem (``rank_one_numerators``), anything else by repeated squaring."""
+        theorem (``rank_one_numerators``), anything else, a single term
+        included, by repeated squaring."""
         if n < 0:
             raise ValueError("negative power")
         space, f = self.space, self.field
-        if len(self.terms) == 1:
-            # a monomial: scale the exponents, raise the coefficient once
-            (mono, c), = self.terms.items()
-            c = c ** n if f.modulus is None else pow(c, n, f.modulus)
-            return MPoly(space, {tuple(e * n for e in mono): c}, f, _clean=True)
         degrees = {space.multidegree_of(m) for m in self.terms}
         degree = degrees.pop() if len(degrees) == 1 else None
         if degree is not None and sum(degree) == 1:

@@ -1,4 +1,4 @@
-"""Seedable generation of random rank-one terms and rank-h tensors.
+"""Seedable generation of random rank-h tensors and their decompositions.
 
 The generator is Python's Mersenne Twister (`random.Random`), seeded with a
 64-bit integer; coefficients are integers drawn uniformly from
@@ -41,15 +41,6 @@ def _draw_form(rng: random.Random, size: int, bound: int, field):
             return coeffs
 
 
-def _draw_term(rng: random.Random, space: TensorSpace, cfg: RandomConfig):
-    return tuple(_draw_form(rng, size, cfg.bound, cfg.field) for size in space.sizes)
-
-
-def random_rank_one(space: TensorSpace, cfg: RandomConfig = RandomConfig()):
-    """One random rank-one term: a tuple of integer linear forms, one per group."""
-    return _draw_term(random.Random(cfg.seed), space, cfg)
-
-
 def random_tensor(space: TensorSpace, h: int, cfg: RandomConfig = RandomConfig()):
     """A random tensor of rank at most h together with its witness decomposition."""
     if h < 1:
@@ -58,7 +49,7 @@ def random_tensor(space: TensorSpace, h: int, cfg: RandomConfig = RandomConfig()
     terms = []
     while len(terms) < h:
         for _ in range(_MAX_DRAWS):
-            term = _draw_term(rng, space, cfg)
+            term = tuple(_draw_form(rng, size, cfg.bound, cfg.field) for size in space.sizes)
             if not any(_terms_proportional(cfg.field, term, t) for t in terms):
                 break
         else:

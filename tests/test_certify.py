@@ -11,12 +11,13 @@ import pytest
 from tensorcert import (DEFAULT_PRIME, Decomposition, MPoly, PrimeField, QQ,
                         RandomConfig, Split, SplitError,
                         TensorSpace, certify, certify_prop31, certify_prop33,
-                        certify_thm37, corollary35_bound,
-                        effective_range, flatten, random_tensor,
-                        segre_veronese_degree, thm37_family)
+                        certify_thm37, corollary35_bound, default_split,
+                        effective_range, field_from_spec, flatten, image_span,
+                        random_tensor, segre_veronese_degree, thm37_family)
 
 import oracles
 from conftest import random_form
+from tensorcert.cli import parse_polynomial
 from tensorcert.flatten import flattening_matrix
 from tensorcert.ideals import pullback_linear_section, section_ideal
 from tensorcert.linalg import lifted_kernel
@@ -185,6 +186,18 @@ def test_prop33_count_mismatch_named():
     assert cert.checks[0].name == "iii_ambient_count"
     assert not cert.checks[0].passed
     assert "iii" in cert.reason
+
+
+def test_prop33_count_without_the_degree_bound():
+    # 11 quartic powers in 5 variables: the split (2, 2) meets the count
+    # dim V_B = 15 = h + n, but the degree 2^4 = 16 passes h + 1 = 12
+    _, dec = _random((5,), (4,), 11, 1)
+    cert = certify(dec)
+    assert cert.criterion == "Prop33" and not cert.effective
+    assert cert.split.a == (2,)
+    assert [(c.name, c.computed, c.required, c.passed) for c in cert.checks] == [
+        ("iii_ambient_count", 15, 15, True), ("iv_variety_degree", 16, "<= 12", False)]
+    assert cert.reason == "failed checks: iv_variety_degree"
 
 
 def test_prop33_term_order_invariance():
@@ -520,6 +533,14 @@ def test_dispatch_forced_criterion():
     assert cert33.criterion == "Prop33"
 
 
+def test_dispatch_forced_thm37():
+    # forced on a decomposition, Theorem 3.7 runs on its expansion
+    T, dec = _random((3,), (5,), 7, 13)
+    forced = certify(dec, criterion="thm37")
+    assert forced.criterion == "Thm37" and forced.certified
+    assert _full_view(forced) == _full_view(certify(T, 7))
+
+
 def test_dispatch_h_mismatch():
     space = TensorSpace((3,), (5,))
     _, dec = random_tensor(space, 6, RandomConfig(seed=18))
@@ -818,3 +839,51 @@ def test_budget_exhausted_is_read_off_the_checks(build, exhausted):
         assert cert.reason == "resource budget exhausted"
     else:
         assert cert.reason == "failed checks: a_derivative_span_rank"
+
+
+# ---------------------------------------------------------------------------
+# tensors of rank above h that pass every check (ROADMAP Open item 1)
+
+_FP = "fp:1073741789"
+_OPEN_ITEM_1 = ("ROADMAP Open item 1: no check proves that a length-h decomposition "
+                "exists, so a tensor of rank above h is certified")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_OPEN_ITEM_1)
+@pytest.mark.parametrize("sizes,degrees,text,h,field", [
+    ((2,), (9,), "x1_0^8*x1_1", 2, "QQ"),
+    ((2,), (9,), "x1_0^8*x1_1", 2, _FP),
+    ((3,), (6,), "x1_0^5*x1_1", 2, "QQ"),
+    ((4,), (4,), "x1_0^3*x1_1", 2, "QQ"),
+    ((3,), (6,), "x1_0^5*x1_1 + x1_2^6", 3, "QQ"),
+    ((3,), (6,), "x1_0^5*x1_1 + x1_2^6", 3, _FP),
+    ((2,), (5,), "x1_0*(x1_0 + x1_1)^4 - 32*x1_1^5", 3, "QQ"),
+    ((2,), (5,), "x1_0*(x1_0 + x1_1)^4 - 32*x1_1^5", 3, _FP),
+], ids=["x8y-QQ", "x8y-fp", "x5y", "x3y", "x5y+z6-QQ", "x5y+z6-fp",
+        "thm37-binary-QQ", "thm37-binary-fp"])
+def test_rank_above_h_is_not_certified(sizes, degrees, text, h, field):
+    T = parse_polynomial(text, TensorSpace(sizes, degrees), field_from_spec(field))
+    assert not certify(T, h).certified
+
+
+def test_double_point_has_no_rational_points(monkeypatch):
+    # x^5 y at h = 2: the section is the double point [1 : 0 : 0], ZeroDim(2)
+    # mod p; the characteristic polynomial of its multiplication map has a
+    # repeated root, which _roots_mod_p refuses at its first attempt
+    ideals = importlib.import_module("tensorcert.ideals")
+    space = TensorSpace((3,), (6,))
+    T = MPoly(space, {(5, 1, 0): 1}, PrimeField(ROUTE_PRIME))
+    fl = flatten(T, default_split(space, 2))
+    report = ideals.classify_linear_section(
+        pullback_linear_section(image_span(fl), space, fl.split.b))
+    assert report.describe() == "ZeroDim(2)"
+    refused, real = [], ideals._roots_mod_p
+
+    def roots(*args):
+        refused.append(real(*args))
+        return refused[-1]
+
+    monkeypatch.setattr(ideals, "_roots_mod_p", roots)
+    assert ideals.rational_points(report.basis, 2) is None
+    assert refused == [None]
+

@@ -379,6 +379,22 @@ def test_document_comments_ignored_in_header():
     assert doc.payload.terms == {(2, 0): QQ(1)}
 
 
+def test_tensor_over_several_lines():
+    # the lines after "tensor:" are stripped, blank ones dropped and the rest
+    # joined by single spaces; a comment goes from the "tensor:" line only,
+    # and an error position is an offset into the joined expression
+    head = "sizes: 2\ndegrees: 3\ntensor: x1_0^3  # first\n\n   - 2*x1_1^3\n"
+    assert parse_document(head).payload.terms == {(3, 0): QQ(1), (0, 3): QQ(-2)}
+    with pytest.raises(ParseError) as info:
+        parse_document(head + "  + $\n")
+    assert info.value.position == len("x1_0^3 - 2*x1_1^3 + ")
+
+
+def test_decomposition_row_on_its_header_line():
+    doc = parse_document("sizes: 3\ndegrees: 5\ndecomposition: 1,2,3\n4,-5,6\n")
+    assert doc.payload.terms == (((1, 2, 3),), ((4, -5, 6),))
+
+
 def test_certify_h_mismatch_with_decomposition(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text("sizes: 2\ndegrees: 3\ndecomposition:\n1,0\n0,1\n",
@@ -536,6 +552,43 @@ def test_budget_env_override(tmp_path, monkeypatch):
     monkeypatch.delenv("TENSORCERT_BUDGET")
     code, _ = run_cli("certify", "--input", str(path), "--h", "2")
     assert code == 0
+
+
+def _all_charts_decomposition():
+    # 1c's decomposition with term k's group-2 form on the hyperplane at
+    # infinity of the classifier's chart k, k = 0..3: a_0 = -sum_j c_j a_j,
+    # with c = 0 for chart 0 and the shifts drawn as classify_linear_section
+    # draws them
+    space = TensorSpace((2, 5, 4), (3, 2, 3))
+    terms = [list(t) for t in random_tensor(space, 5, RandomConfig(seed=1))[1].terms]
+    rng = random.Random(1703027)
+    shifts = [(0,) * 4] + [[tuple(rng.randint(1, 16) for _ in range(n))
+                            for n in space.projective_dims][1] for _ in range(3)]
+    for term, c in zip(terms, shifts):
+        a = term[1]
+        term[1] = (-sum(x * y for x, y in zip(c, a[1:])),) + a[1:]
+    return Decomposition(space, terms)
+
+
+@pytest.mark.parametrize("build,flags,code,reason", [
+    (_all_charts_decomposition, (), 2,
+     "failed checks: ii_section_dimension, iii_section_length"),
+    (lambda: random_tensor(TensorSpace((2, 5, 4), (3, 2, 3)), 5, RandomConfig(seed=1))[1],
+     ("--budget", "0"), 1, "resource budget exhausted"),
+], ids=["point-at-infinity-in-every-chart", "1c-budget-0"])
+def test_budget_exhausted_only_when_a_groebner_run_ran_out(tmp_path, build, flags,
+                                                            code, reason):
+    # a point at infinity in every chart is Inconclusive too, but a failed
+    # check, not an exhausted budget
+    path = tmp_path / "doc.txt"
+    path.write_text(render_decomposition_document(build(), seed=1), encoding="utf-8")
+    got, report = run_cli("certify", "--input", str(path), "--report", "json", *flags)
+    parsed = json.loads(report)
+    assert (got, parsed["reason"], parsed["budget_exhausted"]) == (code, reason, code == 1)
+    ii = next(c for c in parsed["checks"] if c["name"] == "ii_section_dimension")
+    assert ii["computed"] == "Inconclusive"
+    if code == 2:
+        assert ii["detail"]["note"] == "each of 4 charts has a point at infinity"
 
 
 @pytest.mark.parametrize("flags,env", [

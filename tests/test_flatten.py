@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from tensorcert import (MPoly, PrimeField, QQ, Split, SplitError, TensorSpace,
-                        coefficient_vector, default_split, flatten, image_span,
-                        monomial_basis, power_and_product, random_tensor,
+from tensorcert import (DenseMatrix, MPoly, PrimeField, QQ, Split, SplitError,
+                        TensorSpace, coefficient_vector, default_split, flatten,
+                        image_span, monomial_basis, power_and_product, random_tensor,
                         RandomConfig, row_space_basis, rref)
 
 from conftest import random_form
@@ -98,7 +98,9 @@ def test_flatten_linearity():
     S = random_form(space, (2, 1), rng)
     combo = T.scale(4) + S.scale(-3)
     left = flatten(combo, split).matrix
-    right = flatten(T, split).matrix.scale(4).add(flatten(S, split).matrix.scale(-3))
+    A, B = flatten(T, split).matrix, flatten(S, split).matrix
+    right = DenseMatrix(QQ, [[4 * a - 3 * b for a, b in zip(r, s)]
+                             for r, s in zip(A.rows, B.rows)], A.ncols)
     assert left == right
 
 

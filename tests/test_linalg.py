@@ -23,7 +23,7 @@ def test_rref_identity():
 
 
 def test_rref_zero_matrix():
-    _, rank, pivots = rref(DenseMatrix.zeros(QQ, 2, 2))
+    _, rank, pivots = rref(qmat([[0, 0], [0, 0]]))
     assert rank == 0
     assert pivots == ()
 
@@ -67,12 +67,12 @@ def test_kernel_row_of_ones():
     k = kernel_basis(m)
     assert k.nrows == 2
     for row in k.rows:
-        assert m.mul_vector(row) == [Fraction(0)]
+        assert [sum(a * x for a, x in zip(r, row)) for r in m.rows] == [Fraction(0)]
     assert rref(k)[1] == 2
 
 
 def test_kernel_zero_matrix_full():
-    k = kernel_basis(DenseMatrix.zeros(QQ, 2, 3))
+    k = kernel_basis(qmat([[0, 0, 0], [0, 0, 0]]))
     assert k.nrows == 3
     assert rref(k)[1] == 3
 
@@ -85,14 +85,14 @@ def test_rank_nullity():
         _, rank, _ = rref(m)
         assert rank + kernel_basis(m).nrows == nc
         for row in kernel_basis(m).rows:
-            assert all(x == 0 for x in m.mul_vector(row))
+            assert all(sum(a * x for a, x in zip(r, row)) == 0 for r in m.rows)
 
 
 def test_row_space_basis_examples():
     basis = row_space_basis(qmat([[1, 0], [2, 0]]))
     assert basis.rows == ((Fraction(1), Fraction(0)),)
     assert row_space_basis(DenseMatrix.identity(QQ, 3)) == DenseMatrix.identity(QQ, 3)
-    assert row_space_basis(DenseMatrix.zeros(QQ, 2, 2)).nrows == 0
+    assert row_space_basis(qmat([[0, 0], [0, 0]])).nrows == 0
 
 
 def test_rational_vs_prime_field_rank_agrees():
@@ -113,6 +113,11 @@ def test_prime_field_arithmetic():
     assert fp.inv(7) * 7 % 101 == 1
     with pytest.raises(ValueError):
         PrimeField(100)
+
+
+def test_prime_field_reads_a_rational_string():
+    assert PrimeField(7)("1/3") == 5
+    assert PrimeField(7)("-4") == 3
 
 
 # strong pseudoprimes to the bases 2 .. 37 (psi_12) and 2 .. 41 (psi_13)

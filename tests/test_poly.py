@@ -27,7 +27,6 @@ def test_space_validation():
 def test_monomial_basis_sizes():
     mixed = TensorSpace((2, 5, 4), (3, 2, 3))
     assert len(monomial_basis(mixed, (3, 2, 3))) == 1200
-    assert mixed.ambient_dim == 1200
     single = TensorSpace((3,), (5,))
     assert len(monomial_basis(single, (5,))) == 21
     assert monomial_basis(single, (0,)) == [(0, 0, 0)]
@@ -229,8 +228,8 @@ def test_power_and_product_validates_its_input():
 
 def test_power_matches_repeated_products():
     # a linear form in one group is raised by the multinomial kernel: compare
-    # with the oracle's repeated products; any other base is squared
-    # repeatedly: compare with n plain multiplications
+    # with the oracle's repeated products; any other base, a single term
+    # included, is squared repeatedly: compare with n plain multiplications
     rng = random.Random(13)
     for modulus in (None, 7, 1073741789):
         field = QQ if modulus is None else PrimeField(modulus)

@@ -3,14 +3,14 @@ import hashlib
 import pytest
 
 from tensorcert import (DEFAULT_PRIME, PrimeField, QQ, RandomConfig, Split,
-                        TensorSpace, flatten, random_rank_one, random_tensor)
+                        TensorSpace, flatten, random_tensor)
 from tensorcert.cli import render_decomposition_document, render_tensor_document
 
 
 def test_determinism():
     space = TensorSpace((2, 5, 4), (3, 2, 3))
     cfg = RandomConfig(seed=42)
-    assert random_rank_one(space, cfg) == random_rank_one(space, cfg)
+    assert random_tensor(space, 1, cfg)[1].terms == random_tensor(space, 1, cfg)[1].terms
     t1, d1 = random_tensor(space, 3, cfg)
     t2, d2 = random_tensor(space, 3, cfg)
     assert t1 == t2
@@ -26,7 +26,7 @@ def test_different_seeds_differ():
 
 def test_rank_one_flattening_rank_one():
     space = TensorSpace((2, 5, 4), (3, 2, 3))
-    term = random_rank_one(space, RandomConfig(seed=7))
+    term = random_tensor(space, 1, RandomConfig(seed=7))[1].terms[0]
     from tensorcert import Decomposition
     T = Decomposition(space, [term]).expand()
     assert len(T) <= 1200
@@ -36,7 +36,7 @@ def test_rank_one_flattening_rank_one():
 
 def test_binary_cubic_shape():
     space = TensorSpace((2,), (3,))
-    term = random_rank_one(space, RandomConfig(seed=3))
+    term = random_tensor(space, 1, RandomConfig(seed=3))[1].terms[0]
     assert len(term) == 1 and len(term[0]) == 2
 
 
