@@ -5,8 +5,9 @@ the tool's interface:
 
 * ``Proposition 3.1``: the flattening at a chosen split has rank h and the
   span of the derivatives cuts the multidegree-b variety in a zero
-  dimensional scheme of length exactly h.  A certificate asserts that the
-  tensor is h-identifiable and has rank exactly h.
+  dimensional scheme of length exactly h.  A certificate, granted only with
+  a proven length-h decomposition, asserts that the tensor is
+  h-identifiable and has rank exactly h.
 * ``Proposition 3.3``: for an explicit decomposition, the boundary regime
   where the section may pick up one extra point; two arithmetic conditions
   plus a length check on the span of the rank-one terms themselves.
@@ -21,17 +22,18 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial
 
-from .fields import QQ, PrimeField, numerators
+from .fields import QQ, PrimeField, numerators, primitive
 from .flatten import (Split, SplitError, default_split, flatten, flattening_numerators,
                       image_span)
 from .ideals import (classify_linear_section, pullback_linear_section, rational_points,
                      section_ideal)
-from .linalg import _LIFT_FIELD, DenseMatrix, lifted_kernel, row_space_basis
+from .linalg import (_LIFT_FIELD, DenseMatrix, _reconstruct, kernel_basis, lifted_kernel,
+                     row_space_basis)
 from .poly import (MPoly, TensorSpace, monomial_basis, poly_from_numerators,
                    rank_one_numerators)
 
@@ -290,22 +292,21 @@ def _flattening_checks(fl, rank, section, length=None, *, budget, prove=None):
     rows must cut the multidegree-b variety in a scheme of the required
     status and, when asked, length.  ``rank``, ``section`` and ``length`` are
     (check name, required value) pairs.  With ``prove``, ``fl`` flattens a
-    tensor over QQ reduced mod p (``_reduced``): None unless
-    ``_section_proof`` makes the checks exact.
+    tensor mod p, and the section check's detail gains the proof that
+    ``_section_proof`` gives, if any (``_proven``).
     """
     name, required = rank
     checks = [Check(name, fl.rank, required, fl.rank == required)]
     if not checks[0].passed:
-        return None if prove else checks
+        return checks
     ideal = pullback_linear_section(image_span(fl), fl.tensor.space, fl.split.b)
-    tail = _section_checks(ideal, section, length, budget=budget,
-                           prove=prove and partial(prove, fl.rank, fl.matrix.nrows))
-    return tail and checks + tail
+    return checks + _section_checks(ideal, section, length, budget=budget,
+                                    prove=prove and partial(prove, fl.rank, fl.matrix.nrows))
 
 
 def _section_checks(ideal, section, length=None, *, budget, prove=None):
     """Checks on the scheme an ideal cuts: its status and, when asked, its
-    length (see ``_flattening_checks``); None when ``prove(report)`` is."""
+    length (see ``_flattening_checks``)."""
     report = classify_linear_section(ideal, budget=budget)
     detail = {"status": report.describe(), "method": report.method,
               "trace": [list(pair) for pair in report.trace]}
@@ -313,10 +314,7 @@ def _section_checks(ideal, section, length=None, *, budget, prove=None):
         detail["at_infinity"] = list(report.at_infinity)
     if report.note:
         detail["note"] = report.note
-    proof = prove(report) if prove else {}
-    if proof is None:
-        return None
-    detail.update(proof)
+    detail.update(prove and prove(report) or {})
     name, required = section
     ok = report.status == required
     checks = [Check(name, report.describe(), required, ok, detail)]
@@ -327,8 +325,15 @@ def _section_checks(ideal, section, length=None, *, budget, prove=None):
     return checks
 
 
+def _proven(checks):
+    """The checks when ``_section_proof`` made them exact, else None."""
+    return checks if any("witness_prime" in (c.detail or {}) for c in checks) else None
+
+
 #: 2^61 - 1: Wang's bound sqrt(p/2) > 2^30 passes 16-bit coordinate ratios
 _POINTS_FIELD = PrimeField(2 ** 61 - 1)
+#: Proposition 3.1's prime over QQ when ``_POINTS_FIELD`` proves nothing
+_SECOND_FIELD = PrimeField(2 ** 64 - 59)
 
 
 def _reduced(T: MPoly, field):
@@ -353,10 +358,11 @@ def _section_proof(rank, nrows, report, *, field, h, tensor=None, points=None):
     ``tensor`` for Proposition 3.1, of the form for Theorem 3.7), or, with
     neither, the degree-b rank-one vectors of ``points`` themselves (a
     decomposition's terms, Proposition 3.3's check v).  The detail records p
-    as ``witness_prime``.  The candidate points of (b), one integer vector
-    per group each, are ``points``, or else those ``rational_points``
-    recovers from the section's chart, and then the detail lists them,
-    sorted.
+    as ``witness_prime``.  The candidate points of (b), one vector per group
+    each, are ``points``, or else those ``rational_points`` recovers mod p,
+    lifted by ``_lift_form`` for T over QQ, and listed in the detail,
+    sorted.  Over F_p, S is T's own flattening, and (b) proves a
+    decomposition over F_p.
 
     Both rules read the status and length of Z_p, the scheme of the
     section ideal I_p mod p, as the values of HF_p(t,..,t) for large t.
@@ -420,38 +426,53 @@ def _section_proof(rank, nrows, report, *, field, h, tensor=None, points=None):
     if rank != h or report.describe() != f"ZeroDim({h})":
         return None
     found = points or rational_points(report.basis, h) or ()
-    if len(found) != h or (tensor is not None and not _rebuilds(tensor, found)):
+    if points is None and tensor.field == QQ:
+        found = [tuple(_lift_form(form, field.modulus) for form in point) for point in found]
+    if (len(found) != h or any(None in point for point in found)
+            or tensor is not None and not _rebuilds(tensor, found)):
         return None
     if points is None:
         proof["points"] = sorted([list(form) for form in point] for point in found)
     return proof
 
 
+def _lift_form(residues, p):
+    """A primitive integer vector proportional to the residues, or None."""
+    inv = pow(next((r for r in residues if r), 1), -1, p)
+    lifted = _reconstruct([r * inv % p for r in residues], p)
+    return None if lifted is None or not any(lifted[1]) else tuple(primitive(lifted[1]))
+
+
 def _rebuilds(T: MPoly, points) -> bool:
     """Whether T = sum_i lambda_i l_i^d exactly, with every lambda_i != 0 in
-    QQ, for the points l_i, one integer vector per group each.
+    T's field, for the points l_i, one vector per group each: integers over
+    QQ, residues over F_p.
 
     The matrix [V | T] has a row per degree-d monomial m: the coefficients
-    of l_1^d, ..., l_h^d at m, then T's.  ``lifted_kernel`` checks its
-    kernel over ZZ on every row, and the identity holds exactly when that
-    kernel is one row with no zero entry: (-lambda, 1), as its free column
-    is then T's.  The lift works whatever the size of lambda: a term whose
-    form has content g gets lambda = g^d.
+    of l_1^d, ..., l_h^d at m, then T's.  Over QQ ``lifted_kernel`` checks
+    its kernel over ZZ on every row; over F_p it is ``kernel_basis`` mod p.
+    The identity holds exactly when that kernel is one row with no zero
+    entry: (-lambda, 1), as its free column is then T's.  The lift works
+    whatever the size of lambda: a term whose form has content g gets
+    lambda = g^d.
     """
-    space = T.space
+    space, field = T.space, T.field
     basis = monomial_basis(space, space.degrees)
     # one point's rank-one dict at a time, read into a column
-    columns = [[nums.get(m, 0) for m in basis]
-               for nums, _ in (rank_one_numerators(space, point) for point in points)]
+    columns = [[nums.get(m, 0) for m in basis] for nums, _ in
+               (rank_one_numerators(space, point, field=field) for point in points)]
     columns.append([T.terms.get(m, 0) for m in basis])
-    kernel = lifted_kernel(DenseMatrix(QQ, zip(*columns), len(columns)))
+    rows = zip(*columns)
+    kernel = (lifted_kernel(DenseMatrix(QQ, rows, len(columns))) if field == QQ
+              else kernel_basis(DenseMatrix.from_rows(field, rows, len(columns))))
     return kernel is not None and kernel.nrows == 1 and all(kernel.rows[0])
 
 
 def certify_prop31(T: MPoly, h: int, split: Split = None, *,
                    budget=None) -> Certificate:
     """Rank + section criterion; certifies h-identifiability and rank h.
-    Over QQ the checks run mod ``_POINTS_FIELD`` first (``_section_proof``)."""
+    The checks run mod p, over F_p its own, over QQ ``_POINTS_FIELD`` and,
+    if that proves nothing (``_section_proof``), ``_SECOND_FIELD``."""
     start = time.perf_counter()
     if h < 1:
         raise ValueError("h must be >= 1")
@@ -464,12 +485,25 @@ def certify_prop31(T: MPoly, h: int, split: Split = None, *,
                         effective=effective_range(space, split, h))
     required = (("i_flattening_rank", h), ("ii_section_dimension", "ZeroDim"),
                 ("iii_section_length", h))
-    Tp = _reduced(T, _POINTS_FIELD)
-    decided = Tp is not None and _flattening_checks(
-        flatten(Tp, split), *required, budget=budget,
-        prove=partial(_section_proof, field=_POINTS_FIELD, h=h, tensor=T))
-    return _finish(cert, start, decided or _flattening_checks(
-        flatten(T, split), *required, budget=budget))
+    first = None
+    for field in (T.field,) if T.field.modulus else (_POINTS_FIELD, _SECOND_FIELD):
+        Tp = T if field == T.field else _reduced(T, field)
+        if Tp is None:
+            continue
+        checks = _flattening_checks(flatten(Tp, split), *required, budget=budget,
+                                    prove=partial(_section_proof, field=field, h=h, tensor=T))
+        if _proven(checks):
+            return _finish(cert, start, checks)
+        first = first or _unproven(checks, field.modulus)
+    return _finish(cert, start, first or ())
+
+
+def _unproven(checks, p):
+    """Unproven checks mod p, each naming p; when all pass, a failed check iv
+    says that no length-h decomposition was found."""
+    if all(c.passed for c in checks):
+        checks = checks + [Check("iv_decomposition_exists", "unproven", "proven", False)]
+    return [replace(c, detail={**(c.detail or {}), "prime": p}) for c in checks]
 
 
 def certify_thm37(F: MPoly, h: int, *, budget=None) -> Certificate:
@@ -501,10 +535,10 @@ def certify_thm37(F: MPoly, h: int, *, budget=None) -> Certificate:
     decided = None
     if Fp is not None:
         fl = flatten(Fp, split)
-        decided = _flattening_checks(
+        decided = _proven(_flattening_checks(
             fl, *required, budget=budget,
             prove=partial(_section_proof, field=_LIFT_FIELD, h=h)
-        ) or _thm37_lifted(F, split, full, fl.rank == full, budget)
+        )) or _thm37_lifted(F, split, full, fl.rank == full, budget)
     return _finish(cert, start, decided or _flattening_checks(
         flatten(F, split), *required, budget=budget))
 
@@ -617,8 +651,8 @@ def _term_span_checks(dec: Decomposition, budget):
             ("v_span_section_dimension", "ZeroDim"), ("v_span_section_length", h),
             budget=budget, prove=prove and partial(prove, span.nrows, h))
 
-    decided = dec.field == QQ and checks(_POINTS_FIELD, partial(
-        _section_proof, field=_POINTS_FIELD, h=h, points=dec.terms))
+    decided = dec.field == QQ and _proven(checks(_POINTS_FIELD, partial(
+        _section_proof, field=_POINTS_FIELD, h=h, points=dec.terms)))
     return decided or checks(dec.field)
 
 

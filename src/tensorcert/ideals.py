@@ -14,7 +14,8 @@ otherwise the next chart is tried.  Ideals of binary forms skip Groebner
 bases: the scheme is the divisor of the gcd of the generators.  Only an
 exhausted S-pair budget, or a point at infinity in every chart, leaves a
 scheme Inconclusive.  The points of a zero-dimensional scheme over F_p are
-recovered from its chart by ``rational_points``.
+recovered from its chart, or from the gcd of binary forms, by
+``rational_points``.
 
 Buchberger runs with Gebauer-Moeller pair elimination and sugar selection;
 over the rationals the reduction arithmetic is fraction free on primitive
@@ -35,7 +36,7 @@ from operator import add, mul
 from random import Random
 
 from .fields import QQ, numerators, primitive
-from .linalg import DenseMatrix, _reconstruct, _rref_mod_p, kernel_basis
+from .linalg import DenseMatrix, _rref_mod_p, kernel_basis
 from .poly import MPoly, TensorSpace, monomial_basis, monomial_multinomial
 
 DEFAULT_PAIR_BUDGET = 500_000
@@ -128,7 +129,7 @@ class SchemeReport:
     method: str = ""
     note: str = ""
     at_infinity: tuple = ()          # affine-chart: each group's x_{g,0} = 0 status
-    basis: object = field(default=None, compare=False, repr=False)  # classified
+    basis: object = field(default=None, compare=False, repr=False)  # AffineChart | gcd
 
     def __post_init__(self):
         if self.status == "ZeroDim" and (self.length is None or self.length < 1):
@@ -707,6 +708,7 @@ def binary_fast_path(ideal: Ideal) -> SchemeReport:
 
     A nonzero ideal of binary forms always cuts a finite divisor whose length
     is the degree of the homogeneous gcd; a zero ideal leaves the whole line.
+    A finite scheme keeps that gcd, a binary form, as its ``basis``.
     """
     space = ideal.space
     if space.p != 1 or space.sizes[0] != 2:
@@ -726,20 +728,21 @@ def binary_fast_path(ideal: Ideal) -> SchemeReport:
     total = _deg(gcd_t) + mult_at_infinity
     if total == 0:
         return SchemeReport("Empty", method="binary-gcd")
-    return SchemeReport("ZeroDim", length=total, method="binary-gcd")
+    gcd_form = MPoly(TensorSpace((2,), (total,)),
+                     {(i, total - i): c for i, c in enumerate(gcd_t) if c}, ideal.field)
+    return SchemeReport("ZeroDim", length=total, method="binary-gcd", basis=gcd_form)
 
 
 # ---------------------------------------------------------------------------
 # the points of a zero-dimensional section mod p
 
 
-def rational_points(chart, h: int):
-    """Candidate rational points of a section that is ``ZeroDim(h)`` mod p,
-    from the ``AffineChart`` its classification kept over F_p: h points,
-    each a tuple of primitive integer vectors, one per group, or None.  A
-    section not decided in a chart, such as one of binary forms, gives
-    None.  Nothing here is proven; ``certify._section_proof`` checks the
-    points.
+def rational_points(basis, h: int):
+    """The h distinct points in F_p of a section that is ``ZeroDim(h)`` mod
+    p, from the ``basis`` its classification kept: each a tuple of residue
+    vectors, one per group, or None.  Binary forms keep the gcd of their
+    generators (``_binary_points``), any other section its ``AffineChart``.
+    Nothing here is proven; ``certify._section_proof`` checks the points.
 
     Method (Stickelberger; Cox, Little and O'Shea, *Using Algebraic
     Geometry*, ch. 2 §4), with a fixed seed.  On the chart's quotient, with
@@ -749,14 +752,16 @@ def rational_points(chart, h: int):
     Krylov basis of a random w gives the characteristic polynomial of M and
     each X_v as q_v(M).  At its roots mu, group g's y = (q_v(mu), ..) over
     its chart variables v is a point in the chart; with the chart's shift
-    c_g, x_{g,0} = 1 - c_g . y moves it back, and Wang's reconstruction
-    lifts the ratios of (x_{g,0}, y).
+    c_g, x_{g,0} = 1 - c_g . y moves it back.
     """
-    if not isinstance(chart, AffineChart) or len(chart.standard or ()) != h:
+    rng = Random(1703026)
+    if isinstance(basis, MPoly):
+        return _binary_points(basis, h, rng)
+    if not isinstance(basis, AffineChart) or len(basis.standard or ()) != h:
         return None
+    chart = basis
     engine, field, p = chart.engine, chart.field, chart.field.modulus
     shift = chart.shift or [(0,) * n for n in chart.space.projective_dims]
-    rng = Random(1703026)
     index = {m: i for i, m in enumerate(chart.standard)}
     X = []                      # X[v][i][k]: x_v * standard[k] at standard monomial i
     for unit in engine._units:
@@ -782,9 +787,24 @@ def rational_points(chart, h: int):
         point = []
         for c in shift:
             y = [next(coords) for _ in c]
-            point.append(_lift_form([(1 - sum(map(mul, c, y))) % p] + y, p))
+            point.append(((1 - sum(map(mul, c, y))) % p, *y))
         points.append(tuple(point))
-    return points if points and all(None not in point for point in points) else None
+    return points or None
+
+
+def _binary_points(gcd: MPoly, h, rng):
+    """The zeros of a binary form of degree h over F_p: [t : 1] at each root
+    t of gcd(t, 1) and, when that has degree h - 1, [1 : 0]; None unless they
+    are h distinct points (a lower degree is a multiple point at [1 : 0])."""
+    p, u = gcd.field.modulus, _int_coeff_list(gcd)
+    top = _deg(u)
+    if len(u) != h + 1 or top < h - 1:
+        return None
+    inv = pow(u[top], -1, p)
+    roots = _roots_mod_p([c * inv % p for c in u[:top + 1]], p, rng)
+    if roots is None:
+        return None
+    return [((t, 1),) for t in roots] + [((1, 0),)] * (h - top)
 
 
 def _solve(field, rows, n):
@@ -794,13 +814,6 @@ def _solve(field, rows, n):
     if pivots[:n] != tuple(range(n)):
         return None
     return [row[n:] for row in reduced.rows]
-
-
-def _lift_form(residues, p):
-    """A primitive integer vector proportional to the residues, or None."""
-    inv = pow(next((r for r in residues if r), 1), -1, p)
-    lifted = _reconstruct([r * inv % p for r in residues], p)
-    return None if lifted is None or not any(lifted[1]) else tuple(primitive(lifted[1]))
 
 
 def _mulmod(a, b, f, p):
@@ -820,12 +833,16 @@ def _mulmod(a, b, f, p):
 def _roots_mod_p(f, p, rng):
     """The deg f distinct roots of the monic f in F_p, or None.
 
-    With f(0) != 0, f divides x^p - x exactly when x^(p+1) = x^2 mod f.
-    Cantor-Zassenhaus (Math. Comp. 36, 1981) then splits a factor g by its
-    gcd with (x + a)^((p+1)/2) - (x + a), a = 0 first, then random; for
-    p = 2^61 - 1 the power takes squarings only.
+    A root 0 is taken out first; it must be simple.  With f(0) != 0, f
+    divides x^p - x exactly when x^(p+1) = x^2 mod f.  Cantor-Zassenhaus
+    (Math. Comp. 36, 1981) then splits a factor g by its gcd with
+    (x + a)^((p+1)/2) - (x + a), a = 0 first, then random; for p = 2^61 - 1
+    the power takes squarings only.
     """
-    roots, pending, a = [], [f], 0
+    if len(f) > 1 and not f[0]:
+        rest = _roots_mod_p(f[1:], p, rng) if f[1] else None
+        return None if rest is None else rest + [0]
+    roots, pending, a = [], [f] if len(f) > 1 else [], 0
     for attempt in range(64 * len(f)):
         if not pending:
             return roots
@@ -838,7 +855,7 @@ def _roots_mod_p(f, p, rng):
             u = _mulmod(u, u, g, p)
             if bit == "1":
                 u = _mulmod(u, base, g, p)
-        if not attempt and (not f[0] or _mulmod(u, u, f, p) != _mulmod(base, base, f, p)):
+        if not attempt and _mulmod(u, u, f, p) != _mulmod(base, base, f, p):
             return None
         u[0] -= a
         u[1] -= 1

@@ -24,6 +24,8 @@ from tensorcert.linalg import lifted_kernel
 
 #: the prime of Proposition 3.1's and 3.3's mod-p route
 ROUTE_PRIME = 2 ** 61 - 1
+#: Proposition 3.1's prime when the first proves nothing
+SECOND_PRIME = 2 ** 64 - 59
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +715,7 @@ def _count_rref_inputs(monkeypatch):
 
 @pytest.mark.parametrize("sizes,degrees,h,rank,lost,seed,criterion,qq_passes,p_passes", [
     ((3,), (5,), 6, 6, 0, 1, "Prop31", 0, 1),
-    ((3,), (5,), 6, 6, 1, 1, "Prop31", 1, 1),
+    ((3,), (5,), 6, 6, 1, 1, "Prop31", 0, 1),
     ((3,), (5,), 7, 7, 0, 1, "Thm37", 0, 1),
     ((4,), (4,), 7, 7, 0, 4, "Prop33", 1, 0),
     ((3,), (5,), 7, 5, 0, 1, "Thm37", 0, 1),
@@ -729,8 +731,8 @@ def test_flattening_matrix_is_reduced_once(monkeypatch, sizes, degrees, h, rank,
     # right kernel gives its section), and once when the last `lost` terms
     # carry the factor p, so that the rank drops mod p only and the lift
     # gives up.  Proposition 3.1 reduces its flattening mod its own prime
-    # once, and over QQ only when a term carrying that prime sends it to the
-    # exact path
+    # once, never over QQ, and mod its second prime once when a term
+    # carrying the first makes the first prove nothing
     prime = ROUTE_PRIME if criterion == "Prop31" else DEFAULT_PRIME
     T, dec = random_tensor(TensorSpace(sizes, degrees), rank, RandomConfig(seed=seed))
     if lost:
@@ -743,6 +745,9 @@ def test_flattening_matrix_is_reduced_once(monkeypatch, sizes, degrees, h, rank,
     Tp = MPoly(T.space, T.terms, PrimeField(prime))
     assert seen[flatten(T, cert.split).matrix] == qq_passes
     assert seen[flatten(Tp, cert.split).matrix] == p_passes
+    if criterion == "Prop31":
+        second = MPoly(T.space, T.terms, PrimeField(SECOND_PRIME))
+        assert seen[flatten(second, cert.split).matrix] == lost
 
 
 def test_certify_expands_a_decomposition_once(monkeypatch):
@@ -782,7 +787,7 @@ _PINNED_REPORTS = {
         "50281b7fb36f8ab5995307ae3e870556a3552d5844c0a51f98010a999fdeee77"),
     "prop31-fp": (
         lambda: certify(_random((3,), (5,), 6, 1, PrimeField(DEFAULT_PRIME))[0], 6),
-        "4abe3140ff287a81bb9eb1f3d5bff52dea85d5fa22fbd94aff160df35f1ee9f7"),
+        "ac08c552f357db8620b354986b26c2eeab636d61f72b93807ab935465eba0683"),
     "prop31-multigraded-1c": (
         lambda: certify(_random((2, 5, 4), (3, 2, 3), 5, 1)[0], 5),
         "4b1245971c48ab98756f792393bcaf54bd68d4f88e128c48bc3a34afd06ff4da"),
@@ -809,7 +814,7 @@ _PINNED_REPORTS = {
         "776bf266e910f2f7ccd84faa468e0df7246b23655b92268f6a635bbe2f998272"),
     "prop31-budget-exhausted": (
         lambda: certify_prop31(_random((3,), (5,), 6, 1)[0], 6, budget=0),
-        "5247443d3a936b7082d4b6ff6c63563b82f030912172d13fffab6fb74da94d6f"),
+        "b8c4e6147d5deade77bbbcbab11e4a9bb535f18595e5febc18183d2cd75e9e68"),
 }
 
 
@@ -829,7 +834,9 @@ def test_report_is_unchanged(route):
     (lambda: certify(_random((3,), (5,), 5, 1)[0], 7, budget=0), False),
 ], ids=["thm37-lifted-section", "thm37-witness", "prop33-1d", "thm37-lifted-rank"])
 def test_budget_exhausted_is_read_off_the_checks(build, exhausted):
-    # an exhausted S-pair budget is the one way a check computes Inconclusive;
+    # here a check computes Inconclusive only by an exhausted S-pair budget
+    # (the other way, a point at infinity in every chart, is in
+    # test_cli.py::test_budget_exhausted_only_when_a_groebner_run_ran_out);
     # the lifted-rank route decides on its rank check and runs no S-pair
     cert = build()
     assert not cert.certified
@@ -842,28 +849,39 @@ def test_budget_exhausted_is_read_off_the_checks(build, exhausted):
 
 
 # ---------------------------------------------------------------------------
-# tensors of rank above h that pass every check (ROADMAP Open item 1)
+# tensors of rank above h that pass checks i-iii (ROADMAP Open item 1)
 
 _FP = "fp:1073741789"
-_OPEN_ITEM_1 = ("ROADMAP Open item 1: no check proves that a length-h decomposition "
-                "exists, so a tensor of rank above h is certified")
+_OPEN_ITEM_1 = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason=("ROADMAP Open item 1: Theorem 3.7 does not prove that a length-h "
+            "decomposition exists, so a tensor of rank above h is certified"))
+_TANGENTIAL = [(sizes, (d,), text.format(a=d - 1, d=d), h, field)
+               for d in (5, 7, 9) for field in ("QQ", _FP)
+               for sizes, text, h in (((2,), "x1_0^{a}*x1_1", 2),
+                                      ((3,), "x1_0^{a}*x1_1 + x1_2^{d}", 3))]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_OPEN_ITEM_1)
 @pytest.mark.parametrize("sizes,degrees,text,h,field", [
-    ((2,), (9,), "x1_0^8*x1_1", 2, "QQ"),
-    ((2,), (9,), "x1_0^8*x1_1", 2, _FP),
-    ((3,), (6,), "x1_0^5*x1_1", 2, "QQ"),
-    ((4,), (4,), "x1_0^3*x1_1", 2, "QQ"),
-    ((3,), (6,), "x1_0^5*x1_1 + x1_2^6", 3, "QQ"),
-    ((3,), (6,), "x1_0^5*x1_1 + x1_2^6", 3, _FP),
-    ((2,), (5,), "x1_0*(x1_0 + x1_1)^4 - 32*x1_1^5", 3, "QQ"),
-    ((2,), (5,), "x1_0*(x1_0 + x1_1)^4 - 32*x1_1^5", 3, _FP),
-], ids=["x8y-QQ", "x8y-fp", "x5y", "x3y", "x5y+z6-QQ", "x5y+z6-fp",
-        "thm37-binary-QQ", "thm37-binary-fp"])
+    pytest.param((2,), (9,), "x1_0^8*x1_1", 2, "QQ", id="x8y-QQ"),
+    pytest.param((2,), (9,), "x1_0^8*x1_1", 2, _FP, id="x8y-fp"),
+    pytest.param((3,), (6,), "x1_0^5*x1_1", 2, "QQ", id="x5y"),
+    pytest.param((4,), (4,), "x1_0^3*x1_1", 2, "QQ", id="x3y"),
+    pytest.param((3,), (6,), "x1_0^5*x1_1 + x1_2^6", 3, "QQ", id="x5y+z6-QQ"),
+    pytest.param((3,), (6,), "x1_0^5*x1_1 + x1_2^6", 3, _FP, id="x5y+z6-fp"),
+    pytest.param((2,), (5,), "x1_0*(x1_0 + x1_1)^4 - 32*x1_1^5", 3, "QQ",
+                 marks=_OPEN_ITEM_1, id="thm37-binary-QQ"),
+    pytest.param((2,), (5,), "x1_0*(x1_0 + x1_1)^4 - 32*x1_1^5", 3, _FP,
+                 marks=_OPEN_ITEM_1, id="thm37-binary-fp"),
+] + [pytest.param(*case, id=f"tangential-{case[0][0]}-{case[1][0]}-{case[4]}")
+     for case in _TANGENTIAL])
 def test_rank_above_h_is_not_certified(sizes, degrees, text, h, field):
+    # Proposition 3.1 finds no h distinct points to rebuild T from, and
+    # fails iv_decomposition_exists
     T = parse_polynomial(text, TensorSpace(sizes, degrees), field_from_spec(field))
-    assert not certify(T, h).certified
+    cert = certify(T, h)
+    assert not cert.certified
+    assert cert.reason == "failed checks: iv_decomposition_exists"
 
 
 def test_double_point_has_no_rational_points(monkeypatch):

@@ -9,7 +9,6 @@ from tensorcert import (BudgetExceededError, Decomposition, DenseMatrix, Ideal, 
                         image_span, monomial_basis, PrimeField,
                         pullback_linear_section, random_tensor, RandomConfig)
 
-from tensorcert.fields import primitive
 from tensorcert.ideals import _at_infinity, _empty, _moved, rational_points
 from tensorcert.linalg import kernel_basis
 from tensorcert.poly import monomial_multinomial
@@ -789,13 +788,16 @@ def test_moved_chart_points_are_the_section_points():
     report = classify_linear_section(_section(MPoly(T.space, T.terms, field), 5))
     assert (report.describe(), report.method) == ("ZeroDim(5)", "affine-chart")
     assert report.basis.shift is not None and report.note.startswith("chart 1:")
-    assert sorted(rational_points(report.basis, 5)) == sorted(
-        tuple(map(_normalized, term)) for term in dec.terms)
+    assert _residues(rational_points(report.basis, 5), field) == _residues(dec.terms, field)
 
 
-def _normalized(form):
-    form = primitive([int(x) for x in form])
-    return tuple(-x if next(y for y in form if y) < 0 else x for x in form)
+def _residues(points, field):
+    """The points mod p, each form scaled to a first nonzero entry of 1, sorted."""
+    def scaled(form):
+        form = [field(x) for x in form]
+        inv = field.inv(next(x for x in form if x))
+        return tuple(field.mul(x, inv) for x in form)
+    return sorted(tuple(map(scaled, point)) for point in points)
 
 
 def test_chart_points_are_the_section_points():
@@ -806,9 +808,28 @@ def test_chart_points_are_the_section_points():
     report = classify_linear_section(ideal)
     assert (report.describe(), report.method) == ("ZeroDim(5)", "affine-chart")
     assert report.at_infinity == ("Empty",) * 3
-    assert sorted(rational_points(report.basis, 5)) == sorted(
-        tuple(map(_normalized, term)) for term in dec.terms)
+    assert _residues(rational_points(report.basis, 5), field) == _residues(dec.terms, field)
     assert rational_points(report.basis, 4) is None
+
+
+def test_binary_points_are_the_section_points():
+    # a binary section's gcd mod p has the terms as its zeros: [1 : 0],
+    # where the gcd loses one degree, and [0 : 1], a root 0, included.  A
+    # double point gives none: at [1 : 0] (x^8 y), at the root 0 (x y^8)
+    # and at another root ((x + 2y)^8 y)
+    field = PrimeField(2 ** 61 - 1)
+    space = TensorSpace((2,), (9,))
+    terms = [((1, 0),), ((0, 1),), ((3, -7),), ((5, 2),)]
+    T = Decomposition(space, terms).expand()
+    report = classify_linear_section(_section(MPoly(space, T.terms, field), 4))
+    assert (report.describe(), report.method) == ("ZeroDim(4)", "binary-gcd")
+    assert _residues(rational_points(report.basis, 4), field) == _residues(terms, field)
+    assert rational_points(report.basis, 3) is None
+    x, y = (MPoly(space, {m: 1}, field) for m in ((1, 0), (0, 1)))
+    for double in (x ** 8 * y, x * y ** 8, (x + y.scale(2)) ** 8 * y):
+        report = classify_linear_section(_section(double, 2))
+        assert report.describe() == "ZeroDim(2)"
+        assert rational_points(report.basis, 2) is None
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 Over QQ both criteria classify their section mod 2^61 - 1 first and keep the
 answer only when it is proven exact: Proposition 3.1 from the section's h
 points, recovered mod p and checked over ZZ, and Proposition 3.3's check v
-from the decomposition's own terms.  Everything else runs the exact path.
+from the decomposition's own terms.  Proposition 3.1 has no other path: what
+the first prime does not prove, it tries mod 2^64 - 59, and what neither
+proves is Inconclusive, so its values are checked here against exact values
+the tests compute themselves.  Proposition 3.3 runs its exact path instead.
 """
 
 import importlib
@@ -12,8 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-from tensorcert import (Decomposition, MPoly, RandomConfig, SchemeReport, Split,
-                        TensorSpace, certify, flatten, monomial_basis,
+from tensorcert import (Decomposition, MPoly, PrimeField, RandomConfig, SchemeReport,
+                        Split, TensorSpace, certify, certify_prop31,
+                        classify_linear_section, flatten, image_span, monomial_basis,
                         pullback_linear_section, random_tensor)
 from tensorcert.fields import DEFAULT_PRIME, primitive
 from tensorcert.flatten import flattening_matrix, flattening_numerators
@@ -22,11 +26,13 @@ from tensorcert.linalg import DenseMatrix
 import oracles
 
 ROUTE_PRIME = 2 ** 61 - 1
+SECOND_PRIME = 2 ** 64 - 59
 CERTIFY = importlib.import_module("tensorcert.certify")
 
 
 def _exact(monkeypatch, target, h=None, **kw):
-    """The certificate of the exact path: no mod-p classification is kept."""
+    """Proposition 3.3's certificate on its exact path: no mod-p
+    classification is kept."""
     with monkeypatch.context() as m:
         m.setattr(CERTIFY, "_section_proof", lambda *args, **kwargs: None)
         return certify(target, h, **kw)
@@ -44,6 +50,38 @@ def _view(cert):
 
 def _witnessed(cert):
     return [c.name for c in cert.checks if c.detail and "witness_prime" in c.detail]
+
+
+def _exact_values(T, h, split):
+    """Proposition 3.1's values of checks i-iii over QQ, computed here from
+    the rational flattening and the classification of its section."""
+    fl = flatten(T, split)
+    if fl.rank != h:
+        return [fl.rank]
+    report = classify_linear_section(pullback_linear_section(image_span(fl), T.space, split.b))
+    return [fl.rank, report.describe(),
+            report.length if report.status == "ZeroDim" else report.describe()]
+
+
+def _assert_exact(monkeypatch, cert, target, h=None, **kw):
+    """Proposition 3.1's values i-iii against ``_exact_values``; Proposition
+    3.3's report against its exact path."""
+    if cert.criterion != "Prop31":
+        assert _view(cert) == _view(_exact(monkeypatch, target, h, **kw))
+        return
+    T = target.expand() if isinstance(target, Decomposition) else target
+    values = [c.computed for c in cert.checks if c.name != "iv_decomposition_exists"]
+    assert values == _exact_values(T, cert.h, cert.split)
+
+
+def _unproven(cert):
+    """Whether the certificate reports unproven values mod the first prime:
+    each check names it and none is witnessed, and iv_decomposition_exists
+    follows, failed, exactly when checks i-iii pass."""
+    iv = ["iv_decomposition_exists"] if all(c.passed for c in cert.checks[:3]) else []
+    return (not cert.certified and not _witnessed(cert)
+            and all(c.detail["prime"] == ROUTE_PRIME for c in cert.checks)
+            and [c.name for c in cert.checks[3:]] == iv)
 
 
 def _space(sizes, degrees):
@@ -83,7 +121,7 @@ def test_route_matches_exact_path(monkeypatch, build, seeds, witnessed):
         target, h = build(seed)
         cert = certify(target, h)
         assert _witnessed(cert) == witnessed
-        assert _view(cert) == _view(_exact(monkeypatch, target, h))
+        _assert_exact(monkeypatch, cert, target, h)
 
 
 @pytest.mark.parametrize("build", [
@@ -139,21 +177,24 @@ def _normalized(form):
     return [sign * x for x in form]
 
 
-def test_denominator_divisible_by_the_prime_runs_the_exact_path(monkeypatch):
+def test_denominator_divisible_by_the_prime_runs_the_second_prime(monkeypatch):
     T, h = _first_six(1)
     F = T.scale(Fraction(1, ROUTE_PRIME))
     cert = certify(F, h)
-    assert cert.certified and not _witnessed(cert)
-    assert _view(cert) == _view(_exact(monkeypatch, F, h))
+    assert cert.certified and _witnessed(cert) == ["ii_section_dimension"]
+    assert cert.checks[1].detail["witness_prime"] == SECOND_PRIME
+    _assert_exact(monkeypatch, cert, F, h)
 
 
-def test_term_carrying_the_prime_runs_the_exact_path(monkeypatch):
-    # mod p the tensor has rank 5, so the rank check fails there only
+def test_term_carrying_the_prime_runs_the_second_prime(monkeypatch):
+    # mod the first prime the tensor has rank 5, so the rank check fails
+    # there only
     _, dec = random_tensor(_space((3,), (5,)), 6, RandomConfig(seed=1))
     F = Decomposition(dec.space, dec.terms, [1] * 5 + [ROUTE_PRIME]).expand()
     cert = certify(F, 6)
-    assert cert.certified and not _witnessed(cert)
-    assert _view(cert) == _view(_exact(monkeypatch, F, 6))
+    assert cert.certified and _witnessed(cert) == ["ii_section_dimension"]
+    assert cert.checks[1].detail["witness_prime"] == SECOND_PRIME
+    _assert_exact(monkeypatch, cert, F, 6)
 
 
 def test_term_vanishing_mod_the_prime_runs_the_exact_span_check(monkeypatch):
@@ -166,11 +207,11 @@ def test_term_vanishing_mod_the_prime_runs_the_exact_span_check(monkeypatch):
     assert _view(cert) == _view(_exact(monkeypatch, scaled))
 
 
-def test_conjugate_points_keep_the_exact_verdict():
+def test_conjugate_points_prove_no_decomposition(monkeypatch):
     # 11 rational terms plus (l + sqrt2 m)^4 + (l - sqrt2 m)^4: the section's
     # 13 points split mod p (2 is a square mod 2^61 - 1), but two of them
-    # have no rational coordinates, so the route proves nothing and the
-    # exact path certifies
+    # have no rational coordinates, so neither prime proves a decomposition
+    # over QQ, and the checks that pass over QQ are not enough
     space = _space((6,), (4,))
     T11, _ = random_tensor(space, 11, RandomConfig(seed=5))
     rng = random.Random(5)
@@ -183,24 +224,27 @@ def test_conjugate_points_keep_the_exact_verdict():
     L, M = form(l), form(m)
     pair = (L ** 4 + (L ** 2 * M ** 2).scale(12) + (M ** 4).scale(4)).scale(2)
     cert = certify(T11 + pair, 13)
-    assert cert.certified and not _witnessed(cert)
-    assert [c.computed for c in cert.checks] == [13, "ZeroDim(13)", 13]
+    assert _unproven(cert)
+    assert [c.computed for c in cert.checks] == [13, "ZeroDim(13)", 13, "unproven"]
+    _assert_exact(monkeypatch, cert, T11 + pair, 13)
 
 
 def test_section_longer_than_h_runs_the_exact_path(monkeypatch):
     # Proposition 3.1 forced on 1d's tensor: rank 7, but the section is
-    # ZeroDim(8), which mod p proves only a bound
+    # ZeroDim(8), which mod p proves only a bound; the test runs the exact
+    # path itself
     T, _ = random_tensor(_space((4,), (4,)), 7, RandomConfig(seed=1))
     cert = certify(T, 7, criterion="prop31")
     assert [c.computed for c in cert.checks] == [7, "ZeroDim(8)", 8]
-    assert not _witnessed(cert)
-    assert _view(cert) == _view(_exact(monkeypatch, T, 7, criterion="prop31"))
+    assert _unproven(cert)
+    _assert_exact(monkeypatch, cert, T, 7)
 
 
 def test_empty_section_below_full_row_rank_runs_the_exact_path(monkeypatch):
     # 20 sixth powers of points on the quadric x0 x1 = x2 x3: Q(d) F = 0 for
     # the dual quadric, so the 10-row flattening has rank 9 = h, and the
-    # section is Empty.  Rank 9 < 10 rows mod p proves no rank over QQ.
+    # section is Empty.  Rank 9 < 10 rows mod p proves no rank over QQ; the
+    # test runs the exact path itself.
     rng = random.Random(7)
     terms = []
     for _ in range(20):
@@ -209,8 +253,8 @@ def test_empty_section_below_full_row_rank_runs_the_exact_path(monkeypatch):
     F = Decomposition(_space((4,), (6,)), terms).expand()
     cert = certify(F, 9)
     assert [c.computed for c in cert.checks] == [9, "Empty", "Empty"]
-    assert not _witnessed(cert)
-    assert _view(cert) == _view(_exact(monkeypatch, F, 9))
+    assert _unproven(cert)
+    _assert_exact(monkeypatch, cert, F, 9)
 
 
 @pytest.mark.parametrize("sizes,degrees,h,g", [
@@ -219,7 +263,7 @@ def test_empty_section_below_full_row_rank_runs_the_exact_path(monkeypatch):
 def test_term_at_infinity_keeps_its_verdict(monkeypatch, sizes, degrees, h, g):
     # one term on x_{g,0} = 0 puts a section point outside the first chart,
     # so the section is decided in a random chart mod p, whose points the
-    # route recovers and moves back; the exact path gives the same report
+    # route recovers and moves back; the exact path gives the same values
     space = _space(sizes, degrees)
     _, dec = random_tensor(space, h, RandomConfig(seed=1))
     first = list(dec.terms[0])
@@ -230,10 +274,11 @@ def test_term_at_infinity_keeps_its_verdict(monkeypatch, sizes, degrees, h, g):
     assert _witnessed(cert) == ["ii_section_dimension"]
     assert cert.checks[1].detail["method"] == "affine-chart"
     assert cert.checks[1].detail["note"].startswith("chart 1:")
-    assert _view(cert) == _view(_exact(monkeypatch, dec))
+    _assert_exact(monkeypatch, cert, dec)
 
 
 def test_perturbed_point_is_rejected(monkeypatch):
+    # at both primes
     T, h = _first_six(1)
     real = CERTIFY.rational_points
 
@@ -245,8 +290,8 @@ def test_perturbed_point_is_rejected(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(CERTIFY, "rational_points", perturbed)
         cert = certify(T, h)
-    assert cert.certified and not _witnessed(cert)
-    assert _view(cert) == _view(_exact(monkeypatch, T, h))
+    assert _unproven(cert)
+    _assert_exact(monkeypatch, cert, T, h)
 
 
 @pytest.mark.parametrize("build", [
@@ -268,8 +313,8 @@ def test_wrong_lambda_is_rejected(monkeypatch, build):
     with monkeypatch.context() as m:
         m.setattr(CERTIFY, "lifted_kernel", changed)
         cert = certify(T, h)
-    assert cert.certified and not _witnessed(cert)
-    assert _view(cert) == _view(_exact(monkeypatch, T, h))
+    assert _unproven(cert)
+    _assert_exact(monkeypatch, cert, T, h)
 
 
 @pytest.mark.parametrize("build", [
@@ -311,7 +356,7 @@ def test_large_lambda_is_solved_exactly(monkeypatch, build):
     T, h = build(1)
     cert = certify(T, h)
     assert cert.certified and _witnessed(cert) == ["ii_section_dimension"]
-    assert _view(cert) == _view(_exact(monkeypatch, T, h))
+    _assert_exact(monkeypatch, cert, T, h)
 
 
 @pytest.mark.parametrize("length,extra,proven", [
@@ -344,6 +389,17 @@ def test_rebuilds():
         assert not CERTIFY._rebuilds(MPoly(T.space, changed), terms)
 
 
+def test_rebuilds_mod_p():
+    # over F_p the identity is checked mod p, on residue points
+    field = PrimeField(DEFAULT_PRIME)
+    T, dec = random_tensor(_space((3,), (5,)), 6, RandomConfig(seed=1, field=field))
+    terms = list(dec.terms)
+    assert CERTIFY._rebuilds(T, terms)
+    first = (tuple(field(x + (i == 0)) for i, x in enumerate(terms[0][0])),)
+    assert not CERTIFY._rebuilds(T, [first] + terms[1:])
+    assert not CERTIFY._rebuilds(T, terms[1:])
+
+
 def test_flattening_numerators_over_the_common_denominator():
     space = _space((2, 3), (2, 2))
     rng = random.Random(3)
@@ -353,3 +409,44 @@ def test_flattening_numerators_over_the_common_denominator():
     rows, den = flattening_numerators(T, split)
     assert [[Fraction(x, den) for x in row] for row in rows] == \
         [list(row) for row in flattening_matrix(T, split).rows]
+
+
+def test_prop31_runs_no_rational_elimination_or_groebner_basis(monkeypatch):
+    # one route: certified tensors, binary ones included, tangential
+    # controls, both unlucky primes, a rule (a) control and budget 0 run no
+    # rational rref and no Buchberger over QQ
+    _, dec = random_tensor(_space((3,), (5,)), 6, RandomConfig(seed=1))
+    x8y = MPoly(_space((2,), (9,)), {(8, 1): 1})
+    x5y_z6 = MPoly(_space((3,), (6,)), {(5, 1, 0): 1, (0, 0, 6): 1})
+    cases = [
+        (*_first_six(1), True, None),
+        (*_tensor((2, 5, 4), (3, 2, 3), 5, 5)(1), True, None),
+        (*_tensor((2,), (7,), 3, 3)(1), True, None),
+        (*_tensor((2,), (40,), 15, 15)(1), True, None),
+        (random_tensor(_space((3,), (5,)), 6,
+                       RandomConfig(seed=1, field=PrimeField(DEFAULT_PRIME)))[0], 6, True, None),
+        (_first_six(1)[0].scale(Fraction(1, ROUTE_PRIME)), 6, True, None),
+        (Decomposition(dec.space, dec.terms, [1] * 5 + [ROUTE_PRIME]).expand(), 6, True, None),
+        (x8y, 2, False, None),
+        (x5y_z6, 3, False, None),
+        (*_tensor((4,), (6,), 11, 10)(1), False, None),
+        (*_first_six(1), False, 0),
+    ]
+    linalg = importlib.import_module("tensorcert.linalg")
+    ideals = importlib.import_module("tensorcert.ideals")
+    real_engine = ideals._Engine
+
+    def rational_rref(matrix):
+        raise AssertionError("a rational rref ran")
+
+    def engine(space, field, budget):
+        if field.modulus is None:
+            raise AssertionError("a Groebner basis over QQ ran")
+        return real_engine(space, field, budget)
+
+    monkeypatch.setattr(linalg, "_rref_rational", rational_rref)
+    monkeypatch.setattr(ideals, "_Engine", engine)
+    for T, h, certified, budget in cases:
+        cert = certify_prop31(T, h, budget=budget)
+        assert cert.certified is certified, (T.space, h)
+        assert cert.budget_exhausted is (budget == 0)
