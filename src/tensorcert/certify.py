@@ -14,6 +14,12 @@ the tool's interface:
 * ``Theorem 3.7``: the three exceptional single-group families where the
   criterion is full-rank of the catalecticant plus emptiness of the section.
 
+Every criterion runs its checks mod a prime on one route (``_route``): over
+F_p mod the field's own, over QQ mod two fixed primes, the second only when
+the first proves nothing.  A mod-p result counts only when
+``_section_proof`` proves it exact; otherwise the report holds the values
+mod the first prime, each check naming it, and certifies nothing.
+
 Verdicts are only Certified or Inconclusive: these are sufficient conditions,
 so failure never claims non-identifiability.
 """
@@ -28,10 +34,8 @@ from functools import partial
 from math import comb, factorial
 
 from .fields import QQ, PrimeField, numerators, primitive
-from .flatten import (Split, SplitError, default_split, flatten, flattening_numerators,
-                      image_span)
-from .ideals import (classify_linear_section, pullback_linear_section, rational_points,
-                     section_ideal)
+from .flatten import Split, SplitError, default_split, flatten, image_span
+from .ideals import classify_linear_section, pullback_linear_section, rational_points
 from .linalg import (_LIFT_FIELD, DenseMatrix, _reconstruct, kernel_basis, lifted_kernel,
                      row_space_basis)
 from .poly import (MPoly, TensorSpace, monomial_basis, poly_from_numerators,
@@ -285,28 +289,30 @@ def _certificate(criterion, h, space, field, label="", **fields):
                        prime=field.modulus, **fields)
 
 
-def _flattening_checks(fl, rank, section, length=None, *, budget, prove=None):
-    """The checks shared by Propositions 3.1 and 3.3 and Theorem 3.7.
+def _flattening_checks(T: MPoly, split: Split, required, field, *, budget, **proof):
+    """The checks shared by Propositions 3.1 and 3.3 and Theorem 3.7, on
+    the flattening of T in ``field`` (``_reduced``) at the split.
 
-    The flattening ``fl`` must have the required rank; then the span of its
-    rows must cut the multidegree-b variety in a scheme of the required
-    status and, when asked, length.  ``rank``, ``section`` and ``length`` are
-    (check name, required value) pairs.  With ``prove``, ``fl`` flattens a
-    tensor mod p, and the section check's detail gains the proof that
-    ``_section_proof`` gives, if any (``_proven``).
+    The flattening must have the required rank; then the span of its rows
+    must cut the multidegree-b variety in a scheme of the required status
+    and, when asked, length.  ``required`` holds (check name, required
+    value) pairs: rank, section and, optionally, length.  The section
+    check's detail gains the proof that ``_section_proof`` gives with the
+    keywords ``proof``, if any.
     """
-    name, required = rank
-    checks = [Check(name, fl.rank, required, fl.rank == required)]
+    fl = flatten(_reduced(T, field), split)
+    (name, rank), *section = required
+    checks = [Check(name, fl.rank, rank, fl.rank == rank)]
     if not checks[0].passed:
         return checks
-    ideal = pullback_linear_section(image_span(fl), fl.tensor.space, fl.split.b)
-    return checks + _section_checks(ideal, section, length, budget=budget,
-                                    prove=prove and partial(prove, fl.rank, fl.matrix.nrows))
+    ideal = pullback_linear_section(image_span(fl), T.space, split.b)
+    return checks + _section_checks(ideal, *section, budget=budget, prove=partial(
+        _section_proof, fl.rank, fl.matrix.nrows, field=field, **proof))
 
 
-def _section_checks(ideal, section, length=None, *, budget, prove=None):
+def _section_checks(ideal, section, length=None, *, budget, prove):
     """Checks on the scheme an ideal cuts: its status and, when asked, its
-    length (see ``_flattening_checks``)."""
+    length (see ``_flattening_checks``); ``prove`` gives the proof."""
     report = classify_linear_section(ideal, budget=budget)
     detail = {"status": report.describe(), "method": report.method,
               "trace": [list(pair) for pair in report.trace]}
@@ -314,7 +320,7 @@ def _section_checks(ideal, section, length=None, *, budget, prove=None):
         detail["at_infinity"] = list(report.at_infinity)
     if report.note:
         detail["note"] = report.note
-    detail.update(prove and prove(report) or {})
+    detail.update(prove(report) or {})
     name, required = section
     ok = report.status == required
     checks = [Check(name, report.describe(), required, ok, detail)]
@@ -325,44 +331,62 @@ def _section_checks(ideal, section, length=None, *, budget, prove=None):
     return checks
 
 
-def _proven(checks):
-    """The checks when ``_section_proof`` made them exact, else None."""
-    return checks if any("witness_prime" in (c.detail or {}) for c in checks) else None
-
-
 #: 2^61 - 1: Wang's bound sqrt(p/2) > 2^30 passes 16-bit coordinate ratios
 _POINTS_FIELD = PrimeField(2 ** 61 - 1)
-#: Proposition 3.1's prime over QQ when ``_POINTS_FIELD`` proves nothing
+#: the second prime of Propositions 3.1 and 3.3 over QQ
 _SECOND_FIELD = PrimeField(2 ** 64 - 59)
 
 
 def _reduced(T: MPoly, field):
-    """T over QQ reduced mod the prime of ``field``; None when T is not over
-    QQ or the prime divides a denominator of T."""
-    if T.field != QQ:
-        return None
+    """T in ``field``: T itself over its own field, else T over QQ times its
+    common denominator, made primitive and reduced mod the prime of
+    ``field``.  A nonzero scalar changes no flattening's rank or span, so
+    no denominator and no content stands in the way of a prime."""
+    if T.field == field:
+        return T
     p = field.modulus
-    nums, den = numerators(list(T.terms.values()))
-    if den % p == 0:
-        return None
-    inv = pow(den, -1, p)
-    residues = ((m, n * inv % p) for m, n in zip(T.terms, nums))
-    return MPoly(T.space, {m: r for m, r in residues if r}, field, _clean=True)
+    residues = zip(T.terms, primitive(numerators(list(T.terms.values()))[0]))
+    return MPoly(T.space, {m: n % p for m, n in residues if n % p}, field, _clean=True)
 
 
-def _section_proof(rank, nrows, report, *, field, h, tensor=None, points=None):
+def _route(field, primes, run, missing):
+    """The checks ``run(field)`` gives mod the first prime that proves them,
+    a section check's detail holding ``_section_proof``'s witness: over F_p
+    the field's own, over QQ each of the two ``primes``, the second only
+    when the first proves nothing.  When none does, the first prime's
+    checks, unproven, with a failed check named ``missing`` when all of them
+    pass (``_unproven``)."""
+    first = None
+    for f in (field,) if field.modulus else primes:
+        checks = run(f)
+        if any("witness_prime" in (c.detail or {}) for c in checks):
+            return checks
+        first = first or _unproven(checks, f.modulus, missing)
+    return first
+
+
+def _unproven(checks, p, missing):
+    """Unproven checks mod p, each naming p; when all pass, a failed check
+    ``missing`` says what was not proven."""
+    if all(c.passed for c in checks):
+        checks = checks + [Check(missing, "unproven", "proven", False)]
+    return [replace(c, detail={**(c.detail or {}), "prime": p}) for c in checks]
+
+
+def _section_proof(rank, nrows, report, *, field, h, tensor=None, points=None,
+                   length=None):
     """The detail that makes a section classified mod p exact, or None.
 
     The section was cut by an exact span S over QQ reduced mod the prime p
     of ``field``, of rank ``rank`` with ``nrows`` rows: a flattening (of
-    ``tensor`` for Proposition 3.1, of the form for Theorem 3.7), or, with
-    neither, the degree-b rank-one vectors of ``points`` themselves (a
-    decomposition's terms, Proposition 3.3's check v).  The detail records p
-    as ``witness_prime``.  The candidate points of (b), one vector per group
-    each, are ``points``, or else those ``rational_points`` recovers mod p,
-    lifted by ``_lift_form`` for T over QQ, and listed in the detail,
-    sorted.  Over F_p, S is T's own flattening, and (b) proves a
-    decomposition over F_p.
+    ``tensor`` for Proposition 3.1, of the form for Theorem 3.7, of the
+    expanded ``points`` for Proposition 3.3's checks i-ii), or the degree-b
+    rank-one vectors of ``points`` themselves (a decomposition's terms,
+    Proposition 3.3's check v).  The detail records p as ``witness_prime``.
+    The candidate points of (b), one vector per group each, are ``points``,
+    or else those ``rational_points`` recovers mod p, lifted by
+    ``_lift_form`` for T over QQ, and listed in the detail, sorted.  Over
+    F_p, S is T's own flattening, and (b) proves a decomposition over F_p.
 
     Both rules read the status and length of Z_p, the scheme of the
     section ideal I_p mod p, as the values of HF_p(t,..,t) for large t.
@@ -401,12 +425,13 @@ def _section_proof(rank, nrows, report, *, field, h, tensor=None, points=None):
       section that is Empty mod p (HF_p(t) = 0 for large t; for binary
       forms, no common root of the generators mod p) is Empty over QQ.
 
-    (b) rank = h, ZeroDim(h) mod p, and h points l_i whose degree-b rank-one
+    (b) rank = h, ZeroDim(c) mod p, and h points l_i whose degree-b rank-one
         vectors v_i span every row of S over QQ give the rank h and
-        ZeroDim(h) exactly.  When S's rows are the v_i, that holds by
-        construction.  For a tensor T it holds when T = sum_i lambda_i l_i^d
-        exactly (``_rebuilds``): every order-a derivative of that sum is a
-        combination of the l_i^b.  The proof is one-sided:
+        ZeroDim(c) exactly, where c is ``length``, or h when it is None.
+        When S's rows are the v_i, or the derivatives of a sum of the l_i^d,
+        that holds by construction.  For a tensor T it holds when T = sum_i
+        lambda_i l_i^d exactly (``_rebuilds``): every order-a derivative of
+        that sum is a combination of the l_i^b.  The proof is one-sided:
 
     * S's rows lie in span(v_i), so rank_QQ <= h, and the mod-p rank gives
       >= h.
@@ -414,16 +439,26 @@ def _section_proof(rank, nrows, report, *, field, h, tensor=None, points=None):
       A generator over QQ is a form whose coefficients, scaled by the
       multinomials, are orthogonal to it, and its value at a point is their
       product with the point's v_i: every generator vanishes at the h
-      points, distinct as the v_i are independent.  Hence the length is
-      >= h.
+      points, distinct as the v_i are independent.  Hence the section over
+      QQ contains them.
     * rank_p = rank_QQ makes the mod-p kernel the reduction of the saturated
       kernel lattice, as in (a), so HF_QQ(t) <= HF_p(t) for every t, and the
-      length is <= h.
+      section over QQ is finite of length <= c.
+    * With c = h (Proposition 3.1, check v), the h points give length >= h.
+    * With c the degree of check iv (Proposition 3.3's checks i-ii), the
+      split has dim V_B = h + n, so the kernel of S has dimension n: the
+      section is cut by n forms of multidegree b on the n-dimensional
+      product of projective spaces, which is Cohen-Macaulay.  A finite
+      intersection of n hypersurfaces there is proper, and its length is
+      their intersection number (Fulton, Intersection Theory, 7.1), the
+      multihomogeneous Bezout number ``segre_veronese_degree(proj_dims,
+      b)`` = c.  The rule asks for ZeroDim(c) mod p, so a mod-p length
+      that disagrees proves nothing.
     """
     proof = {"witness_prime": field.modulus}
     if report.status == "Empty" and rank == nrows:
         return proof
-    if rank != h or report.describe() != f"ZeroDim({h})":
+    if rank != h or report.describe() != f"ZeroDim({length or h})":
         return None
     found = points or rational_points(report.basis, h) or ()
     if points is None and tensor.field == QQ:
@@ -471,8 +506,8 @@ def _rebuilds(T: MPoly, points) -> bool:
 def certify_prop31(T: MPoly, h: int, split: Split = None, *,
                    budget=None) -> Certificate:
     """Rank + section criterion; certifies h-identifiability and rank h.
-    The checks run mod p, over F_p its own, over QQ ``_POINTS_FIELD`` and,
-    if that proves nothing (``_section_proof``), ``_SECOND_FIELD``."""
+    The checks run mod p (``_route``), over QQ mod ``_POINTS_FIELD`` and,
+    when that proves nothing, ``_SECOND_FIELD``."""
     start = time.perf_counter()
     if h < 1:
         raise ValueError("h must be >= 1")
@@ -485,34 +520,19 @@ def certify_prop31(T: MPoly, h: int, split: Split = None, *,
                         effective=effective_range(space, split, h))
     required = (("i_flattening_rank", h), ("ii_section_dimension", "ZeroDim"),
                 ("iii_section_length", h))
-    first = None
-    for field in (T.field,) if T.field.modulus else (_POINTS_FIELD, _SECOND_FIELD):
-        Tp = T if field == T.field else _reduced(T, field)
-        if Tp is None:
-            continue
-        checks = _flattening_checks(flatten(Tp, split), *required, budget=budget,
-                                    prove=partial(_section_proof, field=field, h=h, tensor=T))
-        if _proven(checks):
-            return _finish(cert, start, checks)
-        first = first or _unproven(checks, field.modulus)
-    return _finish(cert, start, first or ())
-
-
-def _unproven(checks, p):
-    """Unproven checks mod p, each naming p; when all pass, a failed check iv
-    says that no length-h decomposition was found."""
-    if all(c.passed for c in checks):
-        checks = checks + [Check("iv_decomposition_exists", "unproven", "proven", False)]
-    return [replace(c, detail={**(c.detail or {}), "prime": p}) for c in checks]
+    return _finish(cert, start, _route(
+        T.field, (_POINTS_FIELD, _SECOND_FIELD),
+        partial(_flattening_checks, T, split, required, budget=budget, h=h, tensor=T),
+        "iv_decomposition_exists"))
 
 
 def certify_thm37(F: MPoly, h: int, *, budget=None) -> Certificate:
     """Exceptional-family criterion: full catalecticant rank + empty section.
 
-    Over QQ both checks run mod p = ``DEFAULT_PRIME`` first, and a pass is
-    kept by ``_section_proof``'s rule (a).  Whatever that leaves open is
-    settled from one lifted kernel where it can be (``_thm37_lifted``).
-    The exact rational path runs only when neither settles the checks.
+    Both checks run mod p (``_route``): over QQ mod ``linalg._LIFT_FIELD``
+    first, whose residues stay small ints, and mod ``_POINTS_FIELD`` when
+    that proves nothing.  Only ``_section_proof``'s rule (a) keeps them, as
+    the span has fewer than h rows.
     """
     start = time.perf_counter()
     space = F.space
@@ -529,45 +549,11 @@ def certify_thm37(F: MPoly, h: int, *, budget=None) -> Certificate:
                         effective=True,
                         label=(f"Theorem 3.7 ({h}-identifiability for "
                                f"{n + 1}-forms of degree {d})"))
-    full = comb(n + s, n)
-    required = (("a_derivative_span_rank", full), ("b_section_empty", "Empty"))
-    Fp = _reduced(F, _LIFT_FIELD)
-    decided = None
-    if Fp is not None:
-        fl = flatten(Fp, split)
-        decided = _proven(_flattening_checks(
-            fl, *required, budget=budget,
-            prove=partial(_section_proof, field=_LIFT_FIELD, h=h)
-        )) or _thm37_lifted(F, split, full, fl.rank == full, budget)
-    return _finish(cert, start, decided or _flattening_checks(
-        flatten(F, split), *required, budget=budget))
-
-
-def _thm37_lifted(F: MPoly, split: Split, full: int, full_mod_p: bool, budget):
-    """Theorem 3.7's checks for F over QQ from one kernel of its
-    catalecticant M lifted from p = ``DEFAULT_PRIME``, or None when the lift
-    gives up and the exact path decides.  ``lifted_kernel`` proves the
-    kernel, its rank and its pivots exact; no rational echelon form runs.
-
-    * Below full rank mod p (``full_mod_p`` false), the lifted left kernel
-      of M proves the rank over QQ: the single failed rank check is
-      returned, with that rank.
-    * At full rank mod p, which is full rank over QQ (``_section_proof``'s
-      rule (a)), the section was not proven Empty mod p.  The lifted right
-      kernel of M is ``kernel_basis`` of its QQ span, so its section ideal
-      is the exact path's pullback, generator for generator, and the
-      section is classified over QQ from it.
-    """
-    M = DenseMatrix(QQ, flattening_numerators(F, split)[0])
-    if not full_mod_p:
-        left = lifted_kernel(M.transpose())
-        return None if left is None else [
-            Check("a_derivative_span_rank", M.nrows - left.nrows, full, False)]
-    kernel = lifted_kernel(M)
-    return None if kernel is None else [
-        Check("a_derivative_span_rank", full, full, True)] + _section_checks(
-            section_ideal(kernel, F.space, split.b), ("b_section_empty", "Empty"),
-            budget=budget)
+    required = (("a_derivative_span_rank", comb(n + s, n)), ("b_section_empty", "Empty"))
+    return _finish(cert, start, _route(
+        F.field, (_LIFT_FIELD, _POINTS_FIELD),
+        partial(_flattening_checks, F, split, required, budget=budget, h=h),
+        "b_section_proven"))
 
 
 def thm37_family(space: TensorSpace, h: int):
@@ -611,7 +597,11 @@ def _prop33_split(space: TensorSpace, h: int):
 
 
 def certify_prop33(dec: Decomposition, *, budget=None) -> Certificate:
-    """Boundary-regime criterion on an explicit decomposition."""
+    """Boundary-regime criterion on an explicit decomposition.  Checks i-ii
+    and v each run mod p (``_route``), over QQ mod ``_POINTS_FIELD`` and,
+    when that proves nothing, ``_SECOND_FIELD``; the terms are
+    ``_section_proof``'s points, and check iv's degree the length its rule
+    (b) proves for checks i-ii."""
     start = time.perf_counter()
     space = dec.space
     h = dec.h
@@ -628,32 +618,32 @@ def certify_prop33(dec: Decomposition, *, budget=None) -> Certificate:
         Check("iv_variety_degree", degree, f"<= {h + 1}", iv_ok),
     ]
     if iv_ok:
-        checks += _flattening_checks(
-            flatten(dec.expand(), split), ("i_flattening_rank", h),
-            ("ii_section_dimension", "ZeroDim"), budget=budget)
+        required = (("i_flattening_rank", h), ("ii_section_dimension", "ZeroDim"))
+        checks += _route(dec.field, (_POINTS_FIELD, _SECOND_FIELD), partial(
+            _flattening_checks, dec.expand(), split, required, budget=budget, h=h,
+            points=dec.terms, length=degree), "ii_section_proven")
         if checks[-1].passed:
             checks += _term_span_checks(dec, budget)
     return _finish(cert, start, checks)
 
 
 def _term_span_checks(dec: Decomposition, budget):
-    """Proposition 3.3's check v on the span of the terms themselves; over QQ
-    mod ``_POINTS_FIELD`` first, the terms being ``_section_proof``'s points."""
+    """Proposition 3.3's check v on the span of the terms themselves, mod p
+    as checks i-ii, the terms being ``_section_proof``'s points."""
     space, h = dec.space, dec.h
     basis = monomial_basis(space, space.degrees)
     vectors = [[nums.get(m, 0) for m in basis] for nums, _ in
                (rank_one_numerators(space, term, field=dec.field) for term in dec.terms)]
 
-    def checks(field, prove=None):
+    def checks(field):
         span = row_space_basis(DenseMatrix(field, [list(map(field, v)) for v in vectors]))
         return _section_checks(
             pullback_linear_section(span, space, space.degrees),
             ("v_span_section_dimension", "ZeroDim"), ("v_span_section_length", h),
-            budget=budget, prove=prove and partial(prove, span.nrows, h))
+            budget=budget, prove=partial(_section_proof, span.nrows, h, field=field, h=h,
+                                         points=dec.terms))
 
-    decided = dec.field == QQ and _proven(checks(_POINTS_FIELD, partial(
-        _section_proof, field=_POINTS_FIELD, h=h, points=dec.terms)))
-    return decided or checks(dec.field)
+    return _route(dec.field, (_POINTS_FIELD, _SECOND_FIELD), checks, "v_span_section_proven")
 
 
 def _finish(cert: Certificate, start: float, checks):

@@ -248,8 +248,8 @@ def lifted_kernel(matrix: DenseMatrix):
     prime by Dixon's p-adic lifting (Numer. Math. 40, 1982), or None.
 
     The left kernel of M is ``lifted_kernel(M.transpose())``.  None means
-    the prime did not settle the kernel; ``rref`` over QQ must decide.  The
-    entries may be ints, such as a flattening's integer cells.
+    the prime did not settle the kernel, and nothing is proven.  The
+    entries may be ints.
 
     Method.  Denominators are cleared row by row, which keeps the right
     kernel, giving an integer matrix A.  Mod p = ``DEFAULT_PRIME``, one

@@ -19,12 +19,12 @@ import oracles
 from conftest import random_form
 from tensorcert.cli import parse_polynomial
 from tensorcert.flatten import flattening_matrix
-from tensorcert.ideals import pullback_linear_section, section_ideal
+from tensorcert.ideals import classify_linear_section, pullback_linear_section
 from tensorcert.linalg import lifted_kernel
 
-#: the prime of Proposition 3.1's and 3.3's mod-p route
+#: the first prime of Propositions 3.1 and 3.3 over QQ, and Theorem 3.7's second
 ROUTE_PRIME = 2 ** 61 - 1
-#: Proposition 3.1's prime when the first proves nothing
+#: the second prime of Propositions 3.1 and 3.3
 SECOND_PRIME = 2 ** 64 - 59
 
 
@@ -284,20 +284,22 @@ def test_thm37_matches_sylvester_on_random_binary_forms():
 
 
 # ---------------------------------------------------------------------------
-# Theorem 3.7: the mod-p witness against the exact path
+# Theorem 3.7: the mod-p route against exact values
 
 
-def _exact_thm37(monkeypatch, F, h):
-    """The certificate of the exact rational path: F is never reduced mod p."""
-    with monkeypatch.context() as m:
-        m.setattr(importlib.import_module("tensorcert.certify"), "_reduced",
-                  lambda *args: None)
-        return certify_thm37(F, h)
+def _exact_thm37(F, h):
+    """Theorem 3.7's values of checks a-b over F's field, computed here from
+    its own flattening and the classification of that flattening's section."""
+    split = Split.of(F.space, (thm37_family(F.space, h)[3],))
+    fl = flatten(F, split)
+    if fl.rank != fl.matrix.nrows:
+        return [fl.rank]
+    report = classify_linear_section(pullback_linear_section(image_span(fl), F.space, split.b))
+    return [fl.rank, report.describe()]
 
 
-def _checks_view(cert):
-    return [(c.name, c.computed, c.required, c.passed,
-             c.detail["method"] if c.detail else None) for c in cert.checks]
+def _values(cert):
+    return [c.computed for c in cert.checks]
 
 
 def _full_view(cert):
@@ -306,36 +308,39 @@ def _full_view(cert):
              for c in cert.checks])
 
 
+def _unproven_mod(cert, prime):
+    """Whether every check names ``prime`` and none is witnessed."""
+    return all(c.detail["prime"] == prime and "witness_prime" not in c.detail
+               for c in cert.checks)
+
+
 @pytest.mark.parametrize("sizes,degrees,h", [
     ((2,), (9,), 5), ((2,), (31,), 16), ((3,), (5,), 7), ((4,), (3,), 5),
 ], ids=["binary-9", "binary-31", "ternary-quintic", "quaternary-cubic"])
-def test_thm37_witness_agrees_with_exact_path(monkeypatch, sizes, degrees, h):
+def test_thm37_witness_agrees_with_exact_path(sizes, degrees, h):
     for seed in (21, 22):
         T, _ = random_tensor(TensorSpace(sizes, degrees), h, RandomConfig(seed=seed))
-        fast = certify_thm37(T, h)
-        exact = _exact_thm37(monkeypatch, T, h)
-        assert fast.certified and exact.certified
-        assert _checks_view(fast) == _checks_view(exact)
-        assert fast.checks[1].detail["witness_prime"] == DEFAULT_PRIME
-        assert "witness_prime" not in exact.checks[1].detail
-        assert (fast.field_mode, fast.prime) == ("exact", None)
+        cert = certify_thm37(T, h)
+        assert cert.certified
+        assert _values(cert) == _exact_thm37(T, h)
+        assert cert.checks[1].detail["witness_prime"] == DEFAULT_PRIME
+        assert (cert.field_mode, cert.prime) == ("exact", None)
 
 
 @pytest.mark.parametrize("sizes,degrees,h", [
     ((2,), (9,), 5), ((3,), (5,), 7),
 ], ids=["binary-9", "ternary-quintic"])
 def test_thm37_witness_is_kept_only_by_section_proof(monkeypatch, sizes, degrees, h):
-    # a pass mod p proves nothing unless _section_proof keeps it: without
-    # the rule the lifted kernel classifies the section over QQ
+    # a pass mod p proves nothing unless _section_proof keeps it: without the
+    # rule both checks pass at both primes, and b_section_proven fails
+    monkeypatch.setattr(importlib.import_module("tensorcert.certify"), "_section_proof",
+                        lambda *args, **kwargs: None)
     for seed in (21, 22):
         T, _ = random_tensor(TensorSpace(sizes, degrees), h, RandomConfig(seed=seed))
-        with monkeypatch.context() as m:
-            m.setattr(importlib.import_module("tensorcert.certify"), "_section_proof",
-                      lambda *args, **kwargs: None)
-            cert = certify_thm37(T, h)
-        assert cert.certified
-        assert "witness_prime" not in cert.checks[1].detail
-        assert _full_view(cert) == _full_view(_exact_thm37(monkeypatch, T, h))
+        cert = certify_thm37(T, h)
+        assert cert.reason == "failed checks: b_section_proven"
+        assert _values(cert) == _exact_thm37(T, h) + ["unproven"]
+        assert _unproven_mod(cert, DEFAULT_PRIME)
 
 
 @pytest.mark.parametrize("sizes,degrees,h,rank,failed", [
@@ -345,136 +350,89 @@ def test_thm37_witness_is_kept_only_by_section_proof(monkeypatch, sizes, degrees
     ((4,), (3,), 5, 4, "b_section_empty"),
 ], ids=["binary-rank-h-2", "binary-rank-h-1", "ternary-quintic-rank-6",
         "quaternary-cubic-rank-4"])
-def test_thm37_witness_never_certifies_a_failure(monkeypatch, sizes, degrees, h,
-                                                 rank, failed):
+def test_thm37_witness_never_certifies_a_failure(sizes, degrees, h, rank, failed):
     T, _ = random_tensor(TensorSpace(sizes, degrees), rank, RandomConfig(seed=23))
     cert = certify_thm37(T, h)
     assert cert.verdict == "Inconclusive"
     assert cert.reason == f"failed checks: {failed}"
-    assert _full_view(cert) == _full_view(_exact_thm37(monkeypatch, T, h))
+    assert _values(cert) == _exact_thm37(T, h)
+    assert _unproven_mod(cert, DEFAULT_PRIME)
 
 
 @pytest.mark.parametrize("sizes,degrees,h,lost", [
     ((2,), (9,), 5, 1), ((2,), (9,), 5, 2), ((3,), (5,), 7, 1), ((4,), (3,), 5, 1),
 ], ids=["binary-section", "binary-rank", "ternary-quintic", "quaternary-cubic"])
-def test_thm37_unlucky_prime_falls_back(monkeypatch, sizes, degrees, h, lost):
+def test_thm37_unlucky_prime_falls_back(sizes, degrees, h, lost):
     # the last `lost` terms carry the factor p: mod p the form has rank h - lost,
-    # so the witness fails (non-empty section, or rank below full) while the
-    # form over QQ is a generic rank-h form and certifies
+    # so the first prime proves nothing (non-empty section, or rank below
+    # full), while the form over QQ is a generic rank-h form, and the second
+    # prime certifies it
     _, dec = random_tensor(TensorSpace(sizes, degrees), h, RandomConfig(seed=24))
     lambdas = [1] * (h - lost) + [DEFAULT_PRIME] * lost
     F = Decomposition(dec.space, dec.terms, lambdas).expand()
     cert = certify_thm37(F, h)
     assert cert.certified
-    assert _full_view(cert) == _full_view(_exact_thm37(monkeypatch, F, h))
+    assert cert.checks[1].detail["witness_prime"] == ROUTE_PRIME
+    assert _values(cert) == _exact_thm37(F, h)
 
 
 @pytest.mark.parametrize("sizes,degrees,h", [
     ((2,), (9,), 5), ((3,), (5,), 7),
 ], ids=["binary", "ternary-quintic"])
-def test_thm37_unlucky_prime_gives_up_the_lift(monkeypatch, sizes, degrees, h):
-    # two terms carry the factor p, so the catalecticant loses rank mod p,
-    # the first lift prime, and only there: the lift must give up, and the
-    # exact path certifies the generic rank-h form
+def test_thm37_unlucky_prime_gives_up_the_lift(sizes, degrees, h):
+    # two terms carry the factor p, so the catalecticant loses rank mod p
+    # and only there: a kernel lifted from p gives up, and the first prime
+    # proves nothing; the second certifies the generic rank-h form
     _, dec = random_tensor(TensorSpace(sizes, degrees), h, RandomConfig(seed=26))
     F = Decomposition(dec.space, dec.terms, [1] * (h - 2) + [DEFAULT_PRIME] * 2).expand()
     split = Split.of(F.space, (thm37_family(F.space, h)[3],))
     assert lifted_kernel(flattening_matrix(F, split).transpose()) is None
     cert = certify_thm37(F, h)
     assert cert.certified
-    assert _full_view(cert) == _full_view(_exact_thm37(monkeypatch, F, h))
+    assert cert.checks[1].detail["witness_prime"] == ROUTE_PRIME
+    assert _values(cert) == _exact_thm37(F, h)
 
 
 @pytest.mark.parametrize("sizes,degrees,h,ranks", [
     ((2,), (9,), 5, (2, 3)), ((2,), (15,), 8, (5, 6)), ((2,), (31,), 16, (13, 14)),
     ((3,), (5,), 7, (5, 6)), ((4,), (3,), 5, (3, 4)),
 ], ids=["binary-9", "binary-15", "binary-31", "ternary-quintic", "quaternary-cubic"])
-def test_thm37_rank_deficient_forms_match_exact_path(monkeypatch, sizes, degrees, h,
-                                                     ranks):
-    # below full rank the lifted left kernel decides; at full rank (ternary
-    # rank 6, quaternary rank 4) the section check fails and the exact path runs
+def test_thm37_rank_deficient_forms_match_exact_path(sizes, degrees, h, ranks):
+    # below full rank the rank check fails at both primes; at full rank
+    # (ternary rank 6, quaternary rank 4) the section check does: the report
+    # holds the first prime's values, which are the exact ones
     for rank in ranks:
         for seed in (31, 32, 33):
             T, _ = random_tensor(TensorSpace(sizes, degrees), rank, RandomConfig(seed=seed))
             cert = certify_thm37(T, h)
             assert cert.verdict == "Inconclusive"
-            assert _full_view(cert) == _full_view(_exact_thm37(monkeypatch, T, h))
+            assert _values(cert) == _exact_thm37(T, h)
+            assert _unproven_mod(cert, DEFAULT_PRIME)
 
 
-def _no_rational_rref(monkeypatch):
-    """Make any rational echelon pass fail the test."""
-    def refuse(matrix):
-        raise AssertionError("a rational rref ran")
-
-    monkeypatch.setattr(importlib.import_module("tensorcert.linalg"), "_rref_rational",
-                        refuse)
-
-
-@pytest.mark.parametrize("sizes,degrees,h,rank", [
-    ((2,), (9,), 5, 4), ((2,), (31,), 16, 15), ((3,), (5,), 7, 6), ((4,), (3,), 5, 4),
-], ids=["binary-9", "binary-31", "ternary-quintic", "quaternary-cubic"])
-def test_thm37_lifted_section_matches_exact_path(monkeypatch, sizes, degrees, h, rank):
-    # full rank mod p and a non-empty section: the lifted right kernel gives
-    # the exact path's pullback generators, so its report, with no rational rref
-    for seed in (41, 42):
-        T, _ = random_tensor(TensorSpace(sizes, degrees), rank, RandomConfig(seed=seed))
-        split = Split.of(T.space, (thm37_family(T.space, h)[3],))
-        exact = _exact_thm37(monkeypatch, T, h)
-        kernel = lifted_kernel(flattening_matrix(T, split))
-        assert section_ideal(kernel, T.space, split.b).generators == \
-            pullback_linear_section(flatten(T, split).span, T.space, split.b).generators
-        with monkeypatch.context() as m:
-            _no_rational_rref(m)
-            cert = certify_thm37(T, h)
-        assert cert.reason == "failed checks: b_section_empty"
-        assert _full_view(cert) == _full_view(exact)
-
-
-@pytest.mark.parametrize("sizes,degrees,rank,h,shapes", [
-    ((2,), (31,), 14, 16, [(18, 15)]), ((2,), (9,), 4, 5, [(4, 7)]),
-    ((3,), (5,), 6, 7, [(6, 10)]),
-], ids=["swell-control", "binary-9-rank-4", "ternary-quintic-rank-6"])
-def test_thm37_lifts_the_kernel_the_mod_p_rank_picks(monkeypatch, sizes, degrees, rank,
-                                                     h, shapes):
-    # below full rank mod p only the left kernel is lifted (the transpose),
-    # at full rank only the right kernel (M itself): one lift either way
-    T, _ = random_tensor(TensorSpace(sizes, degrees), rank, RandomConfig(seed=1))
-    calls = []
-
-    def counted(matrix):
-        calls.append((matrix.nrows, matrix.ncols))
-        return lifted_kernel(matrix)
-
-    monkeypatch.setattr(importlib.import_module("tensorcert.certify"), "lifted_kernel",
-                        counted)
-    assert certify_thm37(T, h).verdict == "Inconclusive"
-    assert calls == shapes
-
-
-def test_thm37_conjugate_irrational_points_match_exact_path(monkeypatch):
+def test_thm37_conjugate_irrational_points_match_exact_path():
     # (x + sqrt2 y)^31 + (x - sqrt2 y)^31 has rational coefficients but no
     # rational points; with 13 rational terms the catalecticant has full rank
-    # 15 and the section is the 15 points, so the lifted kernel decides
+    # 15 and the section is the 15 points, which rule (a) does not keep
     space = TensorSpace((2,), (31,))
     conjugate = MPoly(space, {(31 - k, k): 2 * comb(31, k) * 2 ** (k // 2)
                               for k in range(0, 32, 2)})
     T13, _ = random_tensor(space, 13, RandomConfig(seed=43))
     F = T13 + conjugate
-    exact = _exact_thm37(monkeypatch, F, 16)
-    with monkeypatch.context() as m:
-        _no_rational_rref(m)
-        cert = certify_thm37(F, 16)
-    assert [c.computed for c in cert.checks] == [15, "ZeroDim(15)"]
-    assert _full_view(cert) == _full_view(exact)
+    cert = certify_thm37(F, 16)
+    assert _values(cert) == [15, "ZeroDim(15)"] == _exact_thm37(F, 16)
+    assert _unproven_mod(cert, DEFAULT_PRIME)
 
 
-def test_thm37_denominator_divisible_by_prime_skips_witness(monkeypatch):
+def test_thm37_denominator_divisible_by_prime_keeps_the_witness():
+    # the route reduces F times its common denominator, so a denominator
+    # divisible by the prime does not stand in its way
     T, _ = random_tensor(TensorSpace((3,), (5,)), 7, RandomConfig(seed=25))
     F = T.scale(Fraction(1, DEFAULT_PRIME))
     cert = certify_thm37(F, 7)
     assert cert.certified
-    assert "witness_prime" not in cert.checks[1].detail
-    assert _full_view(cert) == _full_view(_exact_thm37(monkeypatch, F, 7))
+    assert cert.checks[1].detail["witness_prime"] == DEFAULT_PRIME
+    assert _values(cert) == _exact_thm37(F, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -713,41 +671,37 @@ def _count_rref_inputs(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("sizes,degrees,h,rank,lost,seed,criterion,qq_passes,p_passes", [
-    ((3,), (5,), 6, 6, 0, 1, "Prop31", 0, 1),
-    ((3,), (5,), 6, 6, 1, 1, "Prop31", 0, 1),
-    ((3,), (5,), 7, 7, 0, 1, "Thm37", 0, 1),
-    ((4,), (4,), 7, 7, 0, 4, "Prop33", 1, 0),
-    ((3,), (5,), 7, 5, 0, 1, "Thm37", 0, 1),
-    ((3,), (5,), 7, 7, 2, 1, "Thm37", 1, 1),
-    ((3,), (5,), 7, 6, 0, 1, "Thm37", 0, 1),
+@pytest.mark.parametrize("sizes,degrees,h,rank,lost,seed,criterion,second_passes", [
+    ((3,), (5,), 6, 6, 0, 1, "Prop31", 0),
+    ((3,), (5,), 6, 6, 1, 1, "Prop31", 1),
+    ((3,), (5,), 7, 7, 0, 1, "Thm37", 0),
+    ((4,), (4,), 7, 7, 0, 4, "Prop33", 0),
+    ((3,), (5,), 7, 5, 0, 1, "Thm37", 1),
+    ((3,), (5,), 7, 7, 2, 1, "Thm37", 1),
+    ((3,), (5,), 7, 6, 0, 1, "Thm37", 1),
 ], ids=["Prop31", "Prop31-fallback", "Thm37", "Prop33", "Thm37-fallback",
         "Thm37-unlucky-prime", "Thm37-lifted-section"])
 def test_flattening_matrix_is_reduced_once(monkeypatch, sizes, degrees, h, rank, lost,
-                                           seed, criterion, qq_passes, p_passes):
-    # a Theorem 3.7 witness reduces the mod-p flattening once; the QQ one is
-    # never reduced for a rank-deficient form (the lifted left kernel proves
-    # its rank) nor for a full-rank one with a non-empty section (the lifted
-    # right kernel gives its section), and once when the last `lost` terms
-    # carry the factor p, so that the rank drops mod p only and the lift
-    # gives up.  Proposition 3.1 reduces its flattening mod its own prime
-    # once, never over QQ, and mod its second prime once when a term
-    # carrying the first makes the first prove nothing
-    prime = ROUTE_PRIME if criterion == "Prop31" else DEFAULT_PRIME
+                                           seed, criterion, second_passes):
+    # every criterion reduces its flattening mod its first prime once, never
+    # over QQ, and mod its second prime once when the first proves nothing:
+    # a form below full rank or with a non-empty section (Theorem 3.7 keeps
+    # only rule (a)), or the last `lost` terms carrying the first prime, so
+    # that the rank drops mod that prime only
+    first, second = ((DEFAULT_PRIME, ROUTE_PRIME) if criterion == "Thm37"
+                     else (ROUTE_PRIME, SECOND_PRIME))
     T, dec = random_tensor(TensorSpace(sizes, degrees), rank, RandomConfig(seed=seed))
     if lost:
-        lambdas = [1] * (rank - lost) + [prime] * lost
+        lambdas = [1] * (rank - lost) + [first] * lost
         T = Decomposition(dec.space, dec.terms, lambdas).expand()
     seen = _count_rref_inputs(monkeypatch)
     cert = certify(dec if criterion == "Prop33" else T, h)
     monkeypatch.undo()
     assert cert.criterion == criterion and cert.certified == (rank == h)
-    Tp = MPoly(T.space, T.terms, PrimeField(prime))
-    assert seen[flatten(T, cert.split).matrix] == qq_passes
-    assert seen[flatten(Tp, cert.split).matrix] == p_passes
-    if criterion == "Prop31":
-        second = MPoly(T.space, T.terms, PrimeField(SECOND_PRIME))
-        assert seen[flatten(second, cert.split).matrix] == lost
+    assert seen[flatten(T, cert.split).matrix] == 0
+    for prime, passes in ((first, 1), (second, second_passes)):
+        Tp = MPoly(T.space, T.terms, PrimeField(prime))
+        assert seen[flatten(Tp, cert.split).matrix] == passes
 
 
 def test_certify_expands_a_decomposition_once(monkeypatch):
@@ -793,7 +747,7 @@ _PINNED_REPORTS = {
         "4b1245971c48ab98756f792393bcaf54bd68d4f88e128c48bc3a34afd06ff4da"),
     "prop33-1d": (
         lambda: certify(_random((4,), (4,), 7, 1)[1]),
-        "ea3c150af8470b76de409ff26b80436752520bd97dd17565c3107bdf2038c2cc"),
+        "ccc2cc033ab8ddc187b5f2fe6b1c3767ed21f4b1598f2b8e62f97bb9fd7d2f01"),
     "prop33-no-split": (
         lambda: certify_prop33(_random((2,), (4,), 3, 6)[1]),
         "67487274e7197d449ae901eaa67b295a5103845e61e19c2312b5e1c31aa45bf8"),
@@ -802,13 +756,13 @@ _PINNED_REPORTS = {
         "4b82fad87071e0d17a4ec2414c84c747a46ae1c64db34fa9817c1b9bbf67c4f6"),
     "thm37-lifted-rank": (
         lambda: certify(_random((3,), (5,), 5, 1)[0], 7),
-        "702bd6b44842799a6e66a7b9237e59a50d501345493471ff4b5f13fc2c21f4e6"),
+        "bd215be13d159af2ad26c51bb070507262340b36ca9eb6a27bcde7339953695c"),
     "thm37-lifted-section": (
         lambda: certify(_random((3,), (5,), 6, 1)[0], 7),
-        "dff6c8487861b6404d3a5b9b022fec0940bca3a07eb3230f6ca0d234c1a3f286"),
+        "57413af01df0d072110101647f40d73039f908bb85516811fbb790b029f60051"),
     "thm37-unlucky-prime": (
         lambda: certify(_unlucky((3,), (5,), 7, 2, 1), 7),
-        "36f18b1663c9729a58a2184c95724e8a05d86c80d72dcd705ab477e69de74786"),
+        "185eb309ce3b9cec4914c790ab02975d03499d9e14ee5cebc3d2f5a70b0aa165"),
     "out-of-range": (
         lambda: certify(_random((3,), (4,), 5, 15)[0], 5),
         "776bf266e910f2f7ccd84faa468e0df7246b23655b92268f6a635bbe2f998272"),
@@ -837,7 +791,7 @@ def test_budget_exhausted_is_read_off_the_checks(build, exhausted):
     # here a check computes Inconclusive only by an exhausted S-pair budget
     # (the other way, a point at infinity in every chart, is in
     # test_cli.py::test_budget_exhausted_only_when_a_groebner_run_ran_out);
-    # the lifted-rank route decides on its rank check and runs no S-pair
+    # a form below full rank fails its rank check and runs no S-pair
     cert = build()
     assert not cert.certified
     assert cert.budget_exhausted is exhausted

@@ -1,27 +1,31 @@
-"""Propositions 3.1 and 3.3 over QQ: the mod-p route against the exact path.
+"""The mod-p route of every criterion over QQ against exact values.
 
-Over QQ both criteria classify their section mod 2^61 - 1 first and keep the
-answer only when it is proven exact: Proposition 3.1 from the section's h
-points, recovered mod p and checked over ZZ, and Proposition 3.3's check v
-from the decomposition's own terms.  Proposition 3.1 has no other path: what
-the first prime does not prove, it tries mod 2^64 - 59, and what neither
-proves is Inconclusive, so its values are checked here against exact values
-the tests compute themselves.  Proposition 3.3 runs its exact path instead.
+Over QQ each criterion runs its checks mod a prime and keeps them only when
+they are proven exact: Proposition 3.1 from the section's h points,
+recovered mod p and checked over ZZ, Proposition 3.3 from the
+decomposition's own terms, and Theorem 3.7 by the rank and emptiness of its
+section.  What the first prime does not prove, each tries mod a second
+prime, and what neither proves is Inconclusive.  No criterion has another
+path, so the values of its checks are compared here with exact values the
+tests compute themselves, from the flattening over QQ and the
+classification of its section.
 """
 
 import importlib
 import random
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from tensorcert import (Decomposition, MPoly, PrimeField, RandomConfig, SchemeReport,
-                        Split, TensorSpace, certify, certify_prop31,
+from tensorcert import (QQ, Decomposition, MPoly, PrimeField, RandomConfig,
+                        SchemeReport, Split, TensorSpace, certify, certify_prop31,
                         classify_linear_section, flatten, image_span, monomial_basis,
                         pullback_linear_section, random_tensor)
 from tensorcert.fields import DEFAULT_PRIME, primitive
 from tensorcert.flatten import flattening_matrix, flattening_numerators
-from tensorcert.linalg import DenseMatrix
+from tensorcert.linalg import DenseMatrix, row_space_basis
 
 import oracles
 
@@ -30,26 +34,15 @@ SECOND_PRIME = 2 ** 64 - 59
 CERTIFY = importlib.import_module("tensorcert.certify")
 
 
-def _exact(monkeypatch, target, h=None, **kw):
-    """Proposition 3.3's certificate on its exact path: no mod-p
-    classification is kept."""
-    with monkeypatch.context() as m:
-        m.setattr(CERTIFY, "_section_proof", lambda *args, **kwargs: None)
-        return certify(target, h, **kw)
-
-
-def _view(cert):
-    """The JSON report without its timing, witness prime and points."""
-    doc = cert.to_json_dict()
-    del doc["timing_seconds"]
-    for check in doc["checks"]:
-        for key in ("witness_prime", "points"):
-            (check["detail"] or {}).pop(key, None)
-    return doc
-
-
 def _witnessed(cert):
     return [c.name for c in cert.checks if c.detail and "witness_prime" in c.detail]
+
+
+def _section_values(span, space, b):
+    """The status and length check values of the section a span over QQ cuts."""
+    report = classify_linear_section(pullback_linear_section(span, space, b))
+    return [report.describe(),
+            report.length if report.status == "ZeroDim" else report.describe()]
 
 
 def _exact_values(T, h, split):
@@ -58,19 +51,35 @@ def _exact_values(T, h, split):
     fl = flatten(T, split)
     if fl.rank != h:
         return [fl.rank]
-    report = classify_linear_section(pullback_linear_section(image_span(fl), T.space, split.b))
-    return [fl.rank, report.describe(),
-            report.length if report.status == "ZeroDim" else report.describe()]
+    return [fl.rank] + _section_values(image_span(fl), T.space, split.b)
 
 
-def _assert_exact(monkeypatch, cert, target, h=None, **kw):
-    """Proposition 3.1's values i-iii against ``_exact_values``; Proposition
-    3.3's report against its exact path."""
-    if cert.criterion != "Prop31":
-        assert _view(cert) == _view(_exact(monkeypatch, target, h, **kw))
+def _exact_prop33_values(dec, split):
+    """Proposition 3.3's values of checks i-ii and v over QQ: the rank and
+    section status of the expansion's flattening, then, when that section
+    is zero dimensional, the status and length of the terms' own span."""
+    fl = flatten(dec.expand(), split)
+    if fl.rank != dec.h:
+        return [fl.rank]
+    status = _section_values(image_span(fl), dec.space, split.b)[0]
+    if not status.startswith("ZeroDim"):
+        return [fl.rank, status]
+    basis = monomial_basis(dec.space, dec.space.degrees)
+    span = row_space_basis(DenseMatrix(QQ, [
+        [dec.term_polynomial(i).terms.get(m, 0) for m in basis] for i in range(dec.h)]))
+    return [fl.rank, status] + _section_values(span, dec.space, dec.space.degrees)
+
+
+def _assert_exact(cert, target):
+    """The values of the certificate's checks against ``_exact_values`` or
+    ``_exact_prop33_values``; the arithmetic checks iii-iv of Proposition 3.3
+    and a failed check saying what was not proven are left out."""
+    values = [c.computed for c in cert.checks if c.computed != "unproven"
+              and c.name not in ("iii_ambient_count", "iv_variety_degree")]
+    if cert.criterion == "Prop33":
+        assert values == _exact_prop33_values(target, cert.split)
         return
     T = target.expand() if isinstance(target, Decomposition) else target
-    values = [c.computed for c in cert.checks if c.name != "iv_decomposition_exists"]
     assert values == _exact_values(T, cert.h, cert.split)
 
 
@@ -110,18 +119,21 @@ def _decomposition(sizes, degrees, h):
 @pytest.mark.parametrize("build,seeds,witnessed", [
     (_first_six, (1, 2), ["ii_section_dimension"]),
     (_tensor((2, 5, 4), (3, 2, 3), 5, 5), (1, 2), ["ii_section_dimension"]),
-    (_decomposition((4,), (4,), 7), (1, 2), ["v_span_section_dimension"]),
-    (_decomposition((3,), (6,), 8), (1, 2), ["v_span_section_dimension"]),
+    (_decomposition((4,), (4,), 7), (1, 2, 3),
+     ["ii_section_dimension", "v_span_section_dimension"]),
+    (_decomposition((3,), (6,), 8), (1, 2, 3),
+     ["ii_section_dimension", "v_span_section_dimension"]),
     (_tensor((6,), (4,), 13, 13), (1,), ["ii_section_dimension"]),
     (_tensor((4,), (6,), 11, 10), (1,), ["ii_section_dimension"]),
 ], ids=["1b", "1c", "1d", "1e", "6-4-h13", "groebner-control"])
-def test_route_matches_exact_path(monkeypatch, build, seeds, witnessed):
-    # the control fails ii with Empty by rule (a); the others certify by (b)
+def test_route_matches_exact_path(build, seeds, witnessed):
+    # the control fails ii with Empty by rule (a); the others certify by
+    # (b), Proposition 3.3's checks i-ii with the length of check iv
     for seed in seeds:
         target, h = build(seed)
         cert = certify(target, h)
         assert _witnessed(cert) == witnessed
-        _assert_exact(monkeypatch, cert, target, h)
+        _assert_exact(cert, target)
 
 
 @pytest.mark.parametrize("build", [
@@ -146,9 +158,10 @@ def test_term_span_is_proven_without_a_span_check(monkeypatch, build):
         m.setattr(CERTIFY, "_rebuilds", refused)
         m.setattr(CERTIFY, "rank_one_numerators", counted)
         cert = certify(dec)
-    assert cert.certified and _witnessed(cert) == ["v_span_section_dimension"]
+    assert cert.certified
+    assert _witnessed(cert) == ["ii_section_dimension", "v_span_section_dimension"]
     assert expanded == 2 * list(dec.terms)
-    assert _view(cert) == _view(_exact(monkeypatch, dec))
+    _assert_exact(cert, dec)
 
 
 @pytest.mark.parametrize("sizes,degrees,h", [
@@ -177,16 +190,20 @@ def _normalized(form):
     return [sign * x for x in form]
 
 
-def test_denominator_divisible_by_the_prime_runs_the_second_prime(monkeypatch):
-    T, h = _first_six(1)
-    F = T.scale(Fraction(1, ROUTE_PRIME))
-    cert = certify(F, h)
-    assert cert.certified and _witnessed(cert) == ["ii_section_dimension"]
-    assert cert.checks[1].detail["witness_prime"] == SECOND_PRIME
-    _assert_exact(monkeypatch, cert, F, h)
+def test_denominator_divisible_by_the_primes_keeps_the_first_prime():
+    # the route reduces T times its common denominator, so a denominator
+    # divisible by the first prime, or by both, does not stand in its way
+    for build, den in [(_first_six, ROUTE_PRIME),
+                       (_tensor((3,), (5,), 6, 6), ROUTE_PRIME * SECOND_PRIME)]:
+        T, h = build(1)
+        F = T.scale(Fraction(1, den))
+        cert = certify(F, h)
+        assert cert.certified and _witnessed(cert) == ["ii_section_dimension"]
+        assert cert.checks[1].detail["witness_prime"] == ROUTE_PRIME
+        _assert_exact(cert, F)
 
 
-def test_term_carrying_the_prime_runs_the_second_prime(monkeypatch):
+def test_term_carrying_the_prime_runs_the_second_prime():
     # mod the first prime the tensor has rank 5, so the rank check fails
     # there only
     _, dec = random_tensor(_space((3,), (5,)), 6, RandomConfig(seed=1))
@@ -194,20 +211,26 @@ def test_term_carrying_the_prime_runs_the_second_prime(monkeypatch):
     cert = certify(F, 6)
     assert cert.certified and _witnessed(cert) == ["ii_section_dimension"]
     assert cert.checks[1].detail["witness_prime"] == SECOND_PRIME
-    _assert_exact(monkeypatch, cert, F, 6)
+    _assert_exact(cert, F)
 
 
-def test_term_vanishing_mod_the_prime_runs_the_exact_span_check(monkeypatch):
-    # one term's form carries the factor p: the term vectors lose rank mod p
+def test_term_vanishing_mod_the_prime_runs_the_second_prime():
+    # one term's form carries the factor p: the flattening and the term
+    # vectors lose rank mod p, so checks i-ii and v are proven mod the
+    # second prime
     _, dec = random_tensor(_space((4,), (4,)), 7, RandomConfig(seed=1))
     first = tuple(tuple(ROUTE_PRIME * x for x in form) for form in dec.terms[0])
     scaled = Decomposition(dec.space, (first,) + dec.terms[1:])
     cert = certify(scaled)
-    assert cert.certified and cert.criterion == "Prop33" and not _witnessed(cert)
-    assert _view(cert) == _view(_exact(monkeypatch, scaled))
+    assert cert.certified and cert.criterion == "Prop33"
+    witnessed = ["ii_section_dimension", "v_span_section_dimension"]
+    assert _witnessed(cert) == witnessed
+    assert all(c.detail["witness_prime"] == SECOND_PRIME
+               for c in cert.checks if c.name in witnessed)
+    _assert_exact(cert, scaled)
 
 
-def test_conjugate_points_prove_no_decomposition(monkeypatch):
+def test_conjugate_points_prove_no_decomposition():
     # 11 rational terms plus (l + sqrt2 m)^4 + (l - sqrt2 m)^4: the section's
     # 13 points split mod p (2 is a square mod 2^61 - 1), but two of them
     # have no rational coordinates, so neither prime proves a decomposition
@@ -226,10 +249,10 @@ def test_conjugate_points_prove_no_decomposition(monkeypatch):
     cert = certify(T11 + pair, 13)
     assert _unproven(cert)
     assert [c.computed for c in cert.checks] == [13, "ZeroDim(13)", 13, "unproven"]
-    _assert_exact(monkeypatch, cert, T11 + pair, 13)
+    _assert_exact(cert, T11 + pair)
 
 
-def test_section_longer_than_h_runs_the_exact_path(monkeypatch):
+def test_section_longer_than_h_runs_the_exact_path():
     # Proposition 3.1 forced on 1d's tensor: rank 7, but the section is
     # ZeroDim(8), which mod p proves only a bound; the test runs the exact
     # path itself
@@ -237,10 +260,10 @@ def test_section_longer_than_h_runs_the_exact_path(monkeypatch):
     cert = certify(T, 7, criterion="prop31")
     assert [c.computed for c in cert.checks] == [7, "ZeroDim(8)", 8]
     assert _unproven(cert)
-    _assert_exact(monkeypatch, cert, T, 7)
+    _assert_exact(cert, T)
 
 
-def test_empty_section_below_full_row_rank_runs_the_exact_path(monkeypatch):
+def test_empty_section_below_full_row_rank_runs_the_exact_path():
     # 20 sixth powers of points on the quadric x0 x1 = x2 x3: Q(d) F = 0 for
     # the dual quadric, so the 10-row flattening has rank 9 = h, and the
     # section is Empty.  Rank 9 < 10 rows mod p proves no rank over QQ; the
@@ -254,13 +277,13 @@ def test_empty_section_below_full_row_rank_runs_the_exact_path(monkeypatch):
     cert = certify(F, 9)
     assert [c.computed for c in cert.checks] == [9, "Empty", "Empty"]
     assert _unproven(cert)
-    _assert_exact(monkeypatch, cert, F, 9)
+    _assert_exact(cert, F)
 
 
 @pytest.mark.parametrize("sizes,degrees,h,g", [
     ((3,), (5,), 6, 0), ((2, 2, 2), (2, 2, 2), 3, 0), ((2, 2, 2), (2, 2, 2), 3, 2),
 ], ids=["3-5-h6", "2-2-2-h3-group1", "2-2-2-h3-group3"])
-def test_term_at_infinity_keeps_its_verdict(monkeypatch, sizes, degrees, h, g):
+def test_term_at_infinity_keeps_its_verdict(sizes, degrees, h, g):
     # one term on x_{g,0} = 0 puts a section point outside the first chart,
     # so the section is decided in a random chart mod p, whose points the
     # route recovers and moves back; the exact path gives the same values
@@ -274,7 +297,7 @@ def test_term_at_infinity_keeps_its_verdict(monkeypatch, sizes, degrees, h, g):
     assert _witnessed(cert) == ["ii_section_dimension"]
     assert cert.checks[1].detail["method"] == "affine-chart"
     assert cert.checks[1].detail["note"].startswith("chart 1:")
-    _assert_exact(monkeypatch, cert, dec)
+    _assert_exact(cert, dec)
 
 
 def test_perturbed_point_is_rejected(monkeypatch):
@@ -291,7 +314,7 @@ def test_perturbed_point_is_rejected(monkeypatch):
         m.setattr(CERTIFY, "rational_points", perturbed)
         cert = certify(T, h)
     assert _unproven(cert)
-    _assert_exact(monkeypatch, cert, T, h)
+    _assert_exact(cert, T)
 
 
 @pytest.mark.parametrize("build", [
@@ -314,7 +337,7 @@ def test_wrong_lambda_is_rejected(monkeypatch, build):
         m.setattr(CERTIFY, "lifted_kernel", changed)
         cert = certify(T, h)
     assert _unproven(cert)
-    _assert_exact(monkeypatch, cert, T, h)
+    _assert_exact(cert, T)
 
 
 @pytest.mark.parametrize("build", [
@@ -322,11 +345,16 @@ def test_wrong_lambda_is_rejected(monkeypatch, build):
 ], ids=["1b", "1c"])
 def test_route_builds_no_integer_cells(monkeypatch, build):
     # the points prove rule (b) from T itself, with no flattening over QQ
-    def refused(*args):
-        raise AssertionError("the flattening's integer cells were built over QQ")
+    flat = importlib.import_module("tensorcert.flatten")
+    real = flat.flattening_numerators
+
+    def refused(T, split):
+        if T.field == QQ:
+            raise AssertionError("the flattening's integer cells were built over QQ")
+        return real(T, split)
 
     T, h = build(1)
-    monkeypatch.setattr(CERTIFY, "flattening_numerators", refused)
+    monkeypatch.setattr(flat, "flattening_numerators", refused)
     cert = certify(T, h)
     assert cert.certified and _witnessed(cert) == ["ii_section_dimension"]
 
@@ -352,11 +380,11 @@ def _first_six_scaled(seed):
 
 @pytest.mark.parametrize("build", [_content_heavy, _first_six_scaled],
                          ids=["content-2^20", "1b-times-3/7"])
-def test_large_lambda_is_solved_exactly(monkeypatch, build):
+def test_large_lambda_is_solved_exactly(build):
     T, h = build(1)
     cert = certify(T, h)
     assert cert.certified and _witnessed(cert) == ["ii_section_dimension"]
-    _assert_exact(monkeypatch, cert, T, h)
+    _assert_exact(cert, T)
 
 
 @pytest.mark.parametrize("length,extra,proven", [
@@ -371,6 +399,22 @@ def test_section_proof_needs_length_h(length, extra, proven):
     report = SchemeReport("ZeroDim", length=length)
     proof = CERTIFY._section_proof(6, 6, report, field=CERTIFY._POINTS_FIELD, h=6,
                                    tensor=T, points=points)
+    assert proof == ({"witness_prime": ROUTE_PRIME} if proven else None)
+
+
+@pytest.mark.parametrize("rank,length,proven", [
+    (7, 8, True), (6, 8, False), (7, 7, False), (7, 9, False),
+], ids=["rank-h-ZeroDim(degree)", "rank-h-1", "ZeroDim(h)", "ZeroDim(degree+1)"])
+def test_prop33_section_proof_needs_rank_h_and_the_degree(rank, length, proven):
+    # the rule for Proposition 3.3's checks i-ii, on 1d's 10-row flattening
+    # and its own terms: it proves ZeroDim(8), check iv's degree, only from
+    # rank h and that length mod p
+    _, dec = random_tensor(_space((4,), (4,)), 7, RandomConfig(seed=1))
+    degree = CERTIFY.segre_veronese_degree((3,), (2,))
+    assert degree == 8
+    report = SchemeReport("ZeroDim", length=length)
+    proof = CERTIFY._section_proof(rank, 10, report, field=CERTIFY._POINTS_FIELD, h=7,
+                                   points=dec.terms, length=degree)
     assert proof == ({"witness_prime": ROUTE_PRIME} if proven else None)
 
 
@@ -411,6 +455,33 @@ def test_flattening_numerators_over_the_common_denominator():
         [list(row) for row in flattening_matrix(T, split).rows]
 
 
+def _refuse_rational(monkeypatch):
+    """Make a rational rref, a Groebner basis over QQ, the binary gcd over
+    ZZ, or a lifted kernel anywhere but in ``_rebuilds`` fail the test."""
+    linalg = importlib.import_module("tensorcert.linalg")
+    ideals = importlib.import_module("tensorcert.ideals")
+    real_engine, real_lift = ideals._Engine, CERTIFY.lifted_kernel
+
+    def refused(what):
+        def refuse(*args):
+            raise AssertionError(f"{what} ran")
+        return refuse
+
+    def engine(space, field, budget):
+        if field.modulus is None:
+            raise AssertionError("a Groebner basis over QQ ran")
+        return real_engine(space, field, budget)
+
+    def lift(matrix):
+        assert sys._getframe(1).f_code.co_name == "_rebuilds"
+        return real_lift(matrix)
+
+    monkeypatch.setattr(linalg, "_rref_rational", refused("a rational rref"))
+    monkeypatch.setattr(ideals, "_gcd_int_poly", refused("a gcd over ZZ"))
+    monkeypatch.setattr(ideals, "_Engine", engine)
+    monkeypatch.setattr(CERTIFY, "lifted_kernel", lift)
+
+
 def test_prop31_runs_no_rational_elimination_or_groebner_basis(monkeypatch):
     # one route: certified tensors, binary ones included, tangential
     # controls, both unlucky primes, a rule (a) control and budget 0 run no
@@ -432,21 +503,63 @@ def test_prop31_runs_no_rational_elimination_or_groebner_basis(monkeypatch):
         (*_tensor((4,), (6,), 11, 10)(1), False, None),
         (*_first_six(1), False, 0),
     ]
-    linalg = importlib.import_module("tensorcert.linalg")
-    ideals = importlib.import_module("tensorcert.ideals")
-    real_engine = ideals._Engine
-
-    def rational_rref(matrix):
-        raise AssertionError("a rational rref ran")
-
-    def engine(space, field, budget):
-        if field.modulus is None:
-            raise AssertionError("a Groebner basis over QQ ran")
-        return real_engine(space, field, budget)
-
-    monkeypatch.setattr(linalg, "_rref_rational", rational_rref)
-    monkeypatch.setattr(ideals, "_Engine", engine)
+    _refuse_rational(monkeypatch)
     for T, h, certified, budget in cases:
         cert = certify_prop31(T, h, budget=budget)
         assert cert.certified is certified, (T.space, h)
         assert cert.budget_exhausted is (budget == 0)
+
+
+def _sqrt2_conjugate_form():
+    # 13 rational terms plus (x + sqrt2 y)^31 + (x - sqrt2 y)^31 at h = 16:
+    # full rank, and a section of 15 points, two of them irrational
+    space = _space((2,), (31,))
+    conjugate = MPoly(space, {(31 - k, k): 2 * comb(31, k) * 2 ** (k // 2)
+                              for k in range(0, 32, 2)})
+    return random_tensor(space, 13, RandomConfig(seed=43))[0] + conjugate
+
+
+def _thm37_cases():
+    """(form, h, certified): positives of every family, forms below full
+    rank, full-rank forms with a non-empty section, forms whose terms carry
+    the first prime, and the sqrt2-conjugate form."""
+    families = [((2,), (9,), 5), ((2,), (15,), 8), ((2,), (31,), 16), ((3,), (5,), 7),
+                ((4,), (3,), 5)]
+    cases = [(_tensor(sizes, degrees, h, h)(21)[0], h, True)
+             for sizes, degrees, h in families]
+    for (sizes, degrees, h), ranks in zip(families, [(2, 3, 4), (5, 6, 7), (13, 14, 15),
+                                                      (5, 6), (3, 4)]):
+        cases += [(_tensor(sizes, degrees, rank, h)(seed)[0], h, False)
+                  for rank in ranks for seed in (31, 32, 33)]
+    for sizes, degrees, h, lost in [((2,), (9,), 5, 1), ((2,), (9,), 5, 2),
+                                    ((3,), (5,), 7, 1), ((4,), (3,), 5, 1)]:
+        _, dec = random_tensor(_space(sizes, degrees), h, RandomConfig(seed=24))
+        lambdas = [1] * (h - lost) + [DEFAULT_PRIME] * lost
+        cases.append((Decomposition(dec.space, dec.terms, lambdas).expand(), h, True))
+    return cases + [(_sqrt2_conjugate_form(), 16, False)]
+
+
+def test_thm37_runs_no_rational_elimination_or_groebner_basis(monkeypatch):
+    cases = _thm37_cases()
+    _refuse_rational(monkeypatch)
+    for F, h, certified in cases:
+        cert = certify(F, h)
+        assert cert.criterion == "Thm37" and cert.certified is certified, (F.space, h)
+
+
+def test_prop33_runs_no_rational_elimination_or_groebner_basis(monkeypatch):
+    # 1d and 1e at seeds 1-3, a decomposition over F_p, and Proposition 3.3
+    # forced on a binary decomposition, whose sections are binary
+    decs = [_decomposition(sizes, degrees, h)(seed)[0]
+            for sizes, degrees, h in [((4,), (4,), 7), ((3,), (6,), 8)]
+            for seed in (1, 2, 3)]
+    decs.append(random_tensor(_space((4,), (4,)), 7, RandomConfig(
+        seed=1, field=PrimeField(DEFAULT_PRIME)))[1])
+    binary = _decomposition((2,), (7,), 3)(1)[0]
+    _refuse_rational(monkeypatch)
+    for dec in decs:
+        cert = certify(dec)
+        assert cert.criterion == "Prop33" and cert.certified, dec.space
+    cert = certify(binary, criterion="prop33")
+    assert cert.certified
+    assert _witnessed(cert) == ["ii_section_dimension", "v_span_section_dimension"]
