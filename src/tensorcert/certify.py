@@ -38,7 +38,7 @@ from .flatten import Split, SplitError, default_split, flatten, image_span
 from .ideals import classify_linear_section, pullback_linear_section, rational_points
 from .linalg import (_LIFT_FIELD, DenseMatrix, _reconstruct, kernel_basis, lifted_kernel,
                      row_space_basis)
-from .poly import (MPoly, TensorSpace, monomial_basis, poly_from_numerators,
+from .poly import (MPoly, TensorSpace, check_degrees, monomial_basis, poly_from_numerators,
                    rank_one_numerators)
 
 CRITERION_LABELS = {
@@ -341,12 +341,17 @@ def _reduced(T: MPoly, field):
     """T in ``field``: T itself over its own field, else T over QQ times its
     common denominator, made primitive and reduced mod the prime of
     ``field``.  A nonzero scalar changes no flattening's rank or span, so
-    no denominator and no content stands in the way of a prime."""
+    no denominator and no content stands in the way of a prime.  The
+    flattening checks the multidegree of the terms kept; when a residue
+    vanishes, T's own terms are checked here."""
     if T.field == field:
         return T
     p = field.modulus
     residues = zip(T.terms, primitive(numerators(list(T.terms.values()))[0]))
-    return MPoly(T.space, {m: n % p for m, n in residues if n % p}, field, _clean=True)
+    terms = {m: n % p for m, n in residues if n % p}
+    if len(terms) < len(T.terms):
+        check_degrees(T)
+    return MPoly(T.space, terms, field, _clean=True)
 
 
 def _route(field, primes, run, missing):
@@ -483,12 +488,13 @@ def _rebuilds(T: MPoly, points) -> bool:
     T's field, for the points l_i, one vector per group each: integers over
     QQ, residues over F_p.
 
-    The matrix [V | T] has a row per degree-d monomial m: the coefficients
-    of l_1^d, ..., l_h^d at m, then T's.  Over QQ ``lifted_kernel`` checks
+    The int matrix [V | D T] has a row per degree-d monomial m: the
+    coefficients of l_1^d, ..., l_h^d at m, then those of T times its
+    common denominator D (1 over F_p).  Over QQ ``lifted_kernel`` checks
     its kernel over ZZ on every row; over F_p it is ``kernel_basis`` mod p.
     The identity holds exactly when that kernel is one row with no zero
-    entry: (-lambda, 1), as its free column is then T's.  The lift works
-    whatever the size of lambda: a term whose form has content g gets
+    entry: (-D lambda, 1), as its free column is then D T's.  The lift
+    works whatever the size of lambda: a term whose form has content g gets
     lambda = g^d.
     """
     space, field = T.space, T.field
@@ -496,7 +502,8 @@ def _rebuilds(T: MPoly, points) -> bool:
     # one point's rank-one dict at a time, read into a column
     columns = [[nums.get(m, 0) for m in basis] for nums, _ in
                (rank_one_numerators(space, point, field=field) for point in points)]
-    columns.append([T.terms.get(m, 0) for m in basis])
+    nums = dict(zip(T.terms, numerators(list(T.terms.values()))[0]))
+    columns.append([nums.get(m, 0) for m in basis])
     rows = zip(*columns)
     kernel = (lifted_kernel(DenseMatrix(QQ, rows, len(columns))) if field == QQ
               else kernel_basis(DenseMatrix.from_rows(field, rows, len(columns))))
@@ -723,5 +730,5 @@ def certify(target, h: int = None, *, criterion: str = "auto", split=None,
         return certify_prop31(tensor(), h, candidate, budget=budget)
     if dec is not None:
         return certify_prop33(dec, budget=budget)
-
+    check_degrees(target)       # every criterion above checks it in its flattening
     return _certificate(None, h, space, target.field, reason="out of criteria range")

@@ -35,7 +35,7 @@ from operator import add
 from .certify import Certificate, Decomposition, certify, corollary35_bound
 from .fields import QQ, field_from_spec
 from .flatten import Split, SplitError
-from .poly import MPoly, TensorSpace, poly_to_string
+from .poly import MPoly, TensorSpace, check_degrees, poly_to_string
 from .randgen import RandomConfig, random_tensor
 
 BUDGET_ENV = "TENSORCERT_BUDGET"
@@ -264,11 +264,10 @@ def parse_polynomial(text: str, space: TensorSpace, field=QQ) -> MPoly:
     """Parse an expression in x<group>_<index> variables and validate the
     multidegree against the space; offending monomials are named."""
     poly = _ExprParser(text, space, field).parse()
-    for mono in poly.terms:
-        if space.multidegree_of(mono) != space.degrees:
-            raise ParseError(
-                f"monomial {poly_to_string(MPoly(space, {mono: 1}))} has multidegree "
-                f"{space.multidegree_of(mono)}, expected {space.degrees}")
+    try:
+        check_degrees(poly)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     return poly
 
 
@@ -338,7 +337,8 @@ def parse_document(text: str, field_override=None) -> InputDocument:
     elif field is None:
         field = QQ
     if payload_kind == "tensor":
-        payload = parse_polynomial(" ".join(tensor_lines), space, field)
+        # ``certify`` checks the multidegree, naming an offending monomial
+        payload = _ExprParser(" ".join(tensor_lines), space, field).parse()
     elif payload_kind == "decomposition":
         terms = []
         for line in dec_lines:

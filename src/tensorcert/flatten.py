@@ -18,7 +18,7 @@ from operator import mul
 
 from .fields import numerators
 from .linalg import DenseMatrix, rref
-from .poly import TensorSpace, dimension_of_multidegree, monomial_basis
+from .poly import TensorSpace, check_degrees, dimension_of_multidegree, monomial_basis
 
 
 class SplitError(ValueError):
@@ -98,9 +98,7 @@ def flattening_matrix(T, split: Split) -> DenseMatrix:
     entry is N / D over QQ, and N mod p over F_p, where D = 1.
     """
     space = T.space
-    deg = T.multidegree()
-    if deg is not None and deg != space.degrees:
-        raise ValueError(f"tensor multidegree {deg} differs from space {space.degrees}")
+    check_degrees(T)
     if tuple(ai + bi for ai, bi in zip(split.a, split.b)) != space.degrees:
         raise ValueError("split does not match the space multidegree")
     f = T.field

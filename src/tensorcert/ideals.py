@@ -8,12 +8,13 @@ reached by a unimodular change of coordinates.  One Groebner basis of the
 dehomogenized generators under grevlex gives the part of the scheme in the
 chart, positive dimensional or finite of length its count of standard
 monomials.  A finite part is the whole scheme when, for each group, the
-ideal restricted to the chart's hyperplane at infinity is Empty, which the
-leading terms of its reduced Groebner basis decide on the product itself;
-otherwise the next chart is tried.  Ideals of binary forms skip Groebner
-bases: the scheme is the divisor of the gcd of the generators.  Only an
-exhausted S-pair budget, or a point at infinity in every chart, leaves a
-scheme Inconclusive.  The points of a zero-dimensional scheme over F_p are
+ideal restricted to the chart's hyperplane at infinity is Empty, which
+leading terms decide on the product itself: its Groebner run stops as soon
+as the leading terms found so far leave no coordinate point, and only "not
+Empty" takes the complete basis (``_empty``).  Otherwise the next chart is
+tried.  Ideals of binary forms skip Groebner bases: the scheme is the
+divisor of the gcd of the generators.  Only an exhausted S-pair budget, or
+a point at infinity in every chart, leaves a scheme Inconclusive.  The points of a zero-dimensional scheme over F_p are
 recovered from its chart, or from the gcd of binary forms, by
 ``rational_points``.
 
@@ -383,15 +384,27 @@ class _Engine:
                 out.pop(k, None)
         return out
 
-    def run(self, generators):
-        """Compute a reduced Groebner basis of the generator dicts."""
+    def run(self, generators, stop=None):
+        """Compute a reduced Groebner basis of the generator dicts.
+
+        ``stop``, when given, is called on each new leading term; once it
+        returns True the run ends with None, its basis partial.  The
+        generators, each reduced by those before it, all enter the basis
+        before any pair is formed, so a stop among them takes no S-pair;
+        ``update_pairs`` reads only the elements up to its own, so the
+        pairs are the same as when each is added in turn.
+        """
         prepared = sorted((g for g in generators if g),
                           key=lambda g: max(map(self.flip.__xor__, g)))
-        pairs = {}
         for g in prepared:
             r = self.normal_form(g)
             if r:
-                pairs = self.update_pairs(pairs, self.add_poly(r))
+                i = self.add_poly(r)
+                if stop and stop(self.lts[i]):
+                    return None
+        pairs = {}
+        for i in range(len(self.polys)):
+            pairs = self.update_pairs(pairs, i)
         while pairs:
             pair = min(pairs, key=pairs.__getitem__)
             sugar, key = pairs.pop(pair)
@@ -401,7 +414,10 @@ class _Engine:
                     f"S-pair budget of {self.budget} exhausted")
             r = self.normal_form(self.s_poly(*pair, key ^ self.flip))
             if r:
-                pairs = self.update_pairs(pairs, self.add_poly(r, sugar))
+                i = self.add_poly(r, sugar)
+                if stop and stop(self.lts[i]):
+                    return None
+                pairs = self.update_pairs(pairs, i)
         return self._interreduce()
 
     def _interreduce(self):
@@ -430,12 +446,11 @@ class _Engine:
 class GroebnerBasis:
     """Reduced Groebner basis under the blockwise graded reverse lex order."""
 
-    def __init__(self, space: TensorSpace, field, polys, lead_terms, pairs=0):
+    def __init__(self, space: TensorSpace, field, polys, lead_terms):
         self.space = space
         self.field = field
         self.polys = tuple(polys)
         self.lead_terms = tuple(lead_terms)
-        self.pairs = pairs      # S-pairs the run took
 
     def __len__(self):
         return len(self.polys)
@@ -457,8 +472,7 @@ def buchberger(ideal: Ideal, budget=None) -> GroebnerBasis:
         else:                   # ``_interreduce`` left each element monic
             coeffs = {unpack(m): c for m, c in terms.items()}
         polys.append(MPoly(ideal.space, coeffs, field, _clean=True))
-    return GroebnerBasis(ideal.space, field, polys, map(unpack, engine.lts),
-                         engine.pairs_done)
+    return GroebnerBasis(ideal.space, field, polys, map(unpack, engine.lts))
 
 
 # ---------------------------------------------------------------------------
@@ -558,14 +572,30 @@ def _empty(ideal: Ideal, budget):
     scheme holds a point exactly when it holds a coordinate point, one
     variable per group nonzero; a leading term vanishes there unless it is
     a monomial in those variables alone.  Binary forms use their gcd.
+
+    The Groebner run stops as soon as the leading terms found so far leave
+    no coordinate point.  That is sound: every element the run adds lies in
+    I, so the monomial ideal J of those leading terms lies in in(I), and
+    HF(R/in(I)) <= HF(R/J) in every multidegree; a J with no coordinate
+    point is Empty, and then so is I.  "Not Empty" needs the complete
+    basis: a coordinate point still alive at its end is a point of the
+    leading terms' scheme.  Each point is kept as the mask of the packed
+    exponent fields of the variables it sets to zero, and a leading term
+    rules it out when it has no exponent there.
     """
     space = ideal.space
     if space.p == 1 and space.sizes[0] == 2:
         return binary_fast_path(ideal).status == "Empty", 0
-    gb = buchberger(ideal, budget=budget)
-    supports = [{i for i, e in enumerate(lt) if e} for lt in gb.lead_terms]
-    points = product(*(range(sl.start, sl.stop) for sl in space.group_slices))
-    return all(any(s <= set(point) for s in supports) for point in points), gb.pairs
+    engine = _Engine(space, ideal.field, budget)
+    alive = [sum(engine.limit - 1 << s for v, s in enumerate(engine._shifts) if v not in point)
+             for point in product(*(range(sl.start, sl.stop) for sl in space.group_slices))]
+
+    def rule_out(lt):
+        alive[:] = [mask for mask in alive if lt & mask]
+        return not alive
+
+    engine.run([engine.prepare(g) for g in ideal.generators], rule_out)
+    return not alive, engine.pairs_done
 
 
 def _at_infinity(ideal: Ideal, g: int) -> Ideal:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt
 from operator import mul
 
@@ -251,17 +252,17 @@ def lifted_kernel(matrix: DenseMatrix):
     the prime did not settle the kernel, and nothing is proven.  The
     entries may be ints.
 
-    Method.  Denominators are cleared row by row, which keeps the right
-    kernel, giving an integer matrix A.  Mod p = ``DEFAULT_PRIME``, one
-    forward elimination of A's transpose gives the rank r and r independent
-    rows R, and one of [A_R | identity_r] the pivot columns P and the inverse
-    C of the r x r pivot minor A_RP (``_pivot_inverse_mod_p``).  For each
-    free column j the system A_RP x = -A_Rj is solved p-adically: the digit
-    y = C b mod p of the residual b is taken out, and b becomes
-    (b - A_RP y) / p, exactly.  At checkpoints where the modulus p^k has
-    grown geometrically, ``_reconstruct`` turns x mod p^k into a candidate
-    integer vector v, with v_j its denominator and 0 at the other free
-    columns.
+    Method.  When an entry is a Fraction, denominators are cleared row by
+    row, which keeps the right kernel, giving an integer matrix A.  Mod p =
+    ``DEFAULT_PRIME``, one forward elimination of A's transpose gives the
+    rank r and r independent rows R, and one of [A_R | identity_r] the pivot
+    columns P and the inverse C of the r x r pivot minor A_RP
+    (``_pivot_inverse_mod_p``).  For each free column j the system A_RP x =
+    -A_Rj is solved p-adically: the digit y = C b mod p of the residual b is
+    taken out, and b becomes (b - A_RP y) / p, exactly.  At checkpoints
+    where the modulus p^k has grown geometrically, ``_reconstruct`` turns x
+    mod p^k into a candidate integer vector v, with v_j its denominator and
+    0 at the other free columns.
 
     Soundness, for M over QQ:
 
@@ -286,8 +287,9 @@ def lifted_kernel(matrix: DenseMatrix):
     """
     if matrix.field.modulus is not None:
         raise ValueError("lifted_kernel needs a matrix over QQ")
-    f, n = matrix.field, matrix.ncols
-    rows = [numerators(row)[0] for row in matrix.rows]
+    f, n, rows = matrix.field, matrix.ncols, matrix.rows
+    if Fraction in set(map(type, chain.from_iterable(rows))):
+        rows = [numerators(row)[0] for row in rows]
     p = _LIFT_FIELD.modulus
     prows, pivots, inverse = _pivot_inverse_mod_p(rows, n)
     others = set(range(len(rows))) - set(prows)

@@ -414,3 +414,14 @@ def poly_to_string(F: MPoly) -> str:
     for part in parts[1:]:
         text += " " + part
     return text
+
+
+def check_degrees(T: MPoly) -> None:
+    """Raise ValueError naming the first monomial of T whose multidegree is
+    not its space's."""
+    space = T.space
+    for mono in T.terms:
+        deg = space.multidegree_of(mono)
+        if deg != space.degrees:
+            raise ValueError(f"monomial {poly_to_string(MPoly(space, {mono: 1}))} has "
+                             f"multidegree {deg}, expected {space.degrees}")

@@ -152,6 +152,24 @@ def test_prop31_verdict_iff_all_checks():
         assert cert.certified == all(c.passed for c in cert.checks)
 
 
+@pytest.mark.parametrize("sizes,degrees,h,criterion", [
+    ((3,), (5,), 6, "Prop31"), ((2, 5, 4), (3, 2, 3), 5, "Prop31"),
+    ((3,), (5,), 7, "Thm37"), ((3,), (4,), 5, None)])
+def test_tensor_off_the_space_multidegree_raises(sizes, degrees, h, criterion):
+    # a term of lower degree is named, by every criterion, out of their
+    # range, and when its coefficient vanishes mod the first prime
+    space = TensorSpace(sizes, degrees)
+    T, _ = random_tensor(space, h, RandomConfig(seed=1))
+    assert certify(T, h).criterion == criterion
+    low = (degrees[0] - 1,) + (0,) * (sum(sizes) - 1)
+    for c in (1, ROUTE_PRIME, DEFAULT_PRIME):
+        stray = MPoly(space, {**T.terms, low: QQ(c)})
+        with pytest.raises(ValueError, match=r"monomial x1_0\^\d+ has multidegree"):
+            certify(stray, h)
+    with pytest.raises(ValueError, match=r"monomial x1_0\^\d+ has multidegree"):
+        flatten(MPoly(space, {**T.terms, low: QQ(1)}), default_split(space, min(h, 6)))
+
+
 # ---------------------------------------------------------------------------
 # Proposition 3.3
 

@@ -539,18 +539,32 @@ def test_bounds_subcommand():
     assert code == 1
 
 
+def test_document_off_the_space_multidegree_names_the_monomial(tmp_path, capsys):
+    # the document parser leaves the check to certify, in range or not
+    for h in (6, 8):
+        path = tmp_path / f"h{h}.txt"
+        path.write_text("sizes: 3\ndegrees: 5\ntensor: x1_0^5 + x1_1^5 + x1_2^4\n",
+                        encoding="utf-8")
+        capsys.readouterr()
+        code, _ = run_cli("certify", "--input", str(path), "--h", str(h))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: monomial x1_2^4 has multidegree (4,), expected (5,)\n")
+
+
 def test_budget_env_override(tmp_path, monkeypatch):
-    code, text = run_cli("random", "--sizes", "2,3", "--degrees", "2,2",
-                         "--h", "2", "--seed", "8", "--emit", "tensor")
+    # a ternary quintic of rank 6: its chart's Groebner run needs S-pairs
+    code, text = run_cli("random", "--sizes", "3", "--degrees", "5",
+                         "--h", "6", "--seed", "8", "--emit", "tensor")
     path = tmp_path / "m.txt"
     path.write_text(text, encoding="utf-8")
     monkeypatch.setenv("TENSORCERT_BUDGET", "1")
-    code, report = run_cli("certify", "--input", str(path), "--h", "2",
+    code, report = run_cli("certify", "--input", str(path), "--h", "6",
                            "--report", "json")
     assert code == 1  # resource exhaustion
     assert json.loads(report)["budget_exhausted"] is True
     monkeypatch.delenv("TENSORCERT_BUDGET")
-    code, _ = run_cli("certify", "--input", str(path), "--h", "2")
+    code, _ = run_cli("certify", "--input", str(path), "--h", "6")
     assert code == 0
 
 

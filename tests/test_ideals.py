@@ -778,6 +778,22 @@ def test_empty_matches_the_reference_classifier():
     assert seen == {True, False}
 
 
+def test_empty_stops_once_no_coordinate_point_is_left():
+    # 1c's three checks at infinity mod 2^61 - 1 stop among the generators:
+    # their leading terms, each reduced by those before, already leave no
+    # coordinate point.  The (3,3)/(2,2) h=4 section's group-1 check stops
+    # after two S-pairs, where its complete basis takes more
+    field = PrimeField(2 ** 61 - 1)
+    T, _ = random_tensor(TensorSpace((2, 5, 4), (3, 2, 3)), 5, RandomConfig(seed=1))
+    ideal = _section(MPoly(T.space, T.terms, field), 5)
+    assert [_empty(_at_infinity(ideal, g), None) for g in range(3)] == [(True, 0)] * 3
+    T, _ = random_tensor(TensorSpace((3, 3), (2, 2)), 4, RandomConfig(seed=2))
+    at_infinity = _at_infinity(_section(T, 4), 0)
+    assert _empty(at_infinity, 2) == (True, 2)
+    with pytest.raises(BudgetExceededError):
+        buchberger(at_infinity, budget=2)
+
+
 def test_moved_chart_points_are_the_section_points():
     # 1c's decomposition with its first term on x_{2,0} = 0: a random chart
     # decides its section mod 2^61 - 1, and the points it recovers, moved
