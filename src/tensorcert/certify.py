@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import partial
 from math import comb, factorial
 
@@ -71,14 +70,18 @@ class Certificate:
     split: Split = None
     family: tuple = None      # (n, d, h, s) for Thm37
     effective: bool = False
-    field_mode: str = "exact"
-    prime: int = None
+    prime: int = None         # the field's modulus, None over QQ
     seconds: float = 0.0
     budget_exhausted: bool = False
 
     @property
     def certified(self) -> bool:
         return self.verdict == "Certified"
+
+    @property
+    def field_mode(self) -> str:
+        """``exact`` over QQ; over F_p a ``probabilistic`` stand-in for QQ."""
+        return "exact" if self.prime is None else "probabilistic"
 
     def summary_lines(self):
         """Text report in the spirit of an interactive session log."""
@@ -110,15 +113,6 @@ class Certificate:
         return lines
 
     def to_json_dict(self) -> dict:
-        def scalarize(v):
-            if isinstance(v, Fraction):
-                return str(v) if v.denominator != 1 else int(v)
-            if isinstance(v, (list, tuple)):
-                return [scalarize(x) for x in v]
-            if isinstance(v, dict):
-                return {k: scalarize(x) for k, x in v.items()}
-            return v
-
         return {
             "schema_version": 1,
             "criterion": self.criterion,
@@ -132,11 +126,8 @@ class Certificate:
                      {"a": list(self.split.a), "b": list(self.split.b),
                       "dim_a": self.split.dim_a, "dim_b": self.split.dim_b},
             "family": None if self.family is None else list(self.family),
-            "checks": [{"name": c.name,
-                        "computed": scalarize(c.computed),
-                        "required": scalarize(c.required),
-                        "passed": c.passed,
-                        "detail": scalarize(c.detail)}
+            "checks": [{"name": c.name, "computed": c.computed, "required": c.required,
+                        "passed": c.passed, "detail": c.detail}
                        for c in self.checks],
             "effective": self.effective,
             "field": {"mode": self.field_mode, "prime": self.prime},
@@ -285,7 +276,6 @@ def _certificate(criterion, h, space, field, label="", **fields):
     """A certificate over the field, Inconclusive until ``_finish`` decides."""
     return Certificate(criterion, "Inconclusive", h, space,
                        label=label or CRITERION_LABELS.get(criterion, ""),
-                       field_mode="exact" if field.modulus is None else "probabilistic",
                        prime=field.modulus, **fields)
 
 

@@ -15,7 +15,10 @@ polynomial expression or a decomposition follows::
     4,-5,6
 
 Decomposition rows carry one term per line, per-group coefficient vectors
-separated by ``|``, entries comma-separated integers or rationals.
+separated by ``|``, entries comma-separated integers or rationals.  Two
+more header keys are optional: ``field: qq|fp|fp:P``, the one place a
+certificate's field comes from (QQ when absent), and ``seed:``, the
+provenance ``random`` writes, checked to be an integer and otherwise unused.
 
 Exit codes: 0 the certificate is Certified, 2 it is Inconclusive, 1 usage,
 parse or resource errors.
@@ -39,7 +42,6 @@ from .poly import MPoly, TensorSpace, check_degrees, poly_to_string
 from .randgen import RandomConfig, random_tensor
 
 BUDGET_ENV = "TENSORCERT_BUDGET"
-FIELD_ENV = "TENSORCERT_FIELD"
 
 
 class ParseError(ValueError):
@@ -274,25 +276,27 @@ def parse_polynomial(text: str, space: TensorSpace, field=QQ) -> MPoly:
 # ---------------------------------------------------------------------------
 # input documents
 
-class InputDocument:
-    __slots__ = ("space", "payload", "field", "seed")
-
-    def __init__(self, space, payload, field, seed=None):
-        self.space = space
-        self.payload = payload      # MPoly or Decomposition
-        self.field = field
-        self.seed = seed
+def _integer(text: str, name: str) -> int:
+    """``int(text)``, or a ParseError naming the setting ``name``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{name} must be an integer, got {text!r}") from None
 
 
-def _parse_int_list(value: str):
+def _parse_int_list(value: str, name: str):
     items = [x for x in re.split(r"[,\s]+", value.strip()) if x]
-    return tuple(int(x) for x in items)
+    try:
+        return tuple(int(x) for x in items)
+    except ValueError:
+        raise ParseError(f"{name} must be comma-separated integers, got {value!r}") from None
 
 
-def parse_document(text: str, field_override=None) -> InputDocument:
+def parse_document(text: str):
+    """The ``MPoly`` or ``Decomposition`` a document declares, over the
+    field of its ``field:`` key (QQ when absent)."""
     sizes = degrees = None
-    field = None
-    seed = None
+    field = QQ
     payload_kind = None
     tensor_lines = []
     dec_lines = []
@@ -312,13 +316,16 @@ def parse_document(text: str, field_override=None) -> InputDocument:
         key = key.strip().lower()
         value = value.strip()
         if key == "sizes":
-            sizes = _parse_int_list(value)
+            sizes = _parse_int_list(value, key)
         elif key == "degrees":
-            degrees = _parse_int_list(value)
+            degrees = _parse_int_list(value, key)
         elif key == "field":
-            field = field_from_spec(value)
+            try:
+                field = field_from_spec(value)
+            except ValueError as exc:
+                raise ParseError(f"field: {exc}") from None
         elif key == "seed":
-            seed = int(value)
+            _integer(value, key)
         elif key == "tensor":
             payload_kind = "tensor"
             if value:
@@ -332,36 +339,30 @@ def parse_document(text: str, field_override=None) -> InputDocument:
     if sizes is None or degrees is None:
         raise ParseError("document must declare 'sizes:' and 'degrees:'")
     space = TensorSpace(sizes, degrees)
-    if field_override is not None:
-        field = field_override
-    elif field is None:
-        field = QQ
     if payload_kind == "tensor":
         # ``certify`` checks the multidegree, naming an offending monomial
-        payload = _ExprParser(" ".join(tensor_lines), space, field).parse()
-    elif payload_kind == "decomposition":
-        terms = []
-        for line in dec_lines:
-            groups = line.split("|")
-            if len(groups) != space.p:
-                raise ParseError(
-                    f"term {line!r} has {len(groups)} groups, expected {space.p}")
-            term = []
-            for part in groups:
-                entries = [e for e in part.split(",") if e.strip()]
-                try:
-                    term.append(tuple(Fraction(e.strip()) for e in entries))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ParseError(f"bad coefficient in {line!r}: {exc}") from None
-            terms.append(tuple(term))
-        try:
-            payload = Decomposition(space, terms, field=field)
-        except (ValueError, ZeroDivisionError) as exc:
-            # a denominator that vanishes mod p is a ZeroDivisionError
-            raise ParseError(str(exc)) from None
-    else:
+        return _ExprParser(" ".join(tensor_lines), space, field).parse()
+    if payload_kind != "decomposition":
         raise ParseError("document must contain 'tensor:' or 'decomposition:'")
-    return InputDocument(space, payload, field, seed)
+    terms = []
+    for line in dec_lines:
+        groups = line.split("|")
+        if len(groups) != space.p:
+            raise ParseError(
+                f"term {line!r} has {len(groups)} groups, expected {space.p}")
+        term = []
+        for part in groups:
+            entries = [e for e in part.split(",") if e.strip()]
+            try:
+                term.append(tuple(Fraction(e.strip()) for e in entries))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad coefficient in {line!r}: {exc}") from None
+        terms.append(tuple(term))
+    try:
+        return Decomposition(space, terms, field=field)
+    except (ValueError, ZeroDivisionError) as exc:
+        # a denominator that vanishes mod p is a ZeroDivisionError
+        raise ParseError(str(exc)) from None
 
 
 def _document_header(space, field, seed):
@@ -439,7 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=["auto", "prop31", "prop33", "thm37"])
     cert.add_argument("--split", default=None,
                       help="comma-separated a_1,..,a_p overriding the default split")
-    cert.add_argument("--field", default=None, help="qq or fp:P")
     cert.add_argument("--report", default="text", choices=["text", "json"])
     cert.add_argument("--budget", type=int, default=None,
                       help="S-pair budget for Groebner runs")
@@ -469,15 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_field(flag_value):
-    if flag_value:
-        return field_from_spec(flag_value)
-    env = os.environ.get(FIELD_ENV)
-    if env:
-        return field_from_spec(env)
-    return None
-
-
 def _resolve_budget(flag_value):
     if flag_value is not None:
         budget, source = flag_value, "--budget"
@@ -485,7 +476,7 @@ def _resolve_budget(flag_value):
         env = os.environ.get(BUDGET_ENV)
         if not env:
             return None
-        budget, source = int(env), BUDGET_ENV
+        budget, source = _integer(env, BUDGET_ENV), BUDGET_ENV
     if budget < 0:
         raise ValueError(f"{source} must be >= 0, got {budget}")
     return budget
@@ -498,26 +489,26 @@ def _cmd_certify(args, out) -> int:
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    doc = parse_document(text, field_override=_resolve_field(args.field))
+    target = parse_document(text)
     if args.h is not None and args.h < 1:
         raise ValueError("--h must be >= 1")
-    target = doc.payload
     h = args.h
     if isinstance(target, MPoly) and h is None:
         raise ValueError("--h is required for tensor input")
     split = None
     if args.split is not None:
-        split = Split.of(doc.space, _parse_int_list(args.split))
+        split = Split.of(target.space, _parse_int_list(args.split, "--split"))
     cert = certify(target, h, criterion=args.criterion, split=split,
                    budget=budget)
     return _emit_certificate(cert, args.report, out, trace=args.trace)
 
 
 def _cmd_random(args, out) -> int:
-    space = TensorSpace(_parse_int_list(args.sizes), _parse_int_list(args.degrees))
+    space = TensorSpace(_parse_int_list(args.sizes, "--sizes"),
+                        _parse_int_list(args.degrees, "--degrees"))
     if args.h < 1:
         raise ValueError("--h must be >= 1")
-    field = _resolve_field(args.field) or QQ
+    field = field_from_spec(args.field) if args.field else QQ
     cfg = RandomConfig(seed=args.seed, bound=args.bound, field=field)
     tensor, dec = random_tensor(space, args.h, cfg)
     if args.emit == "tensor":
@@ -532,11 +523,11 @@ def _cmd_bounds(args, out) -> int:
     if args.n is not None:
         params["n"] = args.n
     if args.degrees is not None:
-        params["degrees"] = _parse_int_list(args.degrees)
+        params["degrees"] = _parse_int_list(args.degrees, "--degrees")
     if args.factors is not None:
         params["factors"] = args.factors
     if args.dims is not None:
-        params["dims"] = _parse_int_list(args.dims)
+        params["dims"] = _parse_int_list(args.dims, "--dims")
     bound = corollary35_bound(args.family, **params)
     effective = args.h < bound
     if args.report == "json":

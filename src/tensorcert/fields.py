@@ -14,7 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-#: 30-bit prime used when a modular run is requested without an explicit prime.
+#: 30-bit prime of the field spec ``fp`` without a prime (a document's
+#: ``field: fp``), and of ``linalg._LIFT_FIELD``: kernels are lifted from
+#: it, and Theorem 3.7's checks over QQ run mod it first.
 DEFAULT_PRIME = 1073741789
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -194,6 +196,6 @@ def field_from_spec(spec: str):
         return QQ
     if text in ("fp", "fp:"):
         return PrimeField(DEFAULT_PRIME)
-    if text.startswith("fp:"):
+    if text.startswith("fp:") and text[3:].strip().isdecimal():
         return PrimeField(int(text[3:]))
     raise ValueError(f"unknown field spec {spec!r}; expected 'qq' or 'fp:P'")

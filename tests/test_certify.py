@@ -397,7 +397,7 @@ def test_thm37_unlucky_prime_falls_back(sizes, degrees, h, lost):
 @pytest.mark.parametrize("sizes,degrees,h", [
     ((2,), (9,), 5), ((3,), (5,), 7),
 ], ids=["binary", "ternary-quintic"])
-def test_thm37_unlucky_prime_gives_up_the_lift(sizes, degrees, h):
+def test_thm37_unlucky_prime_leaves_no_kernel_to_lift(sizes, degrees, h):
     # two terms carry the factor p, so the catalecticant loses rank mod p
     # and only there: a kernel lifted from p gives up, and the first prime
     # proves nothing; the second certifies the generic rank-h form

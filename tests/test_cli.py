@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -127,11 +128,11 @@ def test_power_of_a_number_is_capped_before_it_is_computed():
     assert parse_polynomial("1^1000000*(1)^1000000*x1_0", space).terms == {(1, 0): QQ(1)}
     # over F_p the power is reduced as it is taken, and no cap applies
     p = 1073741789
-    doc = parse_document(f"sizes: 2\ndegrees: 1\nfield: fp:{p}\ntensor: {text}\n")
-    assert doc.payload.terms == {(0, 1): 1}
-    doc = parse_document(f"sizes: 2\ndegrees: 1\nfield: fp:{p}\n"
-                         "tensor: 3^1000000*x1_0\n")
-    assert doc.payload.terms == {(1, 0): pow(3, 1000000, p)}
+    T = parse_document(f"sizes: 2\ndegrees: 1\nfield: fp:{p}\ntensor: {text}\n")
+    assert T.terms == {(0, 1): 1}
+    T = parse_document(f"sizes: 2\ndegrees: 1\nfield: fp:{p}\n"
+                       "tensor: 3^1000000*x1_0\n")
+    assert T.terms == {(1, 0): pow(3, 1000000, p)}
 
 
 def test_product_beyond_the_degree_is_refused_at_its_star():
@@ -200,16 +201,16 @@ _CANCELLING = ["x1_0*x1_1 - x1_1*x1_0", "-(x1_0 + x1_1)^2 + x1_0^2 + x1_1^2 + 2*
 def _reference_payload(document):
     # the tensor expression exactly as parse_document hands it to the parser
     header, _, expr = document.partition("tensor:")
-    doc = parse_document(header + "tensor: 0\n")
+    zero = parse_document(header + "tensor: 0\n")
     expr = " ".join(line.strip() for line in expr.splitlines() if line.strip())
-    return oracles.reference_parse(expr, doc.space, doc.field)
+    return oracles.reference_parse(expr, zero.space, zero.field)
 
 
 def test_parse_monomials_match_generic_arithmetic():
     # number and variable factors fold into one term, single-term powers
     # take a shortcut, and sums accumulate into one dict; one polynomial per
     # atom and generic arithmetic must give the same polynomials
-    folded = [parse_document(text).payload for text in _MONOMIAL_DOCUMENTS]
+    folded = [parse_document(text) for text in _MONOMIAL_DOCUMENTS]
     assert folded == [_reference_payload(text) for text in _MONOMIAL_DOCUMENTS]
     assert all(folded)
     space = TensorSpace((2,), (2,))
@@ -312,9 +313,9 @@ def test_flat_document_builds_one_polynomial(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(MPoly, "__init__", counted)
-    doc = parse_document(text)
+    parsed = parse_document(text)
     assert built["MPoly"] == 1
-    assert doc.payload == T and len(T) == 1200
+    assert parsed == T and len(T) == 1200
 
 
 def test_denominator_divisible_by_the_prime_is_a_parse_error(tmp_path, capsys):
@@ -323,8 +324,8 @@ def test_denominator_divisible_by_the_prime_is_a_parse_error(tmp_path, capsys):
         parse_document(text)
     assert info.value.position == 1
     # the fraction is reduced first: 14/21 is 2/3, and 7/7 is 1
-    doc = parse_document(text.replace("1/7", "14/21*7/7"))
-    assert doc.payload.terms == {(1, 0): 2 * pow(3, -1, 7) % 7}
+    T = parse_document(text.replace("1/7", "14/21*7/7"))
+    assert T.terms == {(1, 0): 2 * pow(3, -1, 7) % 7}
     dec = "sizes: 2\ndegrees: 1\nfield: fp:7\ndecomposition:\n1/7,1\n"
     with pytest.raises(ParseError, match="vanishes mod 7"):
         parse_document(dec)
@@ -343,16 +344,15 @@ def test_denominator_divisible_by_the_prime_is_a_parse_error(tmp_path, capsys):
 def test_tensor_document_roundtrip():
     space = TensorSpace((2, 3), (2, 1))
     T, _ = random_tensor(space, 2, RandomConfig(seed=1))
-    doc = parse_document(render_tensor_document(T, seed=1))
-    assert doc.payload == T
-    assert doc.seed == 1
+    # the seed is provenance: checked, then dropped
+    assert parse_document(render_tensor_document(T, seed=1)) == T
 
 
 def test_decomposition_document_roundtrip():
     space = TensorSpace((2, 5, 4), (3, 2, 3))
     _, dec = random_tensor(space, 4, RandomConfig(seed=2))
-    doc = parse_document(render_decomposition_document(dec))
-    assert doc.payload.terms == dec.terms
+    parsed = parse_document(render_decomposition_document(dec))
+    assert (parsed.space, parsed.terms) == (space, dec.terms)
 
 
 def test_weighted_decomposition_has_no_document():
@@ -363,7 +363,7 @@ def test_weighted_decomposition_has_no_document():
     with pytest.raises(ValueError, match="weighted"):
         render_decomposition_document(dec)
     plain = Decomposition(space, dec.terms)
-    again = parse_document(render_decomposition_document(plain)).payload
+    again = parse_document(render_decomposition_document(plain))
     assert again.expand() == plain.expand()
 
 
@@ -375,8 +375,8 @@ def test_document_requires_header():
 
 
 def test_document_comments_ignored_in_header():
-    doc = parse_document("# top\nsizes: 2  # binary\ndegrees: 2\ntensor: x1_0^2\n")
-    assert doc.payload.terms == {(2, 0): QQ(1)}
+    T = parse_document("# top\nsizes: 2  # binary\ndegrees: 2\ntensor: x1_0^2\n")
+    assert T.terms == {(2, 0): QQ(1)}
 
 
 def test_tensor_over_several_lines():
@@ -384,15 +384,15 @@ def test_tensor_over_several_lines():
     # joined by single spaces; a comment goes from the "tensor:" line only,
     # and an error position is an offset into the joined expression
     head = "sizes: 2\ndegrees: 3\ntensor: x1_0^3  # first\n\n   - 2*x1_1^3\n"
-    assert parse_document(head).payload.terms == {(3, 0): QQ(1), (0, 3): QQ(-2)}
+    assert parse_document(head).terms == {(3, 0): QQ(1), (0, 3): QQ(-2)}
     with pytest.raises(ParseError) as info:
         parse_document(head + "  + $\n")
     assert info.value.position == len("x1_0^3 - 2*x1_1^3 + ")
 
 
 def test_decomposition_row_on_its_header_line():
-    doc = parse_document("sizes: 3\ndegrees: 5\ndecomposition: 1,2,3\n4,-5,6\n")
-    assert doc.payload.terms == (((1, 2, 3),), ((4, -5, 6),))
+    dec = parse_document("sizes: 3\ndegrees: 5\ndecomposition: 1,2,3\n4,-5,6\n")
+    assert dec.terms == (((1, 2, 3),), ((4, -5, 6),))
 
 
 def test_certify_h_mismatch_with_decomposition(tmp_path):
@@ -482,12 +482,13 @@ def test_certify_forced_split(tmp_path):
 
 
 def test_certify_prime_field(tmp_path):
-    code, text = run_cli("random", "--sizes", "3", "--degrees", "5",
-                         "--h", "6", "--seed", "5", "--emit", "tensor")
+    # the document's field: line is the one place the field comes from
+    code, text = run_cli("random", "--sizes", "3", "--degrees", "5", "--h", "6",
+                         "--seed", "5", "--emit", "tensor", "--field", "fp:1073741789")
+    assert code == 0 and "field: fp:1073741789\n" in text
     path = tmp_path / "t.txt"
     path.write_text(text, encoding="utf-8")
-    code, report = run_cli("certify", "--input", str(path), "--h", "6",
-                           "--field", "fp:1073741789", "--report", "json")
+    code, report = run_cli("certify", "--input", str(path), "--h", "6", "--report", "json")
     assert code == 0
     doc = json.loads(report)
     assert doc["field"] == {"mode": "probabilistic", "prime": 1073741789}
@@ -622,6 +623,29 @@ def test_negative_budget_and_cap_are_usage_errors(tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("header,env,message", [
+    ("sizes: 2,a\ndegrees: 1\n", None, "sizes must be comma-separated integers, got '2,a'"),
+    ("sizes: 2\ndegrees: 1\nseed: 1.5\n", None, "seed must be an integer, got '1.5'"),
+    ("sizes: 2\ndegrees: 1\nfield: fp:abc\n", None,
+     "field: unknown field spec 'fp:abc'; expected 'qq' or 'fp:P'"),
+    ("sizes: 2\ndegrees: 1\n", "abc", "TENSORCERT_BUDGET must be an integer, got 'abc'"),
+    ("sizes: 2\ndegrees: 1\n", "1.5", "TENSORCERT_BUDGET must be an integer, got '1.5'"),
+], ids=["sizes", "seed", "field", "budget-env-word", "budget-env-fraction"])
+def test_malformed_value_names_its_setting(tmp_path, monkeypatch, capsys, header, env,
+                                           message):
+    text = header + "tensor: x1_0\n"
+    if env is None:
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_document(text)
+    else:
+        monkeypatch.setenv("TENSORCERT_BUDGET", env)
+    path = tmp_path / "t.txt"
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("certify", "--input", str(path), "--h", "1") == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_profile_cap_is_an_unknown_argument(tmp_path, capsys):
     # the Hilbert polynomial decides every section, so no cap is taken
     path = tmp_path / "t.txt"
@@ -634,6 +658,10 @@ def test_profile_cap_is_an_unknown_argument(tmp_path, capsys):
     assert run_cli("certify", "--help")[0] == 0
     usage = capsys.readouterr().out
     assert "--budget" in usage and "--profile-cap" not in usage
+    # a document's field: line alone sets the field
+    assert "--field" not in usage
+    assert run_cli("certify", "--input", str(path), "--h", "2", "--field", "fp:101") == (1, "")
+    assert "unrecognized arguments: --field fp:101" in capsys.readouterr().err
 
 
 def test_document_declared_field(tmp_path):
@@ -657,13 +685,14 @@ def test_document_composite_modulus_refused(tmp_path, capsys):
 
 
 def test_field_env_override(tmp_path, monkeypatch):
+    # TENSORCERT_FIELD is not read: a QQ document stays exact
     path = tmp_path / "t.txt"
     path.write_text("sizes: 2\ndegrees: 3\ntensor: x1_0^3 + x1_1^3\n", encoding="utf-8")
     monkeypatch.setenv("TENSORCERT_FIELD", "fp:101")
     code, report = run_cli("certify", "--input", str(path), "--h", "2",
                            "--report", "json")
     assert code == 0
-    assert json.loads(report)["field"] == {"mode": "probabilistic", "prime": 101}
+    assert json.loads(report)["field"] == {"mode": "exact", "prime": None}
 
 
 def test_trace_flag(tmp_path):

@@ -252,7 +252,7 @@ def test_conjugate_points_prove_no_decomposition():
     _assert_exact(cert, T11 + pair)
 
 
-def test_section_longer_than_h_runs_the_exact_path():
+def test_section_longer_than_h_is_unproven():
     # Proposition 3.1 forced on 1d's tensor: rank 7, but the section is
     # ZeroDim(8), which mod p proves only a bound; the test runs the exact
     # path itself
@@ -263,7 +263,7 @@ def test_section_longer_than_h_runs_the_exact_path():
     _assert_exact(cert, T)
 
 
-def test_empty_section_below_full_row_rank_runs_the_exact_path():
+def test_empty_section_below_full_row_rank_is_unproven():
     # 20 sixth powers of points on the quadric x0 x1 = x2 x3: Q(d) F = 0 for
     # the dual quadric, so the 10-row flattening has rank 9 = h, and the
     # section is Empty.  Rank 9 < 10 rows mod p proves no rank over QQ; the
