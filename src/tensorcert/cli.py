@@ -300,6 +300,7 @@ def parse_document(text: str):
     payload_kind = None
     tensor_lines = []
     dec_lines = []
+    keys = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip() if payload_kind != "tensor" else raw.strip()
         if not line:
@@ -315,6 +316,9 @@ def parse_document(text: str):
             raise ParseError(f"expected 'key: value', got {line!r}")
         key = key.strip().lower()
         value = value.strip()
+        if key in keys:
+            raise ParseError(f"document key {key!r} given twice")
+        keys.add(key)
         if key == "sizes":
             sizes = _parse_int_list(value, key)
         elif key == "degrees":

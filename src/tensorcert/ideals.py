@@ -18,9 +18,9 @@ a point at infinity in every chart, leaves a scheme Inconclusive.  The points of
 recovered from its chart, or from the gcd of binary forms, by
 ``rational_points``.
 
-Buchberger runs with Gebauer-Moeller pair elimination and sugar selection;
-over the rationals the reduction arithmetic is fraction free on primitive
-integer polynomials.  Within a run each monomial is one packed int, and
+Buchberger runs with Gebauer-Moeller pair elimination and sugar selection
+on monic polynomials, their coefficients residues mod p or ``Fraction``s
+over the rationals.  Within a run each monomial is one packed int, and
 the run memoises, per monomial, its first reducer and that element's
 multiple shifted onto the monomial (see ``_Engine``); monomials enter and
 leave it as exponent tuples.
@@ -29,10 +29,8 @@ leave it as exponent tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, product
-from math import gcd
 from operator import add, mul
 from random import Random
 
@@ -151,7 +149,8 @@ _WIDTH = 16
 
 
 class _Engine:
-    """Buchberger state: basis polynomials as primitive/monic int dicts.
+    """Buchberger state: basis polynomials as monic dicts, packed monomial
+    to field element (a residue mod p, a ``Fraction`` over QQ).
 
     A monomial is one int (Bachmann and Schoenemann, ISSAC 1998) of
     ``_WIDTH``-bit fields, each topped by a guard bit: per group from the
@@ -180,9 +179,8 @@ class _Engine:
         self.modulus = field.modulus
         self.budget = budget if budget is not None else DEFAULT_PAIR_BUDGET
         self.pairs_done = 0
-        self.polys = []   # dict mono -> int
+        self.polys = []   # dict mono -> field element
         self.lts = []
-        self.lcs = []
         self.sugars = []
         self._reducers = {}  # see the class docstring
         self.limit = 1 << (_WIDTH - 1)
@@ -229,33 +227,17 @@ class _Engine:
     # -- coefficient normalization ------------------------------------------
 
     def prepare(self, poly: MPoly):
-        """MPoly -> int-coefficient dict (primitive over QQ, monic over Fp)."""
-        monos = map(self.pack, poly.terms)
-        if self.modulus is None:
-            nums, _ = numerators(list(poly.terms.values()))
-            return self.strip_content(dict(zip(monos, nums)))
-        return self.make_monic({m: c % self.modulus for m, c in zip(monos, poly.terms.values())})
-
-    def strip_content(self, terms):
-        if not terms:
-            return terms
-        content = 0
-        for c in terms.values():
-            content = gcd(content, c)
-            if content == 1:
-                break
-        if terms[max(terms, key=self.flip.__xor__)] < 0:
-            content = -content
-        if content != 1:
-            terms = {m: c // content for m, c in terms.items()}
-        return terms
+        """MPoly -> monic dict of packed monomials."""
+        return self.make_monic(dict(zip(map(self.pack, poly.terms), poly.terms.values())))
 
     def make_monic(self, terms):
         if not terms:
             return terms
-        inv = pow(terms[max(terms, key=self.flip.__xor__)], -1, self.modulus)
+        inv = self.field.inv(terms[max(terms, key=self.flip.__xor__)])
         if inv != 1:
-            terms = {m: c * inv % self.modulus for m, c in terms.items()}
+            p = self.modulus
+            terms = ({m: c * inv % p for m, c in terms.items()} if p is not None
+                     else {m: c * inv for m, c in terms.items()})
         return terms
 
     # -- reduction -----------------------------------------------------------
@@ -278,8 +260,10 @@ class _Engine:
         return None
 
     def normal_form(self, terms, keep=None, raw=False):
-        """Fully reduce a term dict against the current basis, and normalize
-        it unless ``raw``.  The monomial ``keep``, if given, is left as it is.
+        """Fully reduce a term dict against the current basis, and make it
+        monic unless ``raw``.  The monomial ``keep``, if given, is left as
+        it is.  Each reducer is monic, so it is subtracted times the
+        coefficient of the monomial it clears.
         """
         p = dict(terms)
         if not p:
@@ -288,7 +272,6 @@ class _Engine:
         done = set() if keep is None else {keep}
         heap = [m ^ rflip for m in p]
         heapify(heap)
-        steps = 0
         while heap:
             m = heappop(heap) ^ rflip
             if m in done or m not in p:
@@ -297,21 +280,10 @@ class _Engine:
             if hit is None:
                 done.add(m)
                 continue
-            i, multiple = hit
-            c = p[m]
-            if modulus is None:
-                glc = self.lcs[i]
-                common = gcd(c, glc)
-                mult_p = glc // common
-                mult_g = c // common
-                if mult_p != 1:
-                    for k in p:
-                        p[k] *= mult_p
-            else:
-                mult_g = c
-            for k, gc in multiple:
+            c = -p[m]
+            for k, gc in hit[1]:
                 old = p.get(k)
-                v = (old or 0) - mult_g * gc
+                v = c * gc if old is None else old + c * gc
                 if modulus is not None:
                     v %= modulus
                 if v:
@@ -320,10 +292,7 @@ class _Engine:
                     p[k] = v
                 else:
                     p.pop(k, None)
-            steps += 1
-            if modulus is None and steps % 64 == 0 and p:
-                p = self.strip_content(p)
-        return p if raw else self.strip_content(p) if modulus is None else self.make_monic(p)
+        return p if raw else self.make_monic(p)
 
     # -- pair management (Gebauer-Moeller) ------------------------------------
 
@@ -357,25 +326,15 @@ class _Engine:
         lt = max(terms, key=self.flip.__xor__)
         self.polys.append(terms)
         self.lts.append(lt)
-        self.lcs.append(terms[lt])
         self.sugars.append(self.degree(lt) if sugar is None else sugar)
         return len(self.polys) - 1
 
     def s_poly(self, i, j, lcm):
         si, sj = lcm - self.lts[i], lcm - self.lts[j]
-        gi, gj = self.polys[i], self.polys[j]
-        if self.modulus is None:
-            ci, cj = self.lcs[i], self.lcs[j]
-            common = gcd(ci, cj)
-            mi, mj = cj // common, ci // common
-        else:
-            mi = mj = 1
-        out = {}
-        for m, c in gi.items():
-            out[m + si] = mi * c
-        for m, c in gj.items():
+        out = {m + si: c for m, c in self.polys[i].items()}
+        for m, c in self.polys[j].items():
             k = m + sj
-            v = out.get(k, 0) - mj * c
+            v = out.get(k, 0) - c
             if self.modulus is not None:
                 v %= self.modulus
             if v:
@@ -429,7 +388,6 @@ class _Engine:
                 kept.append(i)
         self.polys = [self.polys[i] for i in kept]
         self.lts = [self.lts[i] for i in kept]
-        self.lcs = [self.lcs[i] for i in kept]
         self.sugars = [self.sugars[i] for i in kept]
         self._reducers = {}  # the indices changed
         # The basis is minimal now: no other leading term divides lt_i, and
@@ -438,7 +396,6 @@ class _Engine:
         # it is therefore reduces g_i by the other elements alone.
         reduced = [self.normal_form(g, keep=lt) for g, lt in zip(self.polys, self.lts)]
         self.polys = reduced
-        self.lcs = [p[lt] for p, lt in zip(self.polys, self.lts)]
         self._reducers = {}  # the cached multiples were of the unreduced basis
         return reduced
 
@@ -463,16 +420,10 @@ def buchberger(ideal: Ideal, budget=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal; may raise BudgetExceededError."""
     engine = _Engine(ideal.space, ideal.field, budget)
     dicts = engine.run([engine.prepare(g) for g in ideal.generators])
-    field, unpack = ideal.field, engine.unpack
-    polys = []
-    for terms, lt in zip(dicts, engine.lts):
-        if field.modulus is None:
-            lc = terms[lt]
-            coeffs = {unpack(m): Fraction(c, lc) for m, c in terms.items()}
-        else:                   # ``_interreduce`` left each element monic
-            coeffs = {unpack(m): c for m, c in terms.items()}
-        polys.append(MPoly(ideal.space, coeffs, field, _clean=True))
-    return GroebnerBasis(ideal.space, field, polys, map(unpack, engine.lts))
+    unpack = engine.unpack
+    polys = [MPoly(ideal.space, {unpack(m): c for m, c in terms.items()}, ideal.field,
+                   _clean=True) for terms in dicts]
+    return GroebnerBasis(ideal.space, ideal.field, polys, map(unpack, engine.lts))
 
 
 # ---------------------------------------------------------------------------

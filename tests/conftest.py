@@ -1,8 +1,31 @@
 import random
+import signal
 
 import pytest
 
 from tensorcert import MPoly, TensorSpace, monomial_basis
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past 120 s, where SIGALRM exists.  The slowest
+    test takes about 11 s; a reduction that no longer terminates, such as a
+    basis that is not kept monic, is otherwise bounded only by the S-pair
+    budget."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail("test ran past its 120 s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -697,8 +697,8 @@ def _count_rref_inputs(monkeypatch):
     ((3,), (5,), 7, 5, 0, 1, "Thm37", 1),
     ((3,), (5,), 7, 7, 2, 1, "Thm37", 1),
     ((3,), (5,), 7, 6, 0, 1, "Thm37", 1),
-], ids=["Prop31", "Prop31-fallback", "Thm37", "Prop33", "Thm37-fallback",
-        "Thm37-unlucky-prime", "Thm37-lifted-section"])
+], ids=["Prop31", "Prop31-fallback", "Thm37", "Prop33", "Thm37-rank-deficient",
+        "Thm37-unlucky-prime", "Thm37-section-not-empty"])
 def test_flattening_matrix_is_reduced_once(monkeypatch, sizes, degrees, h, rank, lost,
                                            seed, criterion, second_passes):
     # every criterion reduces its flattening mod its first prime once, never
@@ -772,10 +772,10 @@ _PINNED_REPORTS = {
     "thm37-witness": (
         lambda: certify(_random((3,), (5,), 7, 1)[0], 7),
         "4b82fad87071e0d17a4ec2414c84c747a46ae1c64db34fa9817c1b9bbf67c4f6"),
-    "thm37-lifted-rank": (
+    "thm37-rank-deficient": (
         lambda: certify(_random((3,), (5,), 5, 1)[0], 7),
         "bd215be13d159af2ad26c51bb070507262340b36ca9eb6a27bcde7339953695c"),
-    "thm37-lifted-section": (
+    "thm37-section-not-empty": (
         lambda: certify(_random((3,), (5,), 6, 1)[0], 7),
         "57413af01df0d072110101647f40d73039f908bb85516811fbb790b029f60051"),
     "thm37-unlucky-prime": (
@@ -804,7 +804,7 @@ def test_report_is_unchanged(route):
     (lambda: certify(_random((3,), (5,), 7, 1)[0], 7, budget=0), True),
     (lambda: certify(_random((4,), (4,), 7, 1)[1], budget=0), True),
     (lambda: certify(_random((3,), (5,), 5, 1)[0], 7, budget=0), False),
-], ids=["thm37-lifted-section", "thm37-witness", "prop33-1d", "thm37-lifted-rank"])
+], ids=["thm37-section-not-empty", "thm37-witness", "prop33-1d", "thm37-rank-deficient"])
 def test_budget_exhausted_is_read_off_the_checks(build, exhausted):
     # here a check computes Inconclusive only by an exhausted S-pair budget
     # (the other way, a point at infinity in every chart, is in

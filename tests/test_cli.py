@@ -630,7 +630,13 @@ def test_negative_budget_and_cap_are_usage_errors(tmp_path, monkeypatch, capsys,
      "field: unknown field spec 'fp:abc'; expected 'qq' or 'fp:P'"),
     ("sizes: 2\ndegrees: 1\n", "abc", "TENSORCERT_BUDGET must be an integer, got 'abc'"),
     ("sizes: 2\ndegrees: 1\n", "1.5", "TENSORCERT_BUDGET must be an integer, got '1.5'"),
-], ids=["sizes", "seed", "field", "budget-env-word", "budget-env-fraction"])
+    ("sizes: 2\nsizes: 3\ndegrees: 1\n", None, "document key 'sizes' given twice"),
+    ("sizes: 2\ndegrees: 1\ndegrees: 1\n", None, "document key 'degrees' given twice"),
+    ("sizes: 2\ndegrees: 1\nfield: qq\nfield: fp:101\n", None,
+     "document key 'field' given twice"),
+    ("sizes: 2\ndegrees: 1\nseed: 1\nSeed: 2\n", None, "document key 'seed' given twice"),
+], ids=["sizes", "seed", "field", "budget-env-word", "budget-env-fraction",
+        "sizes-twice", "degrees-twice", "field-twice", "seed-twice"])
 def test_malformed_value_names_its_setting(tmp_path, monkeypatch, capsys, header, env,
                                            message):
     text = header + "tensor: x1_0\n"
