@@ -41,7 +41,8 @@ class DenseMatrix:
                            for i in range(n)])
 
     def transpose(self):
-        return DenseMatrix(self.field, list(zip(*self.rows)), self.nrows)
+        return DenseMatrix(self.field, list(zip(*self.rows)) or [()] * self.ncols,
+                           self.nrows)
 
     def __eq__(self, other):
         return (isinstance(other, DenseMatrix) and self.field == other.field
@@ -68,8 +69,16 @@ def rref(matrix: DenseMatrix):
     Fraction Gauss-Jordan's, entry for entry.  Primitive rows keep the
     factorial content of catalecticant rows from growing with every update.
 
-    Over F_p each pivot row is scaled once by the inverse of its pivot, and
-    every other row is updated from the pivot column onward only.
+    Over F_p the reduction mod p is delayed (Dumas, Giorgi and Pernet, ACM
+    TOMS 35(3), 2008): each row is one int with an entry per fixed-width
+    slot, and a pivot entry q is cleared from a row by one multiply-add,
+    row + (p - q) * pivot row, left unreduced.  A row takes at most
+    k = min(nrows, ncols) such updates of at most (p-1)^2 per slot, so a
+    slot stays below p + k (p-1)^2, which the slot width holds: no slot
+    carries into the next, and none borrows.  Each pivot row is reduced as
+    it is scaled by its pivot's inverse, and the pivot rows once more at the
+    end.  The pivot choice is plain Gauss-Jordan's, and the reduced form is
+    unique, so the result is the same entry for entry.
     """
     if matrix.field.modulus is None:
         return _rref_rational(matrix)
@@ -77,33 +86,51 @@ def rref(matrix: DenseMatrix):
 
 
 def _rref_mod_p(matrix: DenseMatrix):
+    # Entry j of a row is slot j, nbytes bytes wide (little-endian), of one
+    # int.  A slot is reduced mod p only when its row becomes the pivot row or
+    # is read at the end.  In between it takes at most k = min(nrows, ncols)
+    # updates (p - q) * y, q and y residues, so it stays below p + k (p-1)^2,
+    # which nbytes holds: no slot carries into the next, and none borrows.
     p = matrix.field.modulus
     nrows, ncols = matrix.nrows, matrix.ncols
-    m = [[x % p for x in row] for row in matrix.rows]
+    nbytes = ((p + min(nrows, ncols) * (p - 1) ** 2).bit_length() + 7) // 8
+    width, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
+    from_bytes = int.from_bytes
+
+    def pack(values):
+        return from_bytes(b"".join([x.to_bytes(nbytes, "little") for x in values]), "little")
+
+    def residues(row, start):
+        """The residues of the row's slots from column ``start`` on."""
+        size = nbytes * (ncols - start)
+        b = (row >> width * start).to_bytes(size, "little")
+        return [from_bytes(b[j:j + nbytes], "little") % p for j in range(0, size, nbytes)]
+
+    m = [pack([x % p for x in row]) for row in matrix.rows]
     pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
+        shift = width * c
+        pr = next((i for i in range(r, nrows) if (m[i] >> shift & mask) % p), None)
         if pr is None:
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p)
-        tail = [x * inv % p for x in m[r][c:]]
-        m[r][c:] = tail
-        for i in range(nrows):
-            q = m[i][c]
-            if q and i != r:
-                m[i][c:] = [(x - q * y) % p for x, y in zip(m[i][c:], tail)]
+        # the pivot row is 0 mod p left of c, so its reduced form is 0 there
+        tail = residues(m[r], c)
+        inv = pow(tail[0], -1, p)
+        prow = m[r] = pack([x * inv % p for x in tail]) << shift
+        for i, row in enumerate(m):
+            minus_q = -(row >> shift & mask) % p
+            if minus_q and i != r:
+                m[i] = row + minus_q * prow
         pivots.append(c)
         r += 1
-    return DenseMatrix(matrix.field, m, ncols), r, tuple(pivots)
+    reduced = [residues(row, 0) for row in m[:r]]
+    reduced.extend([0] * ncols for _ in range(nrows - r))
+    return DenseMatrix(matrix.field, reduced, ncols), r, tuple(pivots)
 
 
 def _eliminate(row, prow, c):

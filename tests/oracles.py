@@ -64,6 +64,27 @@ def fraction_kernel(rows, ncols):
     return out
 
 
+def modp_rref(rows, ncols, p):
+    """Gauss-Jordan on plain lists of residues mod p: (reduced, rank, pivots)."""
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                # the pivot row is zero left of c
+                q = m[i][c]
+                m[i][c:] = [(x - q * y) % p for x, y in zip(m[i][c:], m[r][c:])]
+        pivots.append(c)
+    return m, len(pivots), pivots
+
+
 # ---------------------------------------------------------------------------
 # univariate gcd over the rationals (monic Euclid)
 

@@ -144,6 +144,15 @@ def test_matrix_immutable():
         m.nrows = 5
 
 
+def test_transpose_twice_is_the_identity():
+    for nrows, ncols in [(0, 4), (4, 0), (3, 5)]:
+        m = DenseMatrix(QQ, [[Fraction(i * ncols + j) for j in range(ncols)]
+                             for i in range(nrows)], ncols)
+        t = m.transpose()
+        assert (t.nrows, t.ncols) == (ncols, nrows)
+        assert t.transpose() == m
+
+
 # ---------------------------------------------------------------------------
 # differential test against the standalone Fraction oracle
 
@@ -208,6 +217,32 @@ def test_rref_matches_fraction_oracle_mod_p():
         want, want_rank, want_pivots = oracles.fraction_rref(rows)
         assert (rank, pivots) == (want_rank, tuple(want_pivots))
         assert reduced.rows == tuple(tuple(fp(x) for x in row) for row in want)
+
+
+def test_rref_mod_p_matches_the_oracle():
+    # entries negative and >= p reach the kernel unreduced; at the large primes
+    # the 70 x 70 matrix of mostly p - 1 has full rank, so each slot takes an
+    # update from nearly every pivot, towards the slot bound p + k (p-1)^2
+    rng = random.Random(38)
+
+    def ints(nr, nc, p):
+        return [[rng.randint(-2 * p, 2 * p) for _ in range(nc)] for _ in range(nr)]
+
+    for p in (2, 3, 7, 101, 1073741789, (1 << 61) - 1, (1 << 64) - 59):
+        left, right = ints(150, 5, p), ints(5, 40, p)
+        low_rank = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                    for row in left]
+        square = [[p - 1 if rng.random() < 0.8 else rng.randrange(p) for _ in range(70)]
+                  for _ in range(70)]
+        cases = [([], 6), ([()] * 6, 0), (ints(1, 1, p), 1), (ints(5, 12, p), 12),
+                 (low_rank, 40), (square, 70)]
+        for rows, ncols in cases:
+            reduced, rank, pivots = rref(DenseMatrix(PrimeField(p), rows, ncols))
+            want, want_rank, want_pivots = oracles.modp_rref(rows, ncols, p)
+            assert (rank, pivots) == (want_rank, tuple(want_pivots))
+            assert reduced.rows == tuple(map(tuple, want))
+            assert (reduced.nrows, reduced.ncols) == (len(rows), ncols)
+        assert p < 70 or want_rank == 70
 
 
 # ---------------------------------------------------------------------------
